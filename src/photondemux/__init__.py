@@ -14,7 +14,6 @@ from .analytic import (
     s_heralded,
     s_passive,
     s_unheralded_clocked,
-    switching_efficiency,
 )
 from .config import (
     RunControls,
@@ -26,16 +25,12 @@ from .config import (
     scenario_from_mapping,
     scenario_to_mapping,
 )
-from .controller import DriveSchedule, detect_runs, drive_schedule, run_starts_from_heralds
+from .controller import run_starts_from_heralds
 from .converter import (
     RoutingBatch,
-    clock_offset_draw,
     monte_carlo_efficiency,
-    route_clocked,
     route_clocked_batch,
-    route_heralded,
     route_heralded_batch,
-    route_passive,
     route_passive_batch,
 )
 from .measurement import (
@@ -43,7 +38,6 @@ from .measurement import (
     count_rates,
     estimate_routing_efficiencies,
     estimate_s,
-    port_detection_counts,
     propagate_counting_uncertainty,
 )
 from .model import (
@@ -51,13 +45,10 @@ from .model import (
     ConverterParams,
     EfficiencyEstimate,
     EstimatorMethod,
-    OutputRecord,
     RoutingStrategy,
     SimulationConfig,
     SimulationReport,
-    SlotRecord,
     SourceParams,
-    TriggerEvent,
     deadtime_to_slots,
     validate_config,
 )
@@ -77,9 +68,7 @@ from .pipeline import (
 from .source import (
     HeraldStream,
     RngStream,
-    SlotStream,
     generate_herald_stream,
-    generate_slots,
     herald_probability,
 )
 

@@ -19,7 +19,6 @@ which the Monte-Carlo converter reproduces trial by trial.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 
 def _check_eta(eta_sw: float) -> None:
@@ -57,22 +56,6 @@ def s_passive(n: int) -> float:
     if n < 1:
         raise ValueError(f"n must be >= 1 (got {n})")
     return 1.0 / n**n
-
-
-def switching_efficiency(transmittance: float, port_efficiencies: Sequence[float]) -> float:
-    """Compose converter transmittance and per-port routing efficiencies.
-
-    eta_sw = t * mean(eta_i): the average probability that one photon both
-    survives the converter optics and exits on its designated port.
-    """
-    if len(port_efficiencies) == 0:
-        raise ValueError("port_efficiencies must not be empty")
-    if not 0.0 <= transmittance <= 1.0:
-        raise ValueError(f"transmittance out of range: {transmittance!r}")
-    for i, eta in enumerate(port_efficiencies):
-        if not 0.0 <= eta <= 1.0:
-            raise ValueError(f"port_efficiencies[{i}] out of range: {eta!r}")
-    return transmittance * (sum(port_efficiencies) / len(port_efficiencies))
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ included, produces a new digest.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -36,17 +37,9 @@ from .model import (
     RoutingStrategy,
     SimulationConfig,
     SourceParams,
+    is_int,
     validate_config,
 )
-
-_RUN_DEFAULTS: dict[str, object] = {
-    "seed": 0,
-    "slots_per_trial": 10_000_000,
-    "trials": 8,
-    "calibration_mode": False,
-    "workers": 1,
-    "herald_signal_offset_slots": 0,
-}
 
 
 @dataclass(frozen=True)
@@ -66,15 +59,17 @@ class RunControls:
 
     def __post_init__(self) -> None:
         violations: list[str] = []
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
+        if not (is_int(self.seed) and 0 <= self.seed < 2**64):
             violations.append(f"run.seed: expected a 64-bit unsigned integer (got {self.seed!r})")
-        if not (isinstance(self.slots_per_trial, int) and self.slots_per_trial >= 1):
+        if not (is_int(self.slots_per_trial) and self.slots_per_trial >= 1):
             violations.append(f"run.slots_per_trial: expected integer >= 1 (got {self.slots_per_trial!r})")
-        if not (isinstance(self.trials, int) and self.trials >= 1):
+        if not (is_int(self.trials) and self.trials >= 1):
             violations.append(f"run.trials: expected integer >= 1 (got {self.trials!r})")
-        if not (isinstance(self.workers, int) and self.workers >= 1):
+        if not isinstance(self.calibration_mode, bool):
+            violations.append(f"run.calibration_mode: expected true or false (got {self.calibration_mode!r})")
+        if not (is_int(self.workers) and self.workers >= 1):
             violations.append(f"run.workers: expected integer >= 1 (got {self.workers!r})")
-        if not isinstance(self.herald_signal_offset_slots, int):
+        if not is_int(self.herald_signal_offset_slots):
             violations.append(
                 f"run.herald_signal_offset_slots: expected integer (got {self.herald_signal_offset_slots!r})"
             )
@@ -82,8 +77,10 @@ class RunControls:
             raise ConfigError(violations)
 
     def replace(self, **overrides: object) -> "RunControls":
-        merged = {k: overrides.get(k, getattr(self, k)) for k in _RUN_DEFAULTS}
-        return RunControls(**merged)  # type: ignore[arg-type]
+        return dataclasses.replace(self, **overrides)
+
+
+_RUN_DEFAULTS: dict[str, object] = {f.name: f.default for f in dataclasses.fields(RunControls)}
 
 
 @dataclass(frozen=True)
@@ -142,7 +139,7 @@ def _build_sweep(raw: Mapping, violations: list[str]) -> SweepGrid:
         strategies = ()
     n_modes = tuple(raw.get("n_modes", ()))
     for n in n_modes:
-        if not (isinstance(n, int) and n >= 1):
+        if not (is_int(n) and n >= 1):
             violations.append(f"sweep.n_modes: expected integers >= 1 (got {n!r})")
     eta_sw: list[float] = []
     for v in raw.get("eta_sw", ()):

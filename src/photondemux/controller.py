@@ -7,20 +7,11 @@ the n slots of a conversion, so a slot consumed by one trigger can
 neither start nor join another.  At realistic herald rates (hundreds of
 counts per second against an 82 MHz clock) overlapping candidates are
 vanishingly rare; the policy matters only under stress tests.
-
-The drive schedule for a trigger is the identity assignment: photon j of
-the run is switched toward port j during its own slot.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
-
-from .model import SlotRecord, TriggerEvent
-from .source import SlotStream
 
 
 def run_starts_from_heralds(herald_slots: np.ndarray, n: int) -> np.ndarray:
@@ -48,50 +39,3 @@ def run_starts_from_heralds(herald_slots: np.ndarray, n: int) -> np.ndarray:
     before = np.concatenate(([0], np.cumsum(counts)[:-1]))
     within = np.arange(total, dtype=np.int64) - np.repeat(before, counts)
     return base + within * n
-
-
-def detect_runs(slots: "SlotStream | Sequence[SlotRecord]", n: int) -> tuple[TriggerEvent, ...]:
-    """Find all non-overlapping runs of n consecutive effective heralds."""
-    if isinstance(slots, SlotStream):
-        effective = slots.herald_effective
-    else:
-        effective = np.fromiter((r.herald_effective for r in slots), dtype=bool, count=len(slots))
-    starts = run_starts_from_heralds(np.flatnonzero(effective), n)
-    return tuple(TriggerEvent(start_slot=int(s), run_length=n) for s in starts)
-
-
-@dataclass(frozen=True)
-class DriveSchedule:
-    """Per-photon router drive plan for one trigger.
-
-    ``ports[j]`` is the target port of photon j; ``switch_slots[j]`` is
-    the slot during which the router must hold that setting.  The
-    assignment is always a bijection onto the n ports.
-    """
-
-    ports: tuple[int, ...]
-    switch_slots: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.ports)
-        if n == 0:
-            raise ValueError("empty drive schedule")
-        if len(self.switch_slots) != n:
-            raise ValueError("ports and switch_slots must have equal length")
-        if sorted(self.ports) != list(range(n)):
-            raise ValueError(f"port assignment must be a bijection onto 0..{n - 1} (got {self.ports})")
-        for a, b in zip(self.switch_slots, self.switch_slots[1:]):
-            if b != a + 1:
-                raise ValueError("switch slots must be consecutive")
-
-    def as_mapping(self) -> dict[int, int]:
-        return dict(enumerate(self.ports))
-
-
-def drive_schedule(trigger: TriggerEvent) -> DriveSchedule:
-    """Identity drive plan: photon j of the run goes to port j."""
-    n = trigger.run_length
-    return DriveSchedule(
-        ports=tuple(range(n)),
-        switch_slots=tuple(trigger.start_slot + j for j in range(n)),
-    )

@@ -19,9 +19,8 @@ Passive routing sends each photon out a uniformly random port (ideal
 lossless splitter), succeeding when every photon happens to pick its own
 designated port: (1/n)^n.
 
-Each strategy has a batch form returning a :class:`RoutingBatch` of many
-independent runs (all the Monte-Carlo statistics run on these), and a
-single-trigger form returning one :class:`OutputRecord`.
+Each strategy routes a batch of many independent runs at once and
+returns a :class:`RoutingBatch`; a single run is a batch of one.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConverterParams, OutputRecord, RoutingStrategy, TriggerEvent
+from .model import ConverterParams, RoutingStrategy
 from .source import RngStream
 
 _LOST = -1
@@ -183,74 +182,6 @@ def route_passive_batch(
         detected = np.ones((runs, n_modes), dtype=bool)
     scheduled = np.broadcast_to(np.arange(n_modes, dtype=np.int16), (runs, n_modes))
     return RoutingBatch(n_modes=n_modes, scheduled=scheduled, ports=ports, detected=detected)
-
-
-def _record_from_row(trigger: TriggerEvent, batch: RoutingBatch, row: int = 0) -> OutputRecord:
-    ports = batch.ports[row]
-    detected = batch.detected[row]
-    designated = np.arange(batch.n_modes)
-    aligned = (ports == designated) & detected
-    return OutputRecord(
-        trigger_ref=trigger,
-        port_detections=tuple(bool(x) for x in aligned),
-        lost_photons=int((ports == _LOST).sum()),
-        photon_ports=tuple(int(p) for p in ports),
-        photon_detected=tuple(bool(d) for d in detected),
-    )
-
-
-def route_heralded(
-    trigger: TriggerEvent,
-    params: ConverterParams,
-    rng: "RngStream | np.random.Generator",
-    signal_det_efficiency: float = 1.0,
-) -> OutputRecord:
-    """Route one heralded run (see :func:`route_heralded_batch`)."""
-    if trigger.run_length != params.n_modes:
-        raise ValueError(
-            f"trigger run_length {trigger.run_length} does not match converter n_modes {params.n_modes}"
-        )
-    batch = route_heralded_batch(1, params, rng, signal_det_efficiency)
-    return _record_from_row(trigger, batch)
-
-
-def route_clocked(
-    trigger: TriggerEvent,
-    clock_offset: int,
-    params: ConverterParams,
-    rng: "RngStream | np.random.Generator",
-    signal_det_efficiency: float = 1.0,
-) -> OutputRecord:
-    """Route one clocked run at a known clock phase."""
-    if trigger.run_length != params.n_modes:
-        raise ValueError(
-            f"trigger run_length {trigger.run_length} does not match converter n_modes {params.n_modes}"
-        )
-    batch = route_clocked_batch(1, params, rng, clock_offsets=clock_offset,
-                                signal_det_efficiency=signal_det_efficiency)
-    return _record_from_row(trigger, batch)
-
-
-def route_passive(
-    trigger: TriggerEvent,
-    n_modes: int,
-    rng: "RngStream | np.random.Generator",
-    signal_det_efficiency: float = 1.0,
-) -> OutputRecord:
-    """Route one run through the passive splitter."""
-    if trigger.run_length != n_modes:
-        raise ValueError(
-            f"trigger run_length {trigger.run_length} does not match n_modes {n_modes}"
-        )
-    batch = route_passive_batch(1, n_modes, rng, signal_det_efficiency)
-    return _record_from_row(trigger, batch)
-
-
-def clock_offset_draw(rng: "RngStream | np.random.Generator", n: int) -> int:
-    """Uniform clock phase in 0..n-1 for one run."""
-    if n < 2:
-        raise ValueError(f"clock phase needs n >= 2 (got {n})")
-    return int(_as_generator(rng).integers(0, n))
 
 
 def monte_carlo_efficiency(

@@ -24,29 +24,22 @@ from typing import Sequence
 import numpy as np
 
 from .converter import RoutingBatch
-from .model import EfficiencyEstimate, EstimatorMethod, OutputRecord, TriggerEvent
+from .model import EfficiencyEstimate, EstimatorMethod
 
 
 def count_rates(
-    outputs: "Sequence[OutputRecord] | int",
-    triggers: "Sequence[TriggerEvent] | int",
+    n_coincidences: int,
+    n_triggers: int,
     slots_simulated: int,
     rep_rate_hz: float,
 ) -> tuple[float, float]:
     """Coincidence and trigger rates in counts per second.
 
-    ``outputs`` may be the routing records themselves or directly the
-    number of full coincidences (every port detected); likewise
-    ``triggers`` may be the events or their count, so that large sparse
-    runs can fold partial counts without materializing records.
+    ``n_coincidences`` counts triggers on which every port fired in its
+    aligned bin; ``n_triggers`` counts all triggers.
     """
     if slots_simulated <= 0:
         raise ValueError(f"slots_simulated must be positive (got {slots_simulated})")
-    if isinstance(outputs, int):
-        n_coincidences = outputs
-    else:
-        n_coincidences = sum(1 for rec in outputs if rec.all_ports_detected)
-    n_triggers = triggers if isinstance(triggers, int) else len(triggers)
     if n_coincidences > n_triggers:
         raise ValueError("more coincidences than triggers")
     per_slot_to_rate = rep_rate_hz / slots_simulated
@@ -155,37 +148,24 @@ def compensate_transmittance(
     return EfficiencyEstimate(value=value, std_error=std_error, method=method)
 
 
-def port_detection_counts(outputs: "Sequence[OutputRecord] | RoutingBatch", n_modes: int = 0) -> np.ndarray:
-    """(n, n) table of detected landings: entry [i, j] counts photon i at port j."""
-    if isinstance(outputs, RoutingBatch):
-        return outputs.port_counts(detected_only=True)
-    if not outputs:
-        raise ValueError("no routing records to count")
-    n = n_modes or outputs[0].trigger_ref.run_length
-    counts = np.zeros((n, n), dtype=np.int64)
-    for rec in outputs:
-        for i, (port, det) in enumerate(zip(rec.photon_ports, rec.photon_detected)):
-            if port >= 0 and det:
-                counts[i, port] += 1
-    return counts
-
-
 def estimate_routing_efficiencies(
-    outputs: "Sequence[OutputRecord] | RoutingBatch | np.ndarray",
+    outputs: "RoutingBatch | np.ndarray",
     corrections: "Sequence[float] | None" = None,
 ) -> list[tuple[float, float]]:
     """Per-port routing efficiencies with binomial standard errors.
 
-    For each photon index i, the efficiency is the fraction of its
-    detected landings that fell on its own port i, divided by the
-    supplied correction factor (residual optics and detector imbalance;
-    1.0 when none).  Detection thinning cancels in the fraction as long
-    as all ports share a detector efficiency.
+    ``outputs`` is a routing batch or its (n, n) table of detected
+    landings, entry [i, j] counting photon i at port j.  For each photon
+    index i, the efficiency is the fraction of its detected landings
+    that fell on its own port i, divided by the supplied correction
+    factor (residual optics and detector imbalance; 1.0 when none).
+    Detection thinning cancels in the fraction as long as all ports
+    share a detector efficiency.
     """
-    if isinstance(outputs, np.ndarray):
-        counts = outputs
+    if isinstance(outputs, RoutingBatch):
+        counts = outputs.port_counts(detected_only=True)
     else:
-        counts = port_detection_counts(outputs)
+        counts = outputs
     n = counts.shape[0]
     if counts.shape != (n, n):
         raise ValueError(f"count table must be square (got {counts.shape})")

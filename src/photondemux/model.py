@@ -1,9 +1,8 @@
 """Shared domain types for the photon-stream demultiplexing simulator.
 
 Everything in this module is a passive, validated value object: source and
-converter parameter sets, per-slot records of the heralded photon stream,
-trigger events emitted by the run detector, routing outcomes, and the
-report produced by a full simulation.  All types are immutable after
+converter parameter sets, efficiency estimates, and the report produced
+by a full simulation.  All types are immutable after
 construction and safe to share between concurrent trial workers.
 
 Validation happens eagerly in ``__post_init__`` so that an out-of-range
@@ -59,6 +58,11 @@ class EstimatorMethod(enum.Enum):
     COUNTING_PIPELINE = "counting_pipeline"
 
 
+def is_int(value: object) -> bool:
+    """An integer config value; ``bool`` is an ``int`` subclass but not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_prob(name: str, value: float, violations: list[str]) -> None:
     if not (isinstance(value, (int, float)) and math.isfinite(value) and 0.0 <= value <= 1.0):
         violations.append(f"{name}: probability out of range (got {value!r}, expected 0..1)")
@@ -109,10 +113,12 @@ class SourceParams:
         _check_prob("signal_det_efficiency", self.signal_det_efficiency, violations)
         if not (isinstance(self.rep_rate_hz, (int, float)) and math.isfinite(self.rep_rate_hz) and self.rep_rate_hz > 0):
             violations.append(f"rep_rate_hz: negative rate (got {self.rep_rate_hz!r}, expected > 0)")
-        if not (isinstance(self.herald_deadtime_slots, int) and self.herald_deadtime_slots >= 0):
+        if not (is_int(self.herald_deadtime_slots) and self.herald_deadtime_slots >= 0):
             violations.append(
                 f"herald_deadtime_slots: expected nonnegative integer (got {self.herald_deadtime_slots!r})"
             )
+        if not isinstance(self.multi_pair_enabled, bool):
+            violations.append(f"multi_pair_enabled: expected true or false (got {self.multi_pair_enabled!r})")
         if violations:
             raise ConfigError(violations)
 
@@ -139,7 +145,7 @@ class ConverterParams:
 
     def __post_init__(self) -> None:
         violations: list[str] = []
-        if not (isinstance(self.n_modes, int) and self.n_modes >= 1):
+        if not (is_int(self.n_modes) and self.n_modes >= 1):
             violations.append(f"n_modes: expected integer >= 1 (got {self.n_modes!r})")
         try:
             object.__setattr__(self, "strategy", RoutingStrategy.parse(self.strategy))
@@ -149,12 +155,12 @@ class ConverterParams:
             object.__setattr__(self, "strategy", RoutingStrategy.ACTIVE_HERALDED)
         _check_prob("transmittance", self.transmittance, violations)
         ports = tuple(float(p) for p in self.port_efficiencies)
-        if not ports and isinstance(self.n_modes, int) and self.n_modes >= 1:
+        if not ports and is_int(self.n_modes) and self.n_modes >= 1:
             ports = (1.0,) * self.n_modes  # ideal routers unless stated otherwise
         object.__setattr__(self, "port_efficiencies", ports)
         for i, p in enumerate(ports):
             _check_prob(f"port_efficiencies[{i}]", p, violations)
-        if isinstance(self.n_modes, int) and self.n_modes >= 1 and len(ports) != self.n_modes:
+        if is_int(self.n_modes) and self.n_modes >= 1 and len(ports) != self.n_modes:
             violations.append(
                 f"port_efficiencies: expected {self.n_modes} entries, got {len(ports)}"
             )
@@ -169,101 +175,6 @@ class ConverterParams:
     def switching_efficiency(self) -> float:
         """Composite probability of routing one photon to its designated mode."""
         return self.transmittance * (sum(self.port_efficiencies) / len(self.port_efficiencies))
-
-
-@dataclass(frozen=True)
-class SlotRecord:
-    """State of a single pump-pulse slot."""
-
-    slot_index: int
-    signal_present: bool
-    herald_a_fired: bool
-    herald_b_fired: bool
-    herald_effective: bool
-    signal_photon_count: int = -1  # -1: derive from signal_present
-
-    def __post_init__(self) -> None:
-        if self.signal_photon_count < 0:
-            object.__setattr__(self, "signal_photon_count", int(self.signal_present))
-        if self.herald_effective and not (self.herald_a_fired or self.herald_b_fired):
-            raise ConfigError(
-                [f"slot {self.slot_index}: herald_effective without any detector firing"]
-            )
-        if (self.herald_a_fired or self.herald_b_fired) and not self.signal_present:
-            raise ConfigError(
-                [f"slot {self.slot_index}: herald fired without an emitted pair"]
-            )
-
-
-def _identity_schedule(n: int) -> tuple[int, ...]:
-    return tuple(range(n))
-
-
-@dataclass(frozen=True)
-class TriggerEvent:
-    """A detected run of consecutive heralds, ready to drive the routers.
-
-    ``drive_schedule[j]`` is the output port for photon j of the run; the
-    converter time-aligns photon j with output j, so the schedule is the
-    identity assignment.
-    """
-
-    start_slot: int
-    run_length: int
-    drive_schedule: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.run_length < 1:
-            raise ConfigError([f"run_length: expected >= 1 (got {self.run_length})"])
-        if self.start_slot < 0:
-            raise ConfigError([f"start_slot: expected >= 0 (got {self.start_slot})"])
-        schedule = tuple(self.drive_schedule) or _identity_schedule(self.run_length)
-        if schedule != _identity_schedule(self.run_length):
-            raise ConfigError(
-                [f"drive_schedule: expected identity assignment for {self.run_length} photons"]
-            )
-        object.__setattr__(self, "drive_schedule", schedule)
-
-    @property
-    def slots(self) -> range:
-        return range(self.start_slot, self.start_slot + self.run_length)
-
-
-@dataclass(frozen=True)
-class OutputRecord:
-    """Routing outcome for one trigger.
-
-    ``photon_ports[j]`` is the port photon j actually left on (-1 if it
-    was absorbed by converter loss) and ``photon_detected[j]`` whether its
-    detector registered it.  ``port_detections[i]`` is the detector-i
-    click *in the time-aligned coincidence bin*: only photon i can arrive
-    at port i inside that bin, so the flag is equivalent to "photon i
-    reached port i and was detected".  A misrouted photon still shows up
-    in ``photon_ports`` (the delay-scanned view used for routing-efficiency
-    estimation) but never sets a port flag.
-    """
-
-    trigger_ref: TriggerEvent
-    port_detections: tuple[bool, ...]
-    lost_photons: int
-    photon_ports: tuple[int, ...]
-    photon_detected: tuple[bool, ...]
-
-    def __post_init__(self) -> None:
-        n = self.trigger_ref.run_length
-        violations: list[str] = []
-        if len(self.photon_ports) != n or len(self.photon_detected) != n:
-            violations.append("photon arrays must have one entry per photon of the run")
-        if sum(self.port_detections) > n:
-            violations.append("port_detections count exceeds run_length")
-        if self.lost_photons != sum(1 for p in self.photon_ports if p < 0):
-            violations.append("lost_photons inconsistent with photon_ports")
-        if violations:
-            raise ConfigError(violations)
-
-    @property
-    def all_ports_detected(self) -> bool:
-        return all(self.port_detections)
 
 
 @dataclass(frozen=True)
@@ -322,19 +233,13 @@ class SimulationReport:
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """A validated (source, converter) pair plus the run length of interest."""
+    """A validated (source, converter) pair.
+
+    A trigger is a run of ``converter.n_modes`` consecutive heralds.
+    """
 
     source: SourceParams
     converter: ConverterParams
-    run_length: int = 0  # 0: follow converter.n_modes
-
-    def __post_init__(self) -> None:
-        n = self.run_length or self.converter.n_modes
-        object.__setattr__(self, "run_length", n)
-        if n != self.converter.n_modes:
-            raise ConfigError(
-                [f"run_length {n} does not match converter n_modes {self.converter.n_modes}"]
-            )
 
 
 _SOURCE_KEYS = {
@@ -398,7 +303,6 @@ def _build_converter(raw: Mapping, violations: list[str]) -> ConverterParams | N
 def validate_config(
     source: "SourceParams | Mapping",
     converter: "ConverterParams | Mapping",
-    run_length: int = 0,
 ) -> SimulationConfig:
     """Build a validated simulation configuration.
 
@@ -416,4 +320,4 @@ def validate_config(
     if violations:
         raise ConfigError(violations)
     assert source is not None and converter is not None
-    return SimulationConfig(source=source, converter=converter, run_length=run_length)
+    return SimulationConfig(source=source, converter=converter)

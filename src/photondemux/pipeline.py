@@ -94,7 +94,7 @@ def _simulate_trial(scenario: Scenario, rng: RngStream) -> _TrialCounts:
     src = scenario.config.source
     conv = scenario.config.converter
     ctl = scenario.controls
-    n = scenario.config.run_length
+    n = conv.n_modes
     gen = rng.generator()
     stream = generate_herald_stream(src, ctl.slots_per_trial, gen)
     herald_slots = stream.herald_slots
@@ -140,7 +140,7 @@ def execute_scenario(scenario: Scenario, grid_index: int = 0, progress: "Progres
     for r in results:  # trial order, not completion order
         total.merge(r)
     src = scenario.config.source
-    n = scenario.config.run_length
+    n = scenario.config.converter.n_modes
     if total.triggers == 0:
         hint = ""
         if n > 2 and src.herald_deadtime_slots >= 2:
@@ -288,11 +288,7 @@ def run_calibrate(
     estimator; the report's p value is the measured one.
     """
     sc = _override_controls(_resolve(scenario), seed, slots, trials, calibration_mode=True)
-    result = execute_scenario(sc, grid_index=0, progress=progress)
-    mapping = report_to_mapping(result)
-    if out_path is not None:
-        write_report(mapping, out_path)
-    return mapping
+    return run_simulation(sc, out_path=out_path, progress=progress)
 
 
 def run_sweep(

@@ -10,19 +10,15 @@ what make *consecutive* heralds possible at all when the deadtime spans
 several pulse slots.
 
 Pair slots are generated sparsely (geometric inter-arrival gaps), so tens
-of billions of slots are tractable as long as the pair rate is realistic;
-:class:`SlotStream` materializes the equivalent dense per-slot view for
-small runs and tests.
+of billions of slots are tractable as long as the pair rate is realistic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
-
 import numpy as np
 
-from .model import SlotRecord, SourceParams
+from .model import SourceParams
 
 
 @dataclass(frozen=True)
@@ -166,59 +162,6 @@ def generate_herald_stream(params: SourceParams, n_slots: int, rng: np.random.Ge
         fired=fired,
         double_pair=double,
     )
-
-
-class SlotStream:
-    """Dense per-slot view of a :class:`HeraldStream`.
-
-    Behaves as a sequence of :class:`SlotRecord`; the columnar boolean
-    arrays are exposed directly for vectorized consumers.
-    """
-
-    def __init__(self, stream: HeraldStream):
-        n = stream.n_slots
-        self.n_slots = n
-        self.signal_present = np.zeros(n, dtype=bool)
-        self.signal_present[stream.pair_slots] = True
-        self.signal_photon_count = self.signal_present.astype(np.int8)
-        if stream.double_pair.any():
-            self.signal_photon_count[stream.pair_slots[stream.double_pair]] = 2
-        self.herald_a_fired = np.zeros(n, dtype=bool)
-        self.herald_a_fired[stream.herald_a_slots] = True
-        self.herald_b_fired = np.zeros(n, dtype=bool)
-        self.herald_b_fired[stream.herald_b_slots] = True
-        self.herald_effective = self.herald_a_fired | self.herald_b_fired
-
-    def __len__(self) -> int:
-        return self.n_slots
-
-    def __getitem__(self, i: int) -> SlotRecord:
-        if not -self.n_slots <= i < self.n_slots:
-            raise IndexError(i)
-        i %= self.n_slots
-        return SlotRecord(
-            slot_index=i,
-            signal_present=bool(self.signal_present[i]),
-            herald_a_fired=bool(self.herald_a_fired[i]),
-            herald_b_fired=bool(self.herald_b_fired[i]),
-            herald_effective=bool(self.herald_effective[i]),
-            signal_photon_count=int(self.signal_photon_count[i]),
-        )
-
-    def __iter__(self) -> Iterator[SlotRecord]:
-        return (self[i] for i in range(self.n_slots))
-
-
-def generate_slots(params: SourceParams, n_slots: int, rng: "RngStream | np.random.Generator") -> SlotStream:
-    """Generate the dense slot stream (sequence of :class:`SlotRecord`).
-
-    Same process as :func:`generate_herald_stream`, and bit-identical to
-    it for the same generator state; use the sparse form directly when
-    ``n_slots`` is too large to materialize.
-    """
-    if isinstance(rng, RngStream):
-        rng = rng.generator()
-    return SlotStream(generate_herald_stream(params, n_slots, rng))
 
 
 def herald_probability(params: SourceParams) -> float:

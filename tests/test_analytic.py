@@ -20,8 +20,8 @@ from photondemux.analytic import (
     s_heralded,
     s_passive,
     s_unheralded_clocked,
-    switching_efficiency,
 )
+from photondemux.model import ConverterParams
 
 
 def clocked_by_phase_enumeration(n: int, eta: float) -> float:
@@ -72,7 +72,8 @@ class TestTableValues:
 
 class TestObservedOperatingPoint:
     def test_composite_switching_efficiency(self):
-        assert switching_efficiency(0.731, [0.99, 0.98]) == pytest.approx(0.72, abs=5e-5)
+        conv = ConverterParams(n_modes=2, transmittance=0.731, port_efficiencies=(0.99, 0.98))
+        assert conv.switching_efficiency == pytest.approx(0.72, abs=5e-5)
 
     def test_heralded_at_measured_eta(self):
         assert s_heralded(2, 0.72) == pytest.approx(0.5184)
@@ -138,10 +139,6 @@ class TestDomainChecks:
             s_heralded(0, 0.5)
         with pytest.raises(ValueError):
             s_passive(0)
-
-    def test_switching_efficiency_rejects_empty_ports(self):
-        with pytest.raises(ValueError):
-            switching_efficiency(0.9, [])
 
 
 @settings(max_examples=200, deadline=None)

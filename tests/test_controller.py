@@ -5,14 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photondemux.controller import (
-    DriveSchedule,
-    detect_runs,
-    drive_schedule,
-    run_starts_from_heralds,
-)
-from photondemux.model import SlotRecord, SourceParams, TriggerEvent
-from photondemux.source import RngStream, generate_slots
+from photondemux.controller import run_starts_from_heralds
+from photondemux.converter import route_heralded_batch
+from photondemux.model import ConverterParams, SourceParams
+from photondemux.source import RngStream, generate_herald_stream
 
 
 def greedy_scan_oracle(effective, n):
@@ -28,48 +24,40 @@ def greedy_scan_oracle(effective, n):
     return starts
 
 
-def records_from_flags(flags):
-    return [
-        SlotRecord(i, signal_present=f, herald_a_fired=f,
-                   herald_b_fired=False, herald_effective=f)
-        for i, f in enumerate(flags)
-    ]
+def run_starts(flags, n):
+    """Run starts over a dense per-slot herald flag list."""
+    return run_starts_from_heralds(np.flatnonzero(np.asarray(flags, dtype=bool)), n).tolist()
 
 
 class TestKnownPatterns:
     def test_single_qualifying_window(self):
         flags = [False] * 10
         flags[3] = flags[4] = True
-        triggers = detect_runs(records_from_flags(flags), 2)
-        assert [t.start_slot for t in triggers] == [3]
-        assert all(t.run_length == 2 for t in triggers)
+        assert run_starts(flags, 2) == [3]
 
     def test_three_heralds_give_one_pair_trigger(self):
         # greedy claiming: {3,4} is taken, the orphan 5 has no partner
         flags = [False] * 10
         for i in (3, 4, 5):
             flags[i] = True
-        triggers = detect_runs(records_from_flags(flags), 2)
-        assert [t.start_slot for t in triggers] == [3]
+        assert run_starts(flags, 2) == [3]
 
     def test_four_heralds_give_two_triggers(self):
         flags = [False] * 12
         for i in (3, 4, 5, 6):
             flags[i] = True
-        triggers = detect_runs(records_from_flags(flags), 2)
-        assert [t.start_slot for t in triggers] == [3, 5]
+        assert run_starts(flags, 2) == [3, 5]
 
     def test_no_heralds(self):
-        assert detect_runs(records_from_flags([False] * 8), 2) == ()
+        assert run_starts([False] * 8, 2) == []
 
     def test_run_length_one_takes_every_herald(self):
         flags = [True, False, True, True, False]
-        triggers = detect_runs(records_from_flags(flags), 1)
-        assert [t.start_slot for t in triggers] == [0, 2, 3]
+        assert run_starts(flags, 1) == [0, 2, 3]
 
     def test_invalid_run_length(self):
         with pytest.raises(ValueError):
-            detect_runs(records_from_flags([True]), 0)
+            run_starts([True], 0)
 
 
 @settings(max_examples=150, deadline=None)
@@ -89,10 +77,9 @@ def test_matches_window_scan_oracle(flags, n):
     n=st.integers(min_value=1, max_value=4),
 )
 def test_every_trigger_window_is_fully_heralded(flags, n):
-    triggers = detect_runs(records_from_flags(flags), n)
     claimed = set()
-    for t in triggers:
-        for s in t.slots:
+    for start in run_starts(flags, n):
+        for s in range(start, start + n):
             assert flags[s]
             assert s not in claimed  # non-overlap
             claimed.add(s)
@@ -101,38 +88,25 @@ def test_every_trigger_window_is_fully_heralded(flags, n):
 class TestOnGeneratedStreams:
     def test_dense_and_sparse_paths_agree(self):
         params = SourceParams(pair_prob=0.3, rep_rate_hz=82e6, herald_deadtime_slots=4)
-        slots = generate_slots(params, 30_000, RngStream(31))
-        triggers = detect_runs(slots, 2)
-        oracle = greedy_scan_oracle(slots.herald_effective.tolist(), 2)
-        assert [t.start_slot for t in triggers] == oracle
-        assert len(triggers) > 0
+        stream = generate_herald_stream(params, 30_000, RngStream(31).generator())
+        flags = np.zeros(stream.n_slots, dtype=bool)
+        flags[stream.herald_slots] = True
+        starts = run_starts_from_heralds(stream.herald_slots, 2).tolist()
+        assert starts == greedy_scan_oracle(flags.tolist(), 2)
+        assert len(starts) > 0
 
     def test_trigger_rate_scales_to_counts_per_second(self):
         params = SourceParams(pair_prob=0.3, rep_rate_hz=82e6, herald_deadtime_slots=4)
-        slots = generate_slots(params, 30_000, RngStream(31))
-        triggers = detect_runs(slots, 2)
-        rate = len(triggers) * 82e6 / 30_000
+        stream = generate_herald_stream(params, 30_000, RngStream(31).generator())
+        starts = run_starts_from_heralds(stream.herald_slots, 2)
+        rate = starts.size * 82e6 / 30_000
         assert rate > 0
 
 
 class TestDriveSchedule:
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_identity_assignment(self, n):
-        plan = drive_schedule(TriggerEvent(start_slot=10, run_length=n))
-        assert plan.ports == tuple(range(n))
-        assert plan.switch_slots == tuple(10 + j for j in range(n))
-        assert plan.as_mapping() == {j: j for j in range(n)}
-
-    def test_bijection_enforced(self):
-        with pytest.raises(ValueError):
-            DriveSchedule(ports=(0, 0), switch_slots=(5, 6))
-        with pytest.raises(ValueError):
-            DriveSchedule(ports=(), switch_slots=())
-
-    def test_slots_must_be_consecutive(self):
-        with pytest.raises(ValueError):
-            DriveSchedule(ports=(0, 1), switch_slots=(5, 7))
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            DriveSchedule(ports=(0, 1), switch_slots=(5,))
+        # photon j of every triggered run is aimed at port j
+        batch = route_heralded_batch(3, ConverterParams(n_modes=n), RngStream(10).generator())
+        assert batch.scheduled.tolist() == [list(range(n))] * 3
+        assert batch.ports.tolist() == [list(range(n))] * 3

@@ -7,16 +7,12 @@ from scipy import stats
 from photondemux.analytic import s_heralded, s_passive, s_unheralded_clocked
 from photondemux.converter import (
     RoutingBatch,
-    clock_offset_draw,
     monte_carlo_efficiency,
-    route_clocked,
     route_clocked_batch,
-    route_heralded,
     route_heralded_batch,
-    route_passive,
     route_passive_batch,
 )
-from photondemux.model import ConverterParams, RoutingStrategy, TriggerEvent
+from photondemux.model import ConverterParams, RoutingStrategy
 from photondemux.source import RngStream
 
 
@@ -178,52 +174,45 @@ class TestPassiveRouting:
 
 class TestClockOffsetDraw:
     def test_range_and_uniformity(self):
-        gen = RngStream(16).generator()
-        draws = np.array([clock_offset_draw(gen, 4) for _ in range(20_000)])
-        assert draws.min() == 0 and draws.max() == 3
-        assert stats.chisquare(np.bincount(draws, minlength=4)).pvalue > 1e-3
+        n = 4
+        batch = route_clocked_batch(20_000, clocked_params(n=n), RngStream(16).generator())
+        draws = batch.scheduled[:, 0].astype(np.int64)
+        assert draws.min() == 0 and draws.max() == n - 1
+        assert stats.chisquare(np.bincount(draws, minlength=n)).pvalue > 1e-3
+        # the whole run follows the drawn phase: photon j is aimed at (j + offset) mod n
+        assert np.array_equal(batch.scheduled, (draws[:, None] + np.arange(n)) % n)
 
     def test_two_modes_balanced(self):
-        gen = RngStream(17).generator()
-        draws = np.array([clock_offset_draw(gen, 2) for _ in range(100_000)])
-        assert abs(draws.mean() - 0.5) < 0.01
-
-    def test_needs_two_modes(self):
-        with pytest.raises(ValueError):
-            clock_offset_draw(RngStream(0).generator(), 1)
+        batch = route_clocked_batch(100_000, clocked_params(), RngStream(17).generator())
+        assert abs(batch.scheduled[:, 0].mean() - 0.5) < 0.01
 
 
 class TestSingleTriggerRouting:
-    def test_heralded_record_fields(self):
-        trig = TriggerEvent(start_slot=100, run_length=2)
-        rec = route_heralded(trig, heralded_params(), RngStream(18))
-        assert rec.trigger_ref is trig
-        assert rec.photon_ports == (0, 1)
-        assert rec.all_ports_detected
-        assert rec.lost_photons == 0
+    """Single runs are batches of one."""
 
-    def test_heralded_run_length_mismatch(self):
-        with pytest.raises(ValueError):
-            route_heralded(TriggerEvent(0, 3), heralded_params(n=2), RngStream(0))
+    def test_heralded_record_fields(self):
+        batch = route_heralded_batch(1, heralded_params(), RngStream(18))
+        assert batch.ports.tolist() == [[0, 1]]
+        assert batch.success_mask.tolist() == [True]
+        assert batch.lost_per_run.tolist() == [0]
 
     def test_clocked_offset_one_fails_the_tally(self):
-        trig = TriggerEvent(start_slot=0, run_length=2)
-        rec = route_clocked(trig, 1, clocked_params(), RngStream(19))
-        assert rec.photon_ports == (1, 0)
-        assert not rec.all_ports_detected
-        assert rec.port_detections == (False, False)
+        batch = route_clocked_batch(1, clocked_params(), RngStream(19), clock_offsets=1)
+        assert batch.ports.tolist() == [[1, 0]]
+        assert batch.success_mask.tolist() == [False]
 
     def test_passive_single_mode(self):
-        rec = route_passive(TriggerEvent(0, 1), 1, RngStream(20))
-        assert rec.photon_ports == (0,)
-        assert rec.all_ports_detected
+        batch = route_passive_batch(1, 1, RngStream(20))
+        assert batch.ports.tolist() == [[0]]
+        assert batch.success_mask.tolist() == [True]
 
     def test_port_detections_require_the_right_photon(self):
-        # a misrouted photon arrives outside its aligned bin: port flag stays off
-        trig = TriggerEvent(0, 2)
-        rec = route_clocked(trig, 1, clocked_params(), RngStream(21))
-        assert rec.photon_ports == (1, 0)  # both photons arrived somewhere
-        assert rec.port_detections == (False, False)
+        # a misrouted photon arrives outside its aligned bin: no coincidence
+        batch = route_clocked_batch(1, clocked_params(), RngStream(21), clock_offsets=1)
+        assert batch.ports.tolist() == [[1, 0]]  # both photons arrived somewhere
+        assert batch.detected.tolist() == [[True, True]]
+        assert batch.success_mask.tolist() == [False]
+        assert batch.port_counts(detected_only=True).tolist() == [[0, 1], [1, 0]]
 
 
 class TestMonteCarloGrid:

@@ -11,29 +11,10 @@ from photondemux.measurement import (
     count_rates,
     estimate_routing_efficiencies,
     estimate_s,
-    port_detection_counts,
     propagate_counting_uncertainty,
 )
-from photondemux.model import (
-    ConverterParams,
-    EfficiencyEstimate,
-    EstimatorMethod,
-    OutputRecord,
-    TriggerEvent,
-)
+from photondemux.model import ConverterParams, EfficiencyEstimate, EstimatorMethod
 from photondemux.source import RngStream
-
-
-def make_output(detected_ports, ports=None, n=2):
-    trig = TriggerEvent(0, n)
-    ports = ports if ports is not None else tuple(range(n))
-    return OutputRecord(
-        trig,
-        port_detections=tuple(detected_ports),
-        lost_photons=sum(1 for p in ports if p < 0),
-        photon_ports=tuple(ports),
-        photon_detected=tuple(p >= 0 for p in ports),
-    )
 
 
 class TestCountRates:
@@ -42,16 +23,8 @@ class TestCountRates:
         assert c_h == pytest.approx(785.0)
         assert c_n == 0.0
 
-    def test_record_sequences_are_counted(self):
-        outputs = [make_output((True, True)), make_output((True, False))]
-        triggers = [TriggerEvent(0, 2), TriggerEvent(10, 2), TriggerEvent(20, 2)]
-        c_n, c_h = count_rates(outputs, triggers, 1_000, 1_000.0)
-        assert c_h == pytest.approx(3.0)
-        assert c_n == pytest.approx(1.0)
-
     def test_perfect_pipeline_rates_match(self):
-        outputs = [make_output((True, True))] * 5
-        c_n, c_h = count_rates(outputs, 5, 100, 100.0)
+        c_n, c_h = count_rates(5, 5, 100, 100.0)
         assert c_n == c_h == pytest.approx(5.0)
 
     def test_zero_slots_rejected(self):
@@ -212,17 +185,18 @@ class TestRoutingEfficiencies:
         assert halved[0][0] == pytest.approx(plain[0][0] / 0.9)
         assert halved[1][0] == pytest.approx(plain[1][0] / 0.8)
 
-    def test_record_sequences_accepted(self):
-        outputs = [
-            make_output((True, True)),
-            make_output((True, False), ports=(0, 0)),
-        ]
-        table = port_detection_counts(outputs)
-        assert table[0].tolist() == [2, 0]
-        assert table[1].tolist() == [1, 1]
-        estimates = estimate_routing_efficiencies(outputs)
+    def test_hand_built_table_accepted(self):
+        # photon 0 landed on port 0 twice; photon 1 once on port 0, once on port 1
+        estimates = estimate_routing_efficiencies(np.array([[2, 0], [1, 1]]))
         assert estimates[0][0] == pytest.approx(1.0)
         assert estimates[1][0] == pytest.approx(0.5)
+
+    def test_batch_is_counted_on_detected_landings(self):
+        params = ConverterParams(n_modes=2, strategy="heralded", port_efficiencies=(0.8, 0.9))
+        batch = route_heralded_batch(20_000, params, RngStream(5).generator(),
+                                     signal_det_efficiency=0.5)
+        table = batch.port_counts(detected_only=True)
+        assert estimate_routing_efficiencies(batch) == estimate_routing_efficiencies(table)
 
     def test_zero_conditioning_counts_rejected(self):
         with pytest.raises(ValueError):

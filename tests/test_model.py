@@ -9,12 +9,9 @@ from photondemux.model import (
     ConverterParams,
     EfficiencyEstimate,
     EstimatorMethod,
-    OutputRecord,
     RoutingStrategy,
     SimulationReport,
-    SlotRecord,
     SourceParams,
-    TriggerEvent,
     deadtime_to_slots,
     validate_config,
 )
@@ -120,57 +117,6 @@ class TestRoutingStrategy:
         assert RoutingStrategy.parse(RoutingStrategy.ACTIVE_HERALDED) is RoutingStrategy.ACTIVE_HERALDED
 
 
-class TestSlotRecord:
-    def test_photon_count_derived_from_presence(self):
-        r = SlotRecord(0, signal_present=True, herald_a_fired=False,
-                       herald_b_fired=False, herald_effective=False)
-        assert r.signal_photon_count == 1
-        r = SlotRecord(1, signal_present=False, herald_a_fired=False,
-                       herald_b_fired=False, herald_effective=False)
-        assert r.signal_photon_count == 0
-
-    def test_effective_needs_a_detector(self):
-        with pytest.raises(ConfigError):
-            SlotRecord(0, signal_present=True, herald_a_fired=False,
-                       herald_b_fired=False, herald_effective=True)
-
-    def test_herald_needs_an_emitted_pair(self):
-        with pytest.raises(ConfigError):
-            SlotRecord(0, signal_present=False, herald_a_fired=True,
-                       herald_b_fired=False, herald_effective=True)
-
-
-class TestTriggerEvent:
-    def test_schedule_defaults_to_identity(self):
-        t = TriggerEvent(start_slot=3, run_length=2)
-        assert t.drive_schedule == (0, 1)
-        assert list(t.slots) == [3, 4]
-
-    def test_non_identity_schedule_rejected(self):
-        with pytest.raises(ConfigError):
-            TriggerEvent(start_slot=0, run_length=2, drive_schedule=(1, 0))
-
-    def test_bad_geometry_rejected(self):
-        with pytest.raises(ConfigError):
-            TriggerEvent(start_slot=-1, run_length=2)
-        with pytest.raises(ConfigError):
-            TriggerEvent(start_slot=0, run_length=0)
-
-
-class TestOutputRecord:
-    def test_all_ports_detected(self):
-        t = TriggerEvent(0, 2)
-        rec = OutputRecord(t, port_detections=(True, True), lost_photons=0,
-                           photon_ports=(0, 1), photon_detected=(True, True))
-        assert rec.all_ports_detected
-
-    def test_lost_count_must_match_ports(self):
-        t = TriggerEvent(0, 2)
-        with pytest.raises(ConfigError):
-            OutputRecord(t, port_detections=(False, False), lost_photons=0,
-                         photon_ports=(-1, 1), photon_detected=(False, False))
-
-
 class TestEfficiencyEstimate:
     def test_closed_form_must_be_exact(self):
         EfficiencyEstimate(0.5, 0.0, EstimatorMethod.CLOSED_FORM)
@@ -221,11 +167,11 @@ class TestValidateConfig:
         cfg = validate_config(src_raw, conv_raw)
         assert cfg.source.herald_deadtime_slots == 4
         assert cfg.converter.strategy is RoutingStrategy.ACTIVE_HERALDED
-        assert cfg.run_length == 2
+        assert cfg.converter.n_modes == 2
 
     def test_accepts_built_params(self):
         cfg = validate_config(make_source(), ConverterParams(n_modes=2))
-        assert cfg.run_length == 2
+        assert cfg.converter.n_modes == 2
 
     def test_collects_all_violations(self):
         bad_src = {"pair_prob": 7.0, "rep_rate_hz": -1.0, "telescope": True}
@@ -248,7 +194,3 @@ class TestValidateConfig:
         with pytest.raises(ConfigError) as exc:
             validate_config(src_raw, conv_raw)
         assert any("not both" in v for v in exc.value.violations)
-
-    def test_run_length_must_match_modes(self):
-        with pytest.raises(ConfigError):
-            validate_config(make_source(), ConverterParams(n_modes=2), run_length=3)

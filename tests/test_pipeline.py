@@ -100,6 +100,35 @@ class TestConfigHandling:
         echo = json.loads(json.dumps(scenario_to_mapping(scenario())))
         assert config_digest(echo) == a
 
+    @pytest.mark.parametrize("section,key", [
+        ("run", "calibration_mode"),
+        ("source", "multi_pair_enabled"),
+    ])
+    def test_flags_must_be_booleans(self, section, key):
+        # the string "false" is truthy: accepting it would switch the flag on
+        raw = raw_scenario()
+        raw[section][key] = "false"
+        with pytest.raises(ConfigError) as exc:
+            scenario_from_mapping(raw)
+        assert any(v.startswith(f"{section}.{key}:") for v in exc.value.violations)
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("run", "seed", True),
+        ("run", "slots_per_trial", True),
+        ("run", "trials", True),
+        ("run", "workers", True),
+        ("run", "herald_signal_offset_slots", False),
+        ("source", "herald_deadtime_slots", True),
+        ("converter", "n_modes", True),
+        ("sweep", "n_modes", [True]),
+    ])
+    def test_integer_fields_reject_booleans(self, section, key, value):
+        raw = raw_scenario()
+        raw.setdefault(section, {})[key] = value
+        with pytest.raises(ConfigError) as exc:
+            scenario_from_mapping(raw)
+        assert any(v.startswith(f"{section}.{key}:") for v in exc.value.violations)
+
     def test_controls_replace(self):
         ctl = RunControls(seed=1, trials=4)
         assert ctl.replace(seed=9).seed == 9

@@ -17,9 +17,7 @@ from photondemux.model import SourceParams
 from photondemux.source import (
     HeraldStream,
     RngStream,
-    SlotStream,
     generate_herald_stream,
-    generate_slots,
     herald_probability,
 )
 
@@ -120,9 +118,8 @@ class TestDeadtimeInvariant:
 
     def test_dense_stream_respects_deadtime_per_detector(self):
         params = make_params(pair_prob=1.0)
-        slots = generate_slots(params, 50_000, RngStream(3))
-        for column in (slots.herald_a_fired, slots.herald_b_fired):
-            fires = np.flatnonzero(column)
+        stream = generate_herald_stream(params, 50_000, RngStream(3).generator())
+        for fires in (stream.herald_a_slots, stream.herald_b_slots):
             assert (np.diff(fires) > 4).all()
 
 
@@ -156,9 +153,6 @@ class TestEdgeCases:
         stream = generate_herald_stream(params, 10_000, RngStream(1).generator())
         assert stream.pair_slots.size == 0
         assert stream.herald_slots.size == 0
-        slots = SlotStream(stream)
-        assert not slots.signal_present.any()
-        assert not slots.herald_effective.any()
 
     def test_ideal_source_heralds_every_slot(self):
         params = make_params(pair_prob=1.0, herald_deadtime_slots=0)
@@ -178,31 +172,19 @@ class TestEdgeCases:
             generate_herald_stream(make_params(), 0, RngStream(0).generator())
 
 
-class TestDenseView:
-    def test_dense_matches_sparse(self):
-        params = make_params(pair_prob=0.3)
-        sparse = generate_herald_stream(params, 5_000, RngStream(13).generator())
-        dense = generate_slots(params, 5_000, RngStream(13))
-        assert np.flatnonzero(dense.signal_present).tolist() == sparse.pair_slots.tolist()
-        assert np.flatnonzero(dense.herald_a_fired).tolist() == sparse.herald_a_slots.tolist()
-        assert np.flatnonzero(dense.herald_b_fired).tolist() == sparse.herald_b_slots.tolist()
-
-    def test_records_are_consistent(self):
-        params = make_params(pair_prob=0.5)
-        slots = generate_slots(params, 2_000, RngStream(17))
-        assert len(slots) == 2_000
-        for rec in slots:
-            assert rec.herald_effective == (rec.herald_a_fired or rec.herald_b_fired)
-            if rec.herald_effective:
-                assert rec.signal_present
-            assert rec.signal_photon_count == int(rec.signal_present)
-
-    def test_indexing(self):
-        slots = generate_slots(make_params(pair_prob=0.5), 100, RngStream(19))
-        assert slots[5].slot_index == 5
-        assert slots[-1].slot_index == 99
-        with pytest.raises(IndexError):
-            slots[100]
+class TestStreamConsistency:
+    def test_heralds_are_fired_pairs(self):
+        stream = generate_herald_stream(make_params(pair_prob=0.5), 2_000,
+                                        RngStream(17).generator())
+        pairs = stream.pair_slots
+        assert (np.diff(pairs) > 0).all()
+        assert stream.to_detector_a.size == stream.fired.size == stream.double_pair.size == pairs.size
+        # a herald needs an emitted pair and exactly one detector that fired
+        a, b = stream.herald_a_slots, stream.herald_b_slots
+        assert stream.herald_slots.size > 0
+        assert np.isin(stream.herald_slots, pairs).all()
+        assert np.intersect1d(a, b).size == 0
+        assert np.union1d(a, b).tolist() == stream.herald_slots.tolist()
 
 
 class TestDeterminism:
@@ -243,11 +225,6 @@ class TestMultiPair:
         stream = generate_herald_stream(params, n, RngStream(23).generator())
         expected = n * 0.2 * 0.2  # second pair rides on a pair slot
         assert abs(stream.multi_pair_slot_count - expected) < 5 * np.sqrt(expected)
-
-    def test_dense_view_reports_two_photons(self):
-        params = make_params(pair_prob=0.9, multi_pair_enabled=True)
-        slots = generate_slots(params, 5_000, RngStream(29))
-        assert (slots.signal_photon_count == 2).sum() > 0
 
 
 class TestHeraldProbability:
