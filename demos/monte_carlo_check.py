@@ -8,17 +8,9 @@ formula, and report the deviation in standard errors.
 
 import numpy as np
 
-from photondemux import monte_carlo_efficiency, s_heralded, s_passive, s_unheralded_clocked
+from photondemux import monte_carlo_efficiency, s_closed_form
 
 TRIALS = 1_000_000
-
-
-def closed_form(strategy: str, n: int, eta: float) -> float:
-    if strategy == "heralded":
-        return s_heralded(n, eta)
-    if strategy == "clocked":
-        return s_unheralded_clocked(n, eta)
-    return s_passive(n)
 
 
 def main() -> None:
@@ -30,7 +22,7 @@ def main() -> None:
         for n in (2, 3, 4):
             for eta in etas:
                 freq, se = monte_carlo_efficiency(strategy, n, eta, TRIALS, rng)
-                expected = closed_form(strategy, n, eta)
+                expected = s_closed_form(strategy, n, eta)
                 z = 0.0 if se == 0 else (freq - expected) / se
                 print(f"{strategy:>9} {n:>2} {eta:>6.2f} {freq:>12.6f} {expected:>12.6f} {z:>+6.2f}")
     print("\nevery |z| should sit well below 4; the heralded eta_sw=1 cells")

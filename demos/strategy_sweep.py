@@ -8,7 +8,7 @@ counting.  The closed forms are printed alongside as a cross-check.
 
 from pathlib import Path
 
-from photondemux import run_sweep, s_heralded, s_passive, s_unheralded_clocked, scenario_from_mapping
+from photondemux import run_sweep, s_closed_form, scenario_from_mapping
 
 OUT = Path(__file__).with_suffix(".csv")
 
@@ -23,19 +23,11 @@ SCENARIO = {
 }
 
 
-def closed_form(strategy: str, n: int, eta: float) -> float:
-    if strategy == "heralded":
-        return s_heralded(n, eta)
-    if strategy == "clocked":
-        return s_unheralded_clocked(n, eta)
-    return s_passive(n)
-
-
 def main() -> None:
     rows = run_sweep(scenario_from_mapping(SCENARIO), out_path=OUT)
     print(f"{'strategy':>9} {'eta_sw':>6} {'simulated':>10} {'closed':>8}")
     for row in rows:
-        expected = closed_form(row["strategy"], row["n"], row["eta_sw"])
+        expected = s_closed_form(row["strategy"], row["n"], row["eta_sw"])
         print(f"{row['strategy']:>9} {row['eta_sw']:>6.2f} "
               f"{row['s_estimate']:>10.4f} {expected:>8.4f}")
     print(f"\nwrote {OUT.name}; the passive rows repeat one value because that")

@@ -9,8 +9,7 @@ to analyze such an experiment.
 """
 
 from .analytic import (
-    EfficiencyCurve,
-    efficiency_curves,
+    s_closed_form,
     s_heralded,
     s_passive,
     s_unheralded_clocked,
@@ -29,6 +28,7 @@ from .controller import run_starts_from_heralds
 from .converter import (
     RoutingBatch,
     monte_carlo_efficiency,
+    route_chunks,
     route_clocked_batch,
     route_heralded_batch,
     route_passive_batch,
@@ -54,7 +54,6 @@ from .model import (
 )
 from .pipeline import (
     ExecutionResult,
-    curves_from_csv,
     execute_scenario,
     read_report,
     report_digest_matches,

@@ -3,6 +3,7 @@
 ``s_heralded``: active routers driven by heralding signals.
 ``s_unheralded_clocked``: active routers free-running on a divided clock.
 ``s_passive``: balanced beamsplitters (lossless ideal).
+``s_closed_form``: whichever of the three a strategy names.
 
 All three give the probability S(n) that a stream of n photons ends up
 with photon i on output i.  The clocked converter only succeeds outright
@@ -18,7 +19,7 @@ which the Monte-Carlo converter reproduces trial by trial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .model import RoutingStrategy
 
 
 def _check_eta(eta_sw: float) -> None:
@@ -58,44 +59,11 @@ def s_passive(n: int) -> float:
     return 1.0 / n**n
 
 
-@dataclass(frozen=True)
-class EfficiencyCurve:
-    """S(n) tabulated against n for one strategy at fixed eta_sw."""
-
-    strategy: str
-    points: tuple[tuple[int, float], ...]
-
-    def __post_init__(self) -> None:
-        ns = [n for n, _ in self.points]
-        if ns != sorted(set(ns)):
-            raise ValueError("curve points must have strictly increasing n")
-        for n, s in self.points:
-            if not 0.0 <= s <= 1.0:
-                raise ValueError(f"S({n}) = {s!r} outside [0, 1]")
-
-    def value_at(self, n: int) -> float:
-        for m, s in self.points:
-            if m == n:
-                return s
-        raise KeyError(f"no point at n = {n}")
-
-
-def efficiency_curves(n_max: int, eta_sw: float) -> tuple[EfficiencyCurve, EfficiencyCurve, EfficiencyCurve]:
-    """Tabulate all three strategies for n = 1..n_max (clocked from n = 2).
-
-    Returns (heralded, clocked, passive) curves, ready for CSV emission or
-    plotting.
-    """
-    if n_max < 2:
-        raise ValueError(f"n_max must be >= 2 (got {n_max})")
-    _check_eta(eta_sw)
-    heralded = EfficiencyCurve(
-        "heralded", tuple((n, s_heralded(n, eta_sw)) for n in range(1, n_max + 1))
-    )
-    clocked = EfficiencyCurve(
-        "clocked", tuple((n, s_unheralded_clocked(n, eta_sw)) for n in range(2, n_max + 1))
-    )
-    passive = EfficiencyCurve(
-        "passive", tuple((n, s_passive(n)) for n in range(1, n_max + 1))
-    )
-    return heralded, clocked, passive
+def s_closed_form(strategy: "RoutingStrategy | str", n: int, eta_sw: float) -> float:
+    """S(n) of the named strategy; passive ignores ``eta_sw``."""
+    strategy = RoutingStrategy.parse(strategy)
+    if strategy is RoutingStrategy.ACTIVE_HERALDED:
+        return s_heralded(n, eta_sw)
+    if strategy is RoutingStrategy.ACTIVE_CLOCKED:
+        return s_unheralded_clocked(n, eta_sw)
+    return s_passive(n)

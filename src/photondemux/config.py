@@ -38,6 +38,7 @@ from .model import (
     SimulationConfig,
     SourceParams,
     is_int,
+    is_real,
     validate_config,
 )
 
@@ -128,22 +129,26 @@ def _build_controls(raw: Mapping, violations: list[str]) -> RunControls:
 
 
 def _build_sweep(raw: Mapping, violations: list[str]) -> SweepGrid:
-    known = {"strategy", "n_modes", "eta_sw"}
-    for key in raw:
-        if key not in known:
+    axes = {"strategy": [], "n_modes": [], "eta_sw": []}
+    for key, values in raw.items():
+        if key not in axes:
             violations.append(f"sweep.{key}: unknown key")
+        elif not isinstance(values, (list, tuple)):
+            violations.append(f"sweep.{key}: expected a list (got {values!r})")
+        else:
+            axes[key] = values
     try:
-        strategies = tuple(RoutingStrategy.parse(s) for s in raw.get("strategy", ()))
+        strategies = tuple(RoutingStrategy.parse(s) for s in axes["strategy"])
     except ConfigError as err:
         violations.extend("sweep." + v for v in err.violations)
         strategies = ()
-    n_modes = tuple(raw.get("n_modes", ()))
+    n_modes = tuple(axes["n_modes"])
     for n in n_modes:
         if not (is_int(n) and n >= 1):
             violations.append(f"sweep.n_modes: expected integers >= 1 (got {n!r})")
     eta_sw: list[float] = []
-    for v in raw.get("eta_sw", ()):
-        if not (isinstance(v, (int, float)) and 0.0 <= v <= 1.0):
+    for v in axes["eta_sw"]:
+        if not (is_real(v) and 0.0 <= v <= 1.0):
             violations.append(f"sweep.eta_sw: expected values in 0..1 (got {v!r})")
         else:
             eta_sw.append(float(v))
@@ -192,28 +197,25 @@ def load_scenario(path: "str | Path") -> Scenario:
     return scenario_from_mapping(raw)
 
 
+def _echo_fields(params: object) -> dict:
+    """Every dataclass field of ``params``, as a JSON value."""
+    doc = {}
+    for f in dataclasses.fields(params):
+        value = getattr(params, f.name)
+        if isinstance(value, RoutingStrategy):
+            value = value.value
+        elif isinstance(value, tuple):
+            value = list(value)
+        doc[f.name] = value
+    return doc
+
+
 def scenario_to_mapping(scenario: Scenario) -> dict:
     """Normalized echo of a scenario (defaults filled, units canonical)."""
-    src = scenario.config.source
-    conv = scenario.config.converter
-    ctl = scenario.controls
     doc: dict = {
-        "source": {
-            "pair_prob": src.pair_prob,
-            "rep_rate_hz": src.rep_rate_hz,
-            "herald_det_efficiency": src.herald_det_efficiency,
-            "herald_deadtime_slots": src.herald_deadtime_slots,
-            "herald_splitter_ratio": src.herald_splitter_ratio,
-            "signal_det_efficiency": src.signal_det_efficiency,
-            "multi_pair_enabled": src.multi_pair_enabled,
-        },
-        "converter": {
-            "n_modes": conv.n_modes,
-            "strategy": conv.strategy.value,
-            "transmittance": conv.transmittance,
-            "port_efficiencies": list(conv.port_efficiencies),
-        },
-        "run": {key: getattr(ctl, key) for key in _RUN_DEFAULTS},
+        "source": _echo_fields(scenario.config.source),
+        "converter": _echo_fields(scenario.config.converter),
+        "run": _echo_fields(scenario.controls),
     }
     sweep = scenario.sweep
     if sweep.strategies or sweep.n_modes or sweep.eta_sw:

@@ -26,6 +26,7 @@ returns a :class:`RoutingBatch`; a single run is a batch of one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .model import ConverterParams, RoutingStrategy
 from .source import RngStream
 
 _LOST = -1
+_CHUNK = 1 << 20  # runs routed per batch; bounds the (runs, n) arrays
 
 
 def _as_generator(rng: "RngStream | np.random.Generator") -> np.random.Generator:
@@ -184,46 +186,54 @@ def route_passive_batch(
     return RoutingBatch(n_modes=n_modes, scheduled=scheduled, ports=ports, detected=detected)
 
 
+def route_chunks(
+    runs: int,
+    params: ConverterParams,
+    rng: "RngStream | np.random.Generator",
+    signal_det_efficiency: float = 1.0,
+) -> Iterator[RoutingBatch]:
+    """Route ``runs`` runs with ``params.strategy``, in batches of at most _CHUNK.
+
+    The generator is taken once, so consecutive batches continue one
+    draw sequence rather than replaying it.
+    """
+    rng = _as_generator(rng)
+    strategy = params.strategy
+    while runs > 0:
+        m = min(runs, _CHUNK)
+        if strategy is RoutingStrategy.ACTIVE_HERALDED:
+            yield route_heralded_batch(m, params, rng, signal_det_efficiency=signal_det_efficiency)
+        elif strategy is RoutingStrategy.ACTIVE_CLOCKED:
+            yield route_clocked_batch(m, params, rng, signal_det_efficiency=signal_det_efficiency)
+        else:
+            yield route_passive_batch(m, params.n_modes, rng, signal_det_efficiency=signal_det_efficiency)
+        runs -= m
+
+
 def monte_carlo_efficiency(
     strategy: "RoutingStrategy | str",
     n_modes: int,
     eta_sw: float,
     trials: int,
     rng: "RngStream | np.random.Generator",
-    chunk: int = 1 << 20,
 ) -> tuple[float, float]:
     """Empirical conversion efficiency over ``trials`` independent runs.
 
     Returns (success frequency, binomial standard error).  ``eta_sw`` is
     realized as ideal transmittance with every port efficiency equal to
     eta_sw for the heralded strategy, so the misroute path is exercised;
-    the clocked strategy consumes it directly; passive ignores it.
-    Trials are processed in chunks and merged additively, so the total
-    only ever grows by independent increments.
+    the clocked strategy consumes it directly; passive ignores it, but
+    it must still lie in 0..1.
     """
     strategy = RoutingStrategy.parse(strategy)
     if trials < 1:
         raise ValueError(f"trials must be >= 1 (got {trials})")
-    rng = _as_generator(rng)
     if strategy is RoutingStrategy.ACTIVE_HERALDED:
         params = ConverterParams(n_modes=n_modes, strategy=strategy,
                                  port_efficiencies=(eta_sw,) * n_modes)
-    elif strategy is RoutingStrategy.ACTIVE_CLOCKED:
-        params = ConverterParams(n_modes=n_modes, strategy=strategy, transmittance=eta_sw)
     else:
-        params = None
-    successes = 0
-    remaining = trials
-    while remaining > 0:
-        m = min(remaining, chunk)
-        if strategy is RoutingStrategy.ACTIVE_HERALDED:
-            batch = route_heralded_batch(m, params, rng)
-        elif strategy is RoutingStrategy.ACTIVE_CLOCKED:
-            batch = route_clocked_batch(m, params, rng)
-        else:
-            batch = route_passive_batch(m, n_modes, rng)
-        successes += batch.success_count
-        remaining -= m
+        params = ConverterParams(n_modes=n_modes, strategy=strategy, transmittance=eta_sw)
+    successes = sum(batch.success_count for batch in route_chunks(trials, params, rng))
     freq = successes / trials
     std_error = float(np.sqrt(freq * (1.0 - freq) / trials))
     return freq, std_error

@@ -14,6 +14,7 @@ deadtime given in seconds to whole pulse slots.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import math
 from dataclasses import dataclass
@@ -63,8 +64,13 @@ def is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def is_real(value: object) -> bool:
+    """A numeric config value: an ``int`` or ``float``, but not a ``bool``."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _check_prob(name: str, value: float, violations: list[str]) -> None:
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and 0.0 <= value <= 1.0):
+    if not (is_real(value) and math.isfinite(value) and 0.0 <= value <= 1.0):
         violations.append(f"{name}: probability out of range (got {value!r}, expected 0..1)")
 
 
@@ -75,10 +81,10 @@ def deadtime_to_slots(deadtime_s: float, rep_rate_hz: float) -> int:
     so the duration is rounded *up*; a tiny relative epsilon absorbs
     binary-float fuzz when the product is an exact integer.
     """
-    if deadtime_s < 0:
-        raise ConfigError([f"herald_deadtime_s: negative deadtime {deadtime_s!r}"])
-    if rep_rate_hz <= 0:
-        raise ConfigError([f"rep_rate_hz: negative rate (got {rep_rate_hz!r})"])
+    if not (is_real(deadtime_s) and math.isfinite(deadtime_s) and deadtime_s >= 0):
+        raise ConfigError([f"herald_deadtime_s: expected a finite number >= 0 (got {deadtime_s!r})"])
+    if not (is_real(rep_rate_hz) and math.isfinite(rep_rate_hz) and rep_rate_hz > 0):
+        raise ConfigError([f"rep_rate_hz: expected a finite number > 0 (got {rep_rate_hz!r})"])
     v = deadtime_s * rep_rate_hz
     return int(math.ceil(v - 1e-9 * max(1.0, abs(v))))
 
@@ -111,8 +117,8 @@ class SourceParams:
         _check_prob("herald_det_efficiency", self.herald_det_efficiency, violations)
         _check_prob("herald_splitter_ratio", self.herald_splitter_ratio, violations)
         _check_prob("signal_det_efficiency", self.signal_det_efficiency, violations)
-        if not (isinstance(self.rep_rate_hz, (int, float)) and math.isfinite(self.rep_rate_hz) and self.rep_rate_hz > 0):
-            violations.append(f"rep_rate_hz: negative rate (got {self.rep_rate_hz!r}, expected > 0)")
+        if not (is_real(self.rep_rate_hz) and math.isfinite(self.rep_rate_hz) and self.rep_rate_hz > 0):
+            violations.append(f"rep_rate_hz: expected a finite number > 0 (got {self.rep_rate_hz!r})")
         if not (is_int(self.herald_deadtime_slots) and self.herald_deadtime_slots >= 0):
             violations.append(
                 f"herald_deadtime_slots: expected nonnegative integer (got {self.herald_deadtime_slots!r})"
@@ -154,7 +160,7 @@ class ConverterParams:
             violations.extend(err.violations)
             object.__setattr__(self, "strategy", RoutingStrategy.ACTIVE_HERALDED)
         _check_prob("transmittance", self.transmittance, violations)
-        ports = tuple(float(p) for p in self.port_efficiencies)
+        ports = tuple(float(p) if is_real(p) else p for p in self.port_efficiencies)
         if not ports and is_int(self.n_modes) and self.n_modes >= 1:
             ports = (1.0,) * self.n_modes  # ideal routers unless stated otherwise
         object.__setattr__(self, "port_efficiencies", ports)
@@ -199,12 +205,7 @@ class EfficiencyEstimate:
 
 @dataclass(frozen=True)
 class SimulationReport:
-    """Counted rates and the conversion-efficiency estimate of one run.
-
-    ``wall_time_s`` is informational only and is excluded from the
-    serialized report so that identical (seed, config) runs stay
-    byte-identical on disk.
-    """
+    """Counted rates and the conversion-efficiency estimate of one run."""
 
     c_n_rate: float
     c_h_rate: float
@@ -213,7 +214,6 @@ class SimulationReport:
     seed: int
     config_digest: str
     slots_simulated: int
-    wall_time_s: float = 0.0
     coincidence_count: int = 0
     trigger_count: int = 0
     herald_count: int = 0
@@ -242,17 +242,8 @@ class SimulationConfig:
     converter: ConverterParams
 
 
-_SOURCE_KEYS = {
-    "pair_prob",
-    "rep_rate_hz",
-    "herald_det_efficiency",
-    "herald_deadtime_slots",
-    "herald_deadtime_s",
-    "herald_splitter_ratio",
-    "signal_det_efficiency",
-    "multi_pair_enabled",
-}
-_CONVERTER_KEYS = {"n_modes", "strategy", "transmittance", "port_efficiencies"}
+_SOURCE_KEYS = {f.name for f in dataclasses.fields(SourceParams)} | {"herald_deadtime_s"}
+_CONVERTER_KEYS = {f.name for f in dataclasses.fields(ConverterParams)}
 
 
 def _build_source(raw: Mapping, violations: list[str]) -> SourceParams | None:
@@ -289,8 +280,6 @@ def _build_converter(raw: Mapping, violations: list[str]) -> ConverterParams | N
         if key not in _CONVERTER_KEYS:
             violations.append(f"converter.{key}: unknown key")
             kwargs.pop(key)
-    if "port_efficiencies" in kwargs:
-        kwargs["port_efficiencies"] = tuple(kwargs["port_efficiencies"])
     try:
         return ConverterParams(**kwargs)
     except ConfigError as err:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import json
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,7 +24,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .analytic import EfficiencyCurve, efficiency_curves
+from .analytic import s_heralded, s_passive, s_unheralded_clocked
 from .config import (
     Scenario,
     SweepGrid,
@@ -35,12 +34,12 @@ from .config import (
     scenario_to_mapping,
 )
 from .controller import run_starts_from_heralds
-from .converter import route_clocked_batch, route_heralded_batch, route_passive_batch
+# perfbench/spans.py looks these three names up on this module; routing
+# itself goes through route_chunks, which calls the converter's own names
+from .converter import route_chunks, route_clocked_batch, route_heralded_batch, route_passive_batch  # noqa: F401
 from .measurement import count_rates, estimate_s
 from .model import RoutingStrategy, SimulationReport
 from .source import RngStream, generate_herald_stream
-
-_CHUNK = 1 << 20
 
 Progress = Callable[[str], None]
 
@@ -82,14 +81,6 @@ class ExecutionResult:
     config_echo: dict
 
 
-def _route_chunk(conv, runs: int, gen: np.random.Generator, eta_d: float):
-    if conv.strategy is RoutingStrategy.ACTIVE_HERALDED:
-        return route_heralded_batch(runs, conv, gen, signal_det_efficiency=eta_d)
-    if conv.strategy is RoutingStrategy.ACTIVE_CLOCKED:
-        return route_clocked_batch(runs, conv, gen, signal_det_efficiency=eta_d)
-    return route_passive_batch(runs, conv.n_modes, gen, signal_det_efficiency=eta_d)
-
-
 def _simulate_trial(scenario: Scenario, rng: RngStream) -> _TrialCounts:
     src = scenario.config.source
     conv = scenario.config.converter
@@ -109,13 +100,9 @@ def _simulate_trial(scenario: Scenario, rng: RngStream) -> _TrialCounts:
     # an uncompensated herald/signal delay routes empty slots: the runs
     # trigger, but no photon is there to convert
     if ctl.herald_signal_offset_slots == 0:
-        remaining = int(starts.size)
-        while remaining > 0:
-            m = min(remaining, _CHUNK)
-            batch = _route_chunk(conv, m, gen, src.signal_det_efficiency)
+        for batch in route_chunks(int(starts.size), conv, gen, src.signal_det_efficiency):
             counts.coincidences += batch.success_count
             counts.port_counts += batch.port_counts(detected_only=True)
-            remaining -= m
     if ctl.calibration_mode and herald_slots.size:
         counts.calib_trials = int(herald_slots.size)
         counts.calib_detected = int(gen.binomial(herald_slots.size, src.signal_det_efficiency))
@@ -125,7 +112,6 @@ def _simulate_trial(scenario: Scenario, rng: RngStream) -> _TrialCounts:
 def execute_scenario(scenario: Scenario, grid_index: int = 0, progress: "Progress | None" = None) -> ExecutionResult:
     """Run all trials of a scenario and assemble the report."""
     ctl = scenario.controls
-    t0 = time.perf_counter()
     streams = [RngStream(ctl.seed, (grid_index, t)) for t in range(ctl.trials)]
     if ctl.workers > 1:
         with ThreadPoolExecutor(max_workers=ctl.workers) as pool:
@@ -182,7 +168,6 @@ def execute_scenario(scenario: Scenario, grid_index: int = 0, progress: "Progres
         seed=ctl.seed,
         config_digest=config_digest(echo),
         slots_simulated=total.slots,
-        wall_time_s=time.perf_counter() - t0,
         coincidence_count=total.coincidences,
         trigger_count=total.triggers,
         herald_count=total.heralds,
@@ -349,15 +334,17 @@ def run_analytic(n_max: int, eta_sw: float, out_path: "str | Path | None" = None
     CSV columns n, heralded, clocked, passive; the clocked cell is empty
     at n = 1, where that strategy is undefined.
     """
-    heralded, clocked, passive = efficiency_curves(n_max, eta_sw)
-    rows = []
-    for n in range(1, n_max + 1):
-        rows.append({
+    if n_max < 2:
+        raise ValueError(f"n_max must be >= 2 (got {n_max})")
+    rows = [
+        {
             "n": n,
-            "heralded": heralded.value_at(n),
-            "clocked": clocked.value_at(n) if n >= 2 else None,
-            "passive": passive.value_at(n),
-        })
+            "heralded": s_heralded(n, eta_sw),
+            "clocked": s_unheralded_clocked(n, eta_sw) if n >= 2 else None,
+            "passive": s_passive(n),
+        }
+        for n in range(1, n_max + 1)
+    ]
     if out_path is not None:
         with open(out_path, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=["n", "heralded", "clocked", "passive"])
@@ -366,21 +353,3 @@ def run_analytic(n_max: int, eta_sw: float, out_path: "str | Path | None" = None
                 writer.writerow({k: ("" if v is None else _cell(v)) for k, v in row.items()})
     return rows
 
-
-def curves_from_csv(path: "str | Path") -> tuple[EfficiencyCurve, EfficiencyCurve, EfficiencyCurve]:
-    """Rebuild the three closed-form curves from a written analytic CSV."""
-    heralded: list[tuple[int, float]] = []
-    clocked: list[tuple[int, float]] = []
-    passive: list[tuple[int, float]] = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            n = int(row["n"])
-            heralded.append((n, float(row["heralded"])))
-            if row["clocked"] != "":
-                clocked.append((n, float(row["clocked"])))
-            passive.append((n, float(row["passive"])))
-    return (
-        EfficiencyCurve(strategy="heralded", points=tuple(heralded)),
-        EfficiencyCurve(strategy="clocked", points=tuple(clocked)),
-        EfficiencyCurve(strategy="passive", points=tuple(passive)),
-    )

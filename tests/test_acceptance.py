@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from photondemux.analytic import s_heralded, s_passive, s_unheralded_clocked
+from photondemux.analytic import s_closed_form, s_heralded, s_passive, s_unheralded_clocked
 from photondemux.config import scenario_from_mapping
 from photondemux.converter import (
     monte_carlo_efficiency,
@@ -36,14 +36,6 @@ from photondemux.source import generate_herald_stream
 
 def _pass(label: str, detail: str) -> None:
     print(f"PASS [{label}] {detail}")
-
-
-def _closed_form(strategy: str, n: int, eta: float) -> float:
-    if strategy == "heralded":
-        return s_heralded(n, eta)
-    if strategy == "clocked":
-        return s_unheralded_clocked(n, eta)
-    return s_passive(n)
 
 
 def _scenario(n_modes=2, strategy="heralded", transmittance=0.731,
@@ -95,7 +87,7 @@ def test_monte_carlo_matches_closed_forms():
         for n in (2, 3, 4):
             for eta in etas:
                 freq, se = monte_carlo_efficiency(strategy, n, eta, trials, rng)
-                expected = _closed_form(strategy, n, eta)
+                expected = s_closed_form(strategy, n, eta)
                 cells += 1
                 if se == 0.0:
                     assert freq == expected, (strategy, n, eta)
@@ -243,7 +235,7 @@ def test_randomized_property_sweep():
         strategy = ("heralded", "clocked", "passive")[int(rng.integers(3))]
         n = int(rng.integers(2, 5))
         eta = float(rng.uniform(0.3, 0.95))
-        expected = _closed_form(strategy, n, eta)
+        expected = s_closed_form(strategy, n, eta)
         freq_small, se_small = monte_carlo_efficiency(strategy, n, eta, 20_000, rng)
         _, se_large = monte_carlo_efficiency(strategy, n, eta, 80_000, rng)
         z_scores.append((freq_small - expected) / math.sqrt(expected * (1 - expected) / 20_000))

@@ -15,13 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photondemux.analytic import (
-    EfficiencyCurve,
-    efficiency_curves,
+    s_closed_form,
     s_heralded,
     s_passive,
     s_unheralded_clocked,
 )
-from photondemux.model import ConverterParams
+from photondemux.model import ConfigError, ConverterParams
+from photondemux.pipeline import run_analytic
 
 
 def clocked_by_phase_enumeration(n: int, eta: float) -> float:
@@ -172,25 +172,38 @@ def test_heralded_beats_clocked_above_crossover(n, delta):
     assert s_heralded(n, eta) >= s_unheralded_clocked(n, eta) - 1e-12
 
 
+class TestClosedFormLookup:
+    @pytest.mark.parametrize("n", range(2, 6))
+    @pytest.mark.parametrize("eta", [0.0, 0.5, 0.72, 1.0])
+    def test_each_strategy_dispatches_to_its_formula(self, n, eta):
+        assert s_closed_form("heralded", n, eta) == s_heralded(n, eta)
+        assert s_closed_form("clocked", n, eta) == s_unheralded_clocked(n, eta)
+        assert s_closed_form("passive", n, eta) == s_passive(n)
+
+    def test_unknown_strategy_rejected(self):
+        with pytest.raises(ConfigError):
+            s_closed_form("quantum", 2, 0.5)
+
+    def test_domain_checks_pass_through(self):
+        with pytest.raises(ValueError, match=">= 2 for clocked"):
+            s_closed_form("clocked", 1, 0.5)
+        with pytest.raises(ValueError):
+            s_closed_form("heralded", 2, 1.5)
+
+
 class TestCurves:
+    """The closed-form table written by ``run_analytic``."""
+
     def test_curve_shape(self):
-        heralded, clocked, passive = efficiency_curves(6, 0.72)
-        assert [n for n, _ in heralded.points] == list(range(1, 7))
-        assert [n for n, _ in clocked.points] == list(range(2, 7))
-        assert heralded.value_at(2) == pytest.approx(0.5184)
-        assert passive.value_at(3) == pytest.approx(1 / 27)
-
-    def test_curve_validation(self):
-        with pytest.raises(ValueError):
-            EfficiencyCurve("bad", ((2, 0.5), (2, 0.4)))
-        with pytest.raises(ValueError):
-            EfficiencyCurve("bad", ((2, 1.5),))
-
-    def test_value_at_missing_n(self):
-        heralded, _, _ = efficiency_curves(4, 1.0)
-        with pytest.raises(KeyError):
-            heralded.value_at(9)
+        rows = run_analytic(6, 0.72)
+        assert [r["n"] for r in rows] == list(range(1, 7))
+        assert rows[0]["clocked"] is None
+        assert all(r["clocked"] is not None for r in rows[1:])
+        assert rows[1]["heralded"] == pytest.approx(0.5184)
+        assert rows[2]["passive"] == pytest.approx(1 / 27)
+        cells = [r[k] for r in rows for k in ("heralded", "clocked", "passive") if r[k] is not None]
+        assert all(0.0 <= v <= 1.0 for v in cells)
 
     def test_n_max_too_small(self):
         with pytest.raises(ValueError):
-            efficiency_curves(1, 0.5)
+            run_analytic(1, 0.5)

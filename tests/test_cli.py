@@ -76,6 +76,15 @@ class TestSimulateVerb:
         err_lines = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error: config:")]
         assert len(err_lines) >= 4  # every violation listed, not just the first
 
+    def test_string_deadtime_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "source": {"pair_prob": 0.05, "rep_rate_hz": 82e6, "herald_deadtime_s": "40e-9"},
+            "converter": {"n_modes": 2},
+        }))
+        assert main(["simulate", "--config", str(bad)]) == 2
+        assert "error: config: source.herald_deadtime_s:" in capsys.readouterr().err
+
     def test_missing_file_exit_3(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 3
         assert "error: io:" in capsys.readouterr().err

@@ -4,15 +4,19 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from photondemux.analytic import s_heralded, s_passive, s_unheralded_clocked
+from photondemux import converter
+from photondemux.analytic import s_closed_form, s_heralded, s_passive, s_unheralded_clocked
+from photondemux.config import scenario_from_mapping
 from photondemux.converter import (
     RoutingBatch,
     monte_carlo_efficiency,
+    route_chunks,
     route_clocked_batch,
     route_heralded_batch,
     route_passive_batch,
 )
 from photondemux.model import ConverterParams, RoutingStrategy
+from photondemux.pipeline import execute_scenario
 from photondemux.source import RngStream
 
 
@@ -222,20 +226,25 @@ class TestMonteCarloGrid:
         eta = 0.72
         trials = 150_000
         freq, se = monte_carlo_efficiency(strategy, n, eta, trials, RngStream(22).generator())
-        if strategy == "heralded":
-            expected = s_heralded(n, eta)
-        elif strategy == "clocked":
-            expected = s_unheralded_clocked(n, eta)
-        else:
-            expected = s_passive(n)
+        expected = s_closed_form(strategy, n, eta)
         assert abs(freq - expected) <= 4 * max(se, 1e-9)
 
-    def test_chunking_does_not_change_statistics(self):
-        f1, _ = monte_carlo_efficiency("heralded", 2, 0.72, 100_000,
-                                       RngStream(23).generator(), chunk=1 << 20)
-        f2, _ = monte_carlo_efficiency("heralded", 2, 0.72, 100_000,
-                                       RngStream(23).generator(), chunk=7_919)
-        assert abs(f1 - f2) < 0.01  # same distribution, different draw boundaries
+    def test_chunking_does_not_change_statistics(self, monkeypatch):
+        monkeypatch.setattr(converter, "_CHUNK", 97)
+        sizes = [len(b) for b in route_chunks(1_000, clocked_params(), RngStream(23))]
+        assert sum(sizes) == 1_000 and max(sizes) == 97
+        # an RngStream is turned into one generator, not one per chunk
+        first, second = route_chunks(194, clocked_params(), RngStream(23))
+        assert not np.array_equal(first.ports, second.ports)
+        doc = {
+            "source": {"pair_prob": 0.05, "rep_rate_hz": 82e6},
+            "converter": {"n_modes": 2, "strategy": "heralded", "transmittance": 0.8},
+            "run": {"seed": 23, "slots_per_trial": 400_000, "trials": 1},
+        }
+        report = execute_scenario(scenario_from_mapping(doc)).report
+        assert report.trigger_count > 5 * 97  # the pipeline routed several chunks
+        est = report.s_estimate
+        assert abs(est.value - s_heralded(2, 0.8)) <= 4 * est.std_error
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """End-to-end runs: determinism, merging, reports, sweeps, calibration."""
 
+import csv
 import json
 
 import numpy as np
@@ -18,7 +19,6 @@ from photondemux.config import (
 )
 from photondemux.model import ConfigError, RoutingStrategy
 from photondemux.pipeline import (
-    curves_from_csv,
     execute_scenario,
     read_report,
     report_digest_matches,
@@ -128,6 +128,45 @@ class TestConfigHandling:
         with pytest.raises(ConfigError) as exc:
             scenario_from_mapping(raw)
         assert any(v.startswith(f"{section}.{key}:") for v in exc.value.violations)
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("source", "pair_prob", True),
+        ("source", "rep_rate_hz", True),
+        ("converter", "transmittance", False),
+        ("converter", "port_efficiencies", ["0.9", "0.9"]),
+        ("converter", "port_efficiencies", [True, True]),
+        ("sweep", "eta_sw", [True]),
+    ])
+    def test_numeric_fields_reject_booleans_and_strings(self, section, key, value):
+        raw = raw_scenario()
+        raw.setdefault(section, {})[key] = value
+        with pytest.raises(ConfigError) as exc:
+            scenario_from_mapping(raw)
+        assert any(v.startswith(f"{section}.{key}") for v in exc.value.violations)
+
+    @pytest.mark.parametrize("source", [
+        {"herald_deadtime_s": "40e-9"},
+        {"herald_deadtime_s": 40e-9, "rep_rate_hz": "82e6"},
+    ])
+    def test_deadtime_conversion_rejects_strings(self, source):
+        raw = raw_scenario()
+        del raw["source"]["herald_deadtime_slots"]
+        raw["source"].update(source)
+        with pytest.raises(ConfigError) as exc:
+            scenario_from_mapping(raw)
+        assert all(v.startswith("source.") for v in exc.value.violations)
+
+    @pytest.mark.parametrize("axis,value", [
+        ("eta_sw", 0.5),
+        ("n_modes", 3),
+        ("strategy", "heralded"),
+    ])
+    def test_sweep_axes_must_be_lists(self, axis, value):
+        raw = raw_scenario()
+        raw["sweep"] = {axis: value}
+        with pytest.raises(ConfigError) as exc:
+            scenario_from_mapping(raw)
+        assert exc.value.violations == [f"sweep.{axis}: expected a list (got {value!r})"]
 
     def test_controls_replace(self):
         ctl = RunControls(seed=1, trials=4)
@@ -329,13 +368,15 @@ class TestAnalyticTable:
         assert all(a >= b for a, b in zip(clocked, clocked[1:]))
         assert all(a > b for a, b in zip(passive, passive[1:]))
 
-    def test_csv_round_trips_into_curves(self, tmp_path):
-        from photondemux.analytic import efficiency_curves
-
+    def test_csv_reads_back_as_rows(self, tmp_path):
         out = tmp_path / "curves.csv"
-        run_analytic(6, 0.72, out_path=out)
-        rebuilt = curves_from_csv(out)
-        assert rebuilt == efficiency_curves(6, 0.72)
+        rows = run_analytic(6, 0.72, out_path=out)
+        with open(out, newline="") as fh:
+            read = [
+                {k: (int(v) if k == "n" else float(v) if v else None) for k, v in row.items()}
+                for row in csv.DictReader(fh)
+            ]
+        assert read == rows
 
 
 class TestGridOverrides:
