@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -38,8 +39,8 @@ from .controller import run_starts_from_heralds
 # itself goes through route_chunks, which calls the converter's own names
 from .converter import route_chunks, route_clocked_batch, route_heralded_batch, route_passive_batch  # noqa: F401
 from .measurement import count_rates, estimate_s
-from .model import RoutingStrategy, SimulationReport
-from .source import RngStream, generate_herald_stream
+from .model import ConfigError, RoutingStrategy, SimulationReport
+from .source import RngStream, expected_peak_bytes, generate_herald_stream
 
 Progress = Callable[[str], None]
 
@@ -88,29 +89,45 @@ def _simulate_trial(scenario: Scenario, rng: RngStream) -> _TrialCounts:
     n = conv.n_modes
     gen = rng.generator()
     stream = generate_herald_stream(src, ctl.slots_per_trial, gen)
-    herald_slots = stream.herald_slots
-    starts = run_starts_from_heralds(herald_slots, n)
+    triggers = int(run_starts_from_heralds(stream.herald_slots, n).size)
+    if n == 1:  # a herald outside every cluster is a run of one
+        triggers += stream.herald_count - int(stream.fired.sum())
     counts = _TrialCounts(
         slots=ctl.slots_per_trial,
-        heralds=int(herald_slots.size),
-        triggers=int(starts.size),
+        heralds=stream.herald_count,
+        triggers=triggers,
         multi_pair_slots=stream.multi_pair_slot_count,
         port_counts=np.zeros((n, n), dtype=np.int64),
     )
     # an uncompensated herald/signal delay routes empty slots: the runs
     # trigger, but no photon is there to convert
     if ctl.herald_signal_offset_slots == 0:
-        for batch in route_chunks(int(starts.size), conv, gen, src.signal_det_efficiency):
+        for batch in route_chunks(triggers, conv, gen, src.signal_det_efficiency):
             counts.coincidences += batch.success_count
             counts.port_counts += batch.port_counts(detected_only=True)
-    if ctl.calibration_mode and herald_slots.size:
-        counts.calib_trials = int(herald_slots.size)
-        counts.calib_detected = int(gen.binomial(herald_slots.size, src.signal_det_efficiency))
+    if ctl.calibration_mode and stream.herald_count:
+        counts.calib_trials = stream.herald_count
+        counts.calib_detected = int(gen.binomial(stream.herald_count, src.signal_det_efficiency))
     return counts
+
+
+def _check_memory(scenario: Scenario) -> None:
+    """Refuse, before any trial runs, a run whose streams would not fit in memory."""
+    ctl = scenario.controls
+    at_once = min(ctl.workers, ctl.trials)
+    need = expected_peak_bytes(scenario.config.source, ctl.slots_per_trial) * at_once
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ConfigError([
+            f"run: {at_once} concurrent trial(s) of {ctl.slots_per_trial} slots need about"
+            f" {need:.3g} bytes of herald-stream arrays, more than the {have:.3g} bytes of"
+            " physical memory; lower slots_per_trial (adding trials instead) or workers"
+        ])
 
 
 def execute_scenario(scenario: Scenario, grid_index: int = 0, progress: "Progress | None" = None) -> ExecutionResult:
     """Run all trials of a scenario and assemble the report."""
+    _check_memory(scenario)
     ctl = scenario.controls
     streams = [RngStream(ctl.seed, (grid_index, t)) for t in range(ctl.trials)]
     if ctl.workers > 1:

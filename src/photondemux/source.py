@@ -9,8 +9,16 @@ blind window neither fire nor extend it).  Two alternating detectors are
 what make *consecutive* heralds possible at all when the deadtime spans
 several pulse slots.
 
-Pair slots are generated sparsely (geometric inter-arrival gaps), so tens
-of billions of slots are tractable as long as the pair rate is realistic.
+Only pairs within ``D = max(deadtime, 1)`` slots of a neighbouring pair
+can be blinded by another pair or take part in a run of consecutive
+heralds.  The sampler therefore places only those *cluster members*
+slot by slot and counts every other pair: pair gaps are iid geometric,
+so the gaps of length <= D ("close" gaps) sit at Bernoulli positions in
+gap-index space, each has a truncated-geometric length, and a stretch of
+k longer gaps has a negative-binomial total.  An isolated pair heralds
+with probability ``herald_det_efficiency`` and enters only as a count.
+The law of every count and of the member slots equals that of drawing
+all pairs, while the cost scales with the number of close gaps.
 """
 
 from __future__ import annotations
@@ -52,19 +60,25 @@ class RngStream:
 
 @dataclass(frozen=True)
 class HeraldStream:
-    """Sparse view of a generated slot range: only pair slots are stored.
+    """Cluster members of a generated slot range, plus whole-range counts.
 
-    ``pair_slots`` is sorted and unique.  ``fired`` marks pairs whose
-    idler was registered by its heralding detector; ``herald_slots`` is
-    therefore also sorted.  ``double_pair`` flags slots carrying a second
-    pair (diagnostics only; the extra photon never feeds the estimator).
+    ``pair_slots`` holds, sorted and unique, the slots of the pairs within
+    ``max(deadtime, 1)`` slots of another pair; ``to_detector_a`` and
+    ``fired`` are per member.  Every run of two or more consecutive
+    heralds lies among the members, so ``herald_slots`` feeds run
+    detection for any run length >= 2.  ``pair_count`` and
+    ``herald_count`` cover all pairs of the range, members or not;
+    ``multi_pair_slot_count`` counts slots carrying a second pair
+    (diagnostics only; the extra photon never feeds the estimator).
     """
 
     n_slots: int
-    pair_slots: np.ndarray  # int64, sorted
-    to_detector_a: np.ndarray  # bool, per pair
-    fired: np.ndarray  # bool, per pair
-    double_pair: np.ndarray  # bool, per pair
+    pair_slots: np.ndarray  # int64, sorted: cluster members only
+    to_detector_a: np.ndarray  # bool, per member
+    fired: np.ndarray  # bool, per member
+    pair_count: int
+    herald_count: int
+    multi_pair_slot_count: int
 
     @property
     def herald_slots(self) -> np.ndarray:
@@ -78,63 +92,161 @@ class HeraldStream:
     def herald_b_slots(self) -> np.ndarray:
         return self.pair_slots[self.fired & ~self.to_detector_a]
 
-    @property
-    def multi_pair_slot_count(self) -> int:
-        return int(self.double_pair.sum())
+
+# tracemalloc peak of one generate_herald_stream call per cluster member:
+# 46 B at the two-mode operating point, 83 B at pair_prob 1 (every pair a
+# member); tests/test_source.py holds the sampler to this figure
+_BYTES_PER_MEMBER = 96
 
 
-def _sample_pair_slots(pair_prob: float, n_slots: int, rng: np.random.Generator) -> np.ndarray:
-    """Slot indices carrying a pair, via geometric inter-arrival gaps.
+def expected_peak_bytes(params: SourceParams, n_slots: int) -> float:
+    """Expected peak bytes of one ``generate_herald_stream`` call.
 
-    Exactly equivalent to an independent Bernoulli(pair_prob) draw per
-    slot, without touching the empty slots.
+    A pair is a cluster member when the gap before or after it is close,
+    with probability 1 - (1-q)^2 where q = 1 - (1-p)^max(deadtime, 1).
     """
-    if pair_prob == 0.0 or n_slots == 0:
-        return np.empty(0, dtype=np.int64)
-    if pair_prob == 1.0:
-        return np.arange(n_slots, dtype=np.int64)
+    p = params.pair_prob
+    q = 1.0 - (1.0 - p) ** max(params.herald_deadtime_slots, 1)
+    return n_slots * p * (1.0 - (1.0 - q) ** 2) * _BYTES_PER_MEMBER
+
+
+_BATCH_UNITS = 1 << 18  # units drawn per vector round; bounds the working arrays
+
+
+def _stretch_pairs_in_range(k: int, excess: "int | None", room: int, window: int,
+                            pair_prob: float, rng: np.random.Generator) -> int:
+    """Pairs of a stretch of ``k`` long gaps that land less than ``room`` slots on.
+
+    Gap i of the stretch is ``window + 1 + e_i`` with iid geometric
+    excesses e_i >= 0.  ``excess`` is their drawn total, or None when it
+    was never drawn.  Given the total, the excesses are uniform over weak
+    compositions (each composition has probability p^k (1-p)^total), so
+    the sum of the first a of b excesses is beta-binomial with shapes
+    (a, b - a); bisection finds the last pair in range in O(log k) draws.
+    """
+    step = window + 1
+    if excess is None:
+        # the crossing decision did not look at these excesses, so the
+        # first ceil(room / step) of them, all that can matter, are fresh
+        k = min(k, -(-room // step))
+        excess = int(rng.negative_binomial(k, pair_prob)) if k else 0
+    if k * step + excess < room:
+        return k
+    lo, lo_sum, hi, hi_sum = 0, 0, k, excess
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        share = rng.beta(mid - lo, hi - mid)
+        mid_sum = lo_sum + int(rng.binomial(hi_sum - lo_sum, share))
+        if mid * step + mid_sum < room:
+            lo, lo_sum = mid, mid_sum
+        else:
+            hi, hi_sum = mid, mid_sum
+    return lo
+
+
+def _sample_members(pair_prob: float, window: int, n_slots: int,
+                    rng: np.random.Generator) -> tuple[np.ndarray, int]:
+    """Slots of the pairs within ``window`` slots of a neighbour, and the pair count.
+
+    Walks "units" of gap-index space: a stretch of k >= 0 long gaps
+    (> window) closed by one close gap (<= window).  With
+    q = 1 - (1-p)^window, k + 1 is Geom(q); the close gap is Geom(p)
+    truncated to 1..window, drawn by inverse CDF; a stretch totals
+    k (window + 1) + NegBinomial(k, p) by memorylessness.  Slot -1 is a
+    virtual pair that starts the range.  The unit that crosses the end of
+    the range is resolved by ``_stretch_pairs_in_range``.
+
+    numpy refuses a negative-binomial draw whose mean nears 2^63, so a
+    pair_prob below about 1e-10 with 1e10 or more slots raises ValueError.
+    """
+    if pair_prob == 0.0:
+        return np.empty(0, dtype=np.int64), 0
+    with np.errstate(divide="ignore"):
+        log_miss = np.log1p(-pair_prob)  # -inf at pair_prob 1: every gap is 1
+    q = -np.expm1(window * log_miss)
+    last = -1  # slot of the pair closing the previous unit
+    pairs = 0
     chunks: list[np.ndarray] = []
-    expected = n_slots * pair_prob
-    batch = int(expected + 6.0 * np.sqrt(expected + 1.0)) + 16
-    last = -1
     while True:
-        gaps = rng.geometric(pair_prob, size=batch)
-        slots = last + np.cumsum(gaps)
-        if slots[-1] >= n_slots:
-            chunks.append(slots[slots < n_slots])
+        expected = (n_slots - last) * pair_prob * q  # units left in the range
+        batch = min(int(expected + 6.0 * np.sqrt(expected + 1.0)) + 16, _BATCH_UNITS)
+        k = rng.geometric(q, size=batch) - 1
+        close = np.ceil(np.log1p(-q * rng.random(batch)) / log_miss).astype(np.int64)
+        np.clip(close, 1, window, out=close)
+        step = k * (window + 1) + close
+        # a unit whose lower-bound end is already past the range needs no
+        # excess: only units before it can end inside the range
+        room = n_slots - last
+        bound = np.cumsum(step)
+        draw = (k > 0) & (bound < room)
+        step[draw] += rng.negative_binomial(k[draw], pair_prob)
+        ends = last + np.cumsum(step)  # slot of the pair after each close gap
+        cross = int(np.searchsorted(ends, n_slots))
+        members = np.empty(2 * cross, dtype=np.int64)
+        members[0::2] = ends[:cross] - close[:cross]  # the pair before each close gap
+        members[1::2] = ends[:cross]
+        if not chunks and cross and k[0] == 0:
+            # the first close gap runs from the virtual pair: neither end
+            # is a member by it (the first real pair may be one by the next)
+            members = members[2:]
+        chunks.append(members)
+        pairs += int(k[:cross].sum()) + cross
+        if cross < batch:
+            start = int(ends[cross - 1]) if cross else last
+            excess = int(step[cross] - k[cross] * (window + 1) - close[cross]) if draw[cross] else None
+            # no pair of the crossing stretch is a member: each has a long
+            # gap before it, and after the last one the range ends
+            pairs += _stretch_pairs_in_range(int(k[cross]), excess, n_slots - start,
+                                             window, pair_prob, rng)
             break
-        chunks.append(slots)
-        last = int(slots[-1])
-        batch = max(batch // 4, 1024)
-    return np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
+        last = int(ends[-1])
+    slots = np.concatenate(chunks)
+    # a unit without long gaps starts at the pair that closed the previous one
+    keep = np.ones(slots.size, dtype=bool)
+    keep[1:] = slots[1:] != slots[:-1]
+    return slots[keep], pairs
 
 
-def _apply_deadtime(slots: np.ndarray, eff_draws: np.ndarray, deadtime: int) -> np.ndarray:
-    """Which arrivals fire, under detection efficiency and deadtime.
+def _apply_deadtime(slots: np.ndarray, to_a: np.ndarray, eff_draws: np.ndarray,
+                    deadtime: int) -> np.ndarray:
+    """Which arrivals fire, under detection efficiency and per-detector deadtime.
 
-    An arrival fires iff its efficiency draw succeeded and the detector is
-    live, i.e. more than ``deadtime`` slots have passed since its last
-    *fire* (failed draws do not blind).  Arrivals separated from their
-    predecessor by more than the deadtime are trivially live, so only
-    clusters of close-spaced arrivals need the sequential scan.
+    ``slots`` is sorted; ``to_a`` picks each arrival's detector.  An
+    arrival fires iff its efficiency draw succeeded and its detector is
+    live, i.e. more than ``deadtime`` slots have passed since that
+    detector's last *fire*.  Failed draws never blind, so among one
+    detector's successful arrivals the fired ones are the orbit of
+    next(i) = the first arrival later than slot i + deadtime, started at
+    each cluster's first arrival (a cluster ends where the next arrival
+    is more than ``deadtime`` on).  The orbit is marked by pointer
+    doubling, in log2(longest orbit) vector rounds.
     """
-    m = len(slots)
-    if m == 0 or deadtime == 0:
+    if deadtime == 0:
         return eff_draws.copy()
-    fired = np.zeros(m, dtype=bool)
-    starts = np.flatnonzero(np.concatenate(([True], np.diff(slots) > deadtime)))
-    ends = np.append(starts[1:], m)
-    singles = (ends - starts) == 1
-    single_idx = starts[singles]
-    fired[single_idx] = eff_draws[single_idx]
-    for a, b in zip(starts[~singles].tolist(), ends[~singles].tolist()):
-        s = slots[a:b].tolist()
-        e = eff_draws[a:b].tolist()
-        last = None
-        for i in range(b - a):
-            if (last is None or s[i] - last > deadtime) and e[i]:
-                fired[a + i] = True
-                last = s[i]
+    # successful arrivals, detector A's first; B's are shifted past A's
+    # last by more than the deadtime, so no cluster spans both detectors
+    fired = np.zeros(slots.size, dtype=bool)
+    hits = np.flatnonzero(eff_draws)
+    if hits.size == 0:
+        return fired
+    on_a = to_a[hits]
+    hits = hits[np.argsort(~on_a, kind="stable")]
+    s = slots[hits]
+    s[int(on_a.sum()):] += int(slots[-1]) + deadtime + 1
+    m = hits.size
+    first = np.ones(m + 1, dtype=bool)  # index m: "no further arrival"
+    first[1:m] = np.diff(s) > deadtime
+    jump = np.empty(m + 1, dtype=np.int64)
+    jump[:m] = np.searchsorted(s, s + (deadtime + 1))
+    jump[m] = m
+    jump[first[jump]] = m  # orbits stop at their cluster's end
+    on = first.copy()
+    on[m] = False
+    starts = np.flatnonzero(on)
+    while (jump[starts] != m).any():
+        on[jump[on]] = True
+        jump = jump[jump]
+    fired[hits[on[:m]]] = True
     return fired
 
 
@@ -142,25 +254,25 @@ def generate_herald_stream(params: SourceParams, n_slots: int, rng: np.random.Ge
     """Run the source and heralding arm over ``n_slots`` pulse slots."""
     if n_slots < 1:
         raise ValueError(f"n_slots must be >= 1 (got {n_slots})")
-    pair_slots = _sample_pair_slots(params.pair_prob, n_slots, rng)
-    m = len(pair_slots)
+    p = params.pair_prob
+    d = params.herald_deadtime_slots
+    pair_slots, pair_count = _sample_members(p, max(d, 1), n_slots, rng)
+    m = pair_slots.size
     to_a = rng.random(m) < params.herald_splitter_ratio
-    if params.multi_pair_enabled:
-        double = rng.random(m) < params.pair_prob  # second pair, joint prob pair_prob**2
-    else:
-        double = np.zeros(m, dtype=bool)
     eff = params.herald_det_efficiency
     eff_draws = rng.random(m) < eff if eff < 1.0 else np.ones(m, dtype=bool)
-    fired = np.zeros(m, dtype=bool)
-    d = params.herald_deadtime_slots
-    fired[to_a] = _apply_deadtime(pair_slots[to_a], eff_draws[to_a], d)
-    fired[~to_a] = _apply_deadtime(pair_slots[~to_a], eff_draws[~to_a], d)
+    fired = _apply_deadtime(pair_slots, to_a, eff_draws, d)
+    # an isolated pair meets a live detector: it heralds with probability eff
+    herald_count = int(fired.sum()) + int(rng.binomial(pair_count - m, eff))
+    multi = int(rng.binomial(pair_count, p)) if params.multi_pair_enabled else 0
     return HeraldStream(
         n_slots=n_slots,
         pair_slots=pair_slots,
         to_detector_a=to_a,
         fired=fired,
-        double_pair=double,
+        pair_count=pair_count,
+        herald_count=herald_count,
+        multi_pair_slot_count=multi,
     )
 
 

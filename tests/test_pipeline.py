@@ -2,6 +2,7 @@
 
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,8 +18,10 @@ from photondemux.config import (
     scenario_from_mapping,
     scenario_to_mapping,
 )
+from photondemux.cli import main
 from photondemux.model import ConfigError, RoutingStrategy
 from photondemux.pipeline import (
+    _check_memory,
     execute_scenario,
     read_report,
     report_digest_matches,
@@ -422,3 +425,44 @@ class TestReportFiles:
         mapping = run_simulation(scenario(), seed=123, slots=250_000, trials=1)
         assert mapping["seed"] == 123
         assert mapping["slots_simulated"] == 250_000
+
+
+class TestStreamTallies:
+    def test_single_mode_triggers_on_every_herald(self):
+        # a herald outside every cluster is a run of one: it counts too
+        raw = raw_scenario(trials=1)
+        raw["converter"] = {"n_modes": 1, "strategy": "heralded"}
+        rep = execute_scenario(scenario_from_mapping(raw)).report
+        assert rep.trigger_count == rep.herald_count > 0
+
+    def test_calibration_draws_on_every_herald(self):
+        # the bypass measurement sees every herald, clustered or isolated
+        raw = raw_scenario(calibration_mode=True)
+        raw["source"]["signal_det_efficiency"] = 0.5
+        result = execute_scenario(scenario_from_mapping(raw))
+        p = result.report.p_h1_eta_d
+        detected = (1.0 - p) / result.p_rel_error ** 2
+        assert detected / p == pytest.approx(result.report.herald_count, rel=1e-9)
+
+
+class TestMemoryGuard:
+    def test_oversized_trial_refused_before_allocating(self, tmp_path, capsys):
+        doc = raw_scenario(slots_per_trial=10**13, trials=1)
+        doc["source"]["pair_prob"] = 0.5
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        tracemalloc.start()
+        try:
+            status = main(["simulate", "--config", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert status == 2
+        assert peak < 10 * 2**20
+        assert "bytes of herald-stream arrays" in capsys.readouterr().err
+
+    def test_experiment_fixture_accepted(self):
+        # the acceptance gate's run: 8 trials of 1e10 slots at the two-mode point
+        raw = raw_scenario(slots_per_trial=10**10, trials=8, workers=2)
+        raw["source"]["pair_prob"] = 0.0043882
+        _check_memory(scenario_from_mapping(raw))
