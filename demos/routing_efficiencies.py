@@ -24,7 +24,7 @@ def landing_table(ports, run):
     }
     if ports == (0.5, 0.5):  # model chance routing with the splitter itself
         doc["converter"] = {"n_modes": 2, "strategy": "passive"}
-    return execute_scenario(scenario_from_mapping(doc)).port_counts
+    return execute_scenario(scenario_from_mapping(doc))["port_counts"]
 
 
 def report(label, counts, targets):

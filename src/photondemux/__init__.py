@@ -44,20 +44,16 @@ from .model import (
     ConfigError,
     ConverterParams,
     EfficiencyEstimate,
-    EstimatorMethod,
     RoutingStrategy,
     SimulationConfig,
-    SimulationReport,
     SourceParams,
     deadtime_to_slots,
     validate_config,
 )
 from .pipeline import (
-    ExecutionResult,
     execute_scenario,
     read_report,
     report_digest_matches,
-    report_to_mapping,
     run_analytic,
     run_calibrate,
     run_simulation,

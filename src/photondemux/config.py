@@ -6,7 +6,7 @@ A scenario file is a single JSON document with up to four sections::
       "source":    { ... SourceParams fields ... },
       "converter": { ... ConverterParams fields ... },
       "run":       { seed, slots_per_trial, trials, calibration_mode,
-                     workers, herald_signal_offset_slots },
+                     workers },
       "sweep":     { strategy: [...], n_modes: [...], eta_sw: [...] }
     }
 
@@ -56,7 +56,6 @@ class RunControls:
     trials: int = 8
     calibration_mode: bool = False
     workers: int = 1
-    herald_signal_offset_slots: int = 0
 
     def __post_init__(self) -> None:
         violations: list[str] = []
@@ -70,10 +69,6 @@ class RunControls:
             violations.append(f"run.calibration_mode: expected true or false (got {self.calibration_mode!r})")
         if not (is_int(self.workers) and self.workers >= 1):
             violations.append(f"run.workers: expected integer >= 1 (got {self.workers!r})")
-        if not is_int(self.herald_signal_offset_slots):
-            violations.append(
-                f"run.herald_signal_offset_slots: expected integer (got {self.herald_signal_offset_slots!r})"
-            )
         if violations:
             raise ConfigError(violations)
 

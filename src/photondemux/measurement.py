@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .converter import RoutingBatch
-from .model import EfficiencyEstimate, EstimatorMethod
+from .model import EfficiencyEstimate
 
 
 def count_rates(
@@ -86,15 +86,13 @@ def estimate_s(
     n: int,
     coincidence_count: int = 0,
     trigger_count: int = 0,
-    duration_s: float = 0.0,
     p_rel_error: float = 0.0,
 ) -> EfficiencyEstimate:
     """Conversion efficiency from measured rates.
 
-    The standard error follows Poisson statistics of the underlying raw
-    counts.  Pass the counts directly, or a ``duration_s`` over which the
-    rates were accumulated so they can be reconstructed; with neither,
-    the error is reported as 0 (unknown counting depth).
+    The standard error follows Poisson statistics of the raw counts
+    behind the rates; without them it is reported as 0 (unknown counting
+    depth).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1 (got {n})")
@@ -105,9 +103,6 @@ def estimate_s(
     if c_n_rate < 0:
         raise ValueError(f"c_n_rate must be nonnegative (got {c_n_rate})")
     value = (c_n_rate / c_h_rate) / p_h1_eta_d**n
-    if duration_s > 0 and not (coincidence_count or trigger_count):
-        coincidence_count = int(round(c_n_rate * duration_s))
-        trigger_count = int(round(c_h_rate * duration_s))
     if coincidence_count > 0 and trigger_count > 0:
         rel = propagate_counting_uncertainty(
             (coincidence_count, trigger_count), "estimator", n=n, p_rel_error=p_rel_error
@@ -115,7 +110,7 @@ def estimate_s(
         std_error = value * rel
     else:
         std_error = 0.0
-    return EfficiencyEstimate(value=value, std_error=std_error, method=EstimatorMethod.COUNTING_PIPELINE)
+    return EfficiencyEstimate(value=value, std_error=std_error)
 
 
 def compensate_transmittance(
@@ -135,27 +130,25 @@ def compensate_transmittance(
     if n < 1:
         raise ValueError(f"n must be >= 1 (got {n})")
     if isinstance(s, EfficiencyEstimate):
-        s_value, s_err, method = s.value, s.std_error, s.method
+        s_value, s_err = s.value, s.std_error
     else:
-        s_value, s_err, method = float(s), s_std_error, EstimatorMethod.COUNTING_PIPELINE
+        s_value, s_err = float(s), s_std_error
     value = s_value / t**n
     rel_sq = (n * t_std_error / t) ** 2
     if s_value > 0:
         rel_sq += (s_err / s_value) ** 2
-    std_error = value * math.sqrt(rel_sq)
-    if std_error > 0 and method is EstimatorMethod.CLOSED_FORM:
-        method = EstimatorMethod.COUNTING_PIPELINE  # uncertainty makes it empirical
-    return EfficiencyEstimate(value=value, std_error=std_error, method=method)
+    return EfficiencyEstimate(value=value, std_error=value * math.sqrt(rel_sq))
 
 
 def estimate_routing_efficiencies(
-    outputs: "RoutingBatch | np.ndarray",
+    outputs: "RoutingBatch | np.ndarray | Sequence[Sequence[int]]",
     corrections: "Sequence[float] | None" = None,
 ) -> list[tuple[float, float]]:
     """Per-port routing efficiencies with binomial standard errors.
 
     ``outputs`` is a routing batch or its (n, n) table of detected
-    landings, entry [i, j] counting photon i at port j.  For each photon
+    landings, entry [i, j] counting photon i at port j, as an array or
+    as the nested lists of a report's ``port_counts``.  For each photon
     index i, the efficiency is the fraction of its detected landings
     that fell on its own port i, divided by the supplied correction
     factor (residual optics and detector imbalance; 1.0 when none).
@@ -165,7 +158,7 @@ def estimate_routing_efficiencies(
     if isinstance(outputs, RoutingBatch):
         counts = outputs.port_counts(detected_only=True)
     else:
-        counts = outputs
+        counts = np.asarray(outputs)
     n = counts.shape[0]
     if counts.shape != (n, n):
         raise ValueError(f"count table must be square (got {counts.shape})")

@@ -1,9 +1,9 @@
 """Shared domain types for the photon-stream demultiplexing simulator.
 
 Everything in this module is a passive, validated value object: source and
-converter parameter sets, efficiency estimates, and the report produced
-by a full simulation.  All types are immutable after
-construction and safe to share between concurrent trial workers.
+converter parameter sets and efficiency estimates.  All types are
+immutable after construction and safe to share between concurrent trial
+workers.
 
 Validation happens eagerly in ``__post_init__`` so that an out-of-range
 field can never propagate into a simulation.  :func:`validate_config`
@@ -49,14 +49,6 @@ class RoutingStrategy(enum.Enum):
         except ValueError:
             valid = ", ".join(s.value for s in cls)
             raise ConfigError([f"strategy: unknown value {name!r} (expected one of {valid})"]) from None
-
-
-class EstimatorMethod(enum.Enum):
-    """Provenance of an efficiency estimate."""
-
-    CLOSED_FORM = "closed_form"
-    MONTE_CARLO = "monte_carlo"
-    COUNTING_PIPELINE = "counting_pipeline"
 
 
 def is_int(value: object) -> bool:
@@ -109,7 +101,6 @@ class SourceParams:
     herald_deadtime_slots: int = 0
     herald_splitter_ratio: float = 0.5
     signal_det_efficiency: float = 1.0
-    multi_pair_enabled: bool = False
 
     def __post_init__(self) -> None:
         violations: list[str] = []
@@ -123,8 +114,6 @@ class SourceParams:
             violations.append(
                 f"herald_deadtime_slots: expected nonnegative integer (got {self.herald_deadtime_slots!r})"
             )
-        if not isinstance(self.multi_pair_enabled, bool):
-            violations.append(f"multi_pair_enabled: expected true or false (got {self.multi_pair_enabled!r})")
         if violations:
             raise ConfigError(violations)
 
@@ -185,11 +174,10 @@ class ConverterParams:
 
 @dataclass(frozen=True)
 class EfficiencyEstimate:
-    """A conversion-efficiency value with its standard error and provenance."""
+    """A conversion-efficiency value with its standard error."""
 
     value: float
     std_error: float
-    method: EstimatorMethod
 
     def __post_init__(self) -> None:
         violations: list[str] = []
@@ -197,36 +185,6 @@ class EfficiencyEstimate:
             violations.append(f"value: not finite ({self.value!r})")
         if not (math.isfinite(self.std_error) and self.std_error >= 0.0):
             violations.append(f"std_error: expected >= 0 (got {self.std_error!r})")
-        if self.method is EstimatorMethod.CLOSED_FORM and self.std_error != 0.0:
-            violations.append("closed-form estimates carry std_error = 0")
-        if violations:
-            raise ConfigError(violations)
-
-
-@dataclass(frozen=True)
-class SimulationReport:
-    """Counted rates and the conversion-efficiency estimate of one run."""
-
-    c_n_rate: float
-    c_h_rate: float
-    p_h1_eta_d: float
-    s_estimate: EfficiencyEstimate
-    seed: int
-    config_digest: str
-    slots_simulated: int
-    coincidence_count: int = 0
-    trigger_count: int = 0
-    herald_count: int = 0
-    multi_pair_slots: int = 0
-
-    def __post_init__(self) -> None:
-        violations: list[str] = []
-        if self.c_n_rate < 0 or self.c_h_rate < 0:
-            violations.append("rates must be nonnegative")
-        if self.c_n_rate > self.c_h_rate:
-            violations.append("coincidence rate exceeds trigger rate")
-        if self.slots_simulated <= 0:
-            violations.append("slots_simulated must be positive")
         if violations:
             raise ConfigError(violations)
 

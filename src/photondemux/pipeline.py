@@ -4,6 +4,8 @@ A run walks the whole chain at pulse-slot resolution: generate the
 heralded photon stream, detect runs of n consecutive heralds, route each
 run's photons through the converter, count trigger and coincidence
 rates, and invert the counting estimator for the conversion efficiency.
+``execute_scenario`` turns the merged counts straight into the report
+mapping; every entry point writes or reads that mapping.
 
 Trials execute on disjoint random substreams keyed by (grid index,
 trial), and partial counts merge additively in trial order, so results
@@ -19,7 +21,8 @@ import csv
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -39,7 +42,7 @@ from .controller import run_starts_from_heralds
 # itself goes through route_chunks, which calls the converter's own names
 from .converter import route_chunks, route_clocked_batch, route_heralded_batch, route_passive_batch  # noqa: F401
 from .measurement import count_rates, estimate_s
-from .model import ConfigError, RoutingStrategy, SimulationReport
+from .model import ConfigError, RoutingStrategy
 from .source import RngStream, expected_peak_bytes, generate_herald_stream
 
 Progress = Callable[[str], None]
@@ -49,37 +52,17 @@ Progress = Callable[[str], None]
 class _TrialCounts:
     """Additive per-trial tallies; merging is order-independent."""
 
+    port_counts: np.ndarray  # (n, n) int64: photon i detected at port j
     slots: int = 0
     heralds: int = 0
     triggers: int = 0
     coincidences: int = 0
     calib_trials: int = 0
     calib_detected: int = 0
-    multi_pair_slots: int = 0
-    port_counts: np.ndarray = field(default_factory=lambda: np.zeros((0, 0), dtype=np.int64))
 
     def merge(self, other: "_TrialCounts") -> None:
-        self.slots += other.slots
-        self.heralds += other.heralds
-        self.triggers += other.triggers
-        self.coincidences += other.coincidences
-        self.calib_trials += other.calib_trials
-        self.calib_detected += other.calib_detected
-        self.multi_pair_slots += other.multi_pair_slots
-        if self.port_counts.size == 0:
-            self.port_counts = other.port_counts.copy()
-        else:
-            self.port_counts += other.port_counts
-
-
-@dataclass(frozen=True)
-class ExecutionResult:
-    """A finished run: the report plus diagnostics that back it."""
-
-    report: SimulationReport
-    port_counts: np.ndarray  # (n, n): photon i detected at port j, over all triggers
-    p_rel_error: float  # relative error of the delivered-photon probability used
-    config_echo: dict
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
 def _simulate_trial(scenario: Scenario, rng: RngStream) -> _TrialCounts:
@@ -92,19 +75,11 @@ def _simulate_trial(scenario: Scenario, rng: RngStream) -> _TrialCounts:
     triggers = int(run_starts_from_heralds(stream.herald_slots, n).size)
     if n == 1:  # a herald outside every cluster is a run of one
         triggers += stream.herald_count - int(stream.fired.sum())
-    counts = _TrialCounts(
-        slots=ctl.slots_per_trial,
-        heralds=stream.herald_count,
-        triggers=triggers,
-        multi_pair_slots=stream.multi_pair_slot_count,
-        port_counts=np.zeros((n, n), dtype=np.int64),
-    )
-    # an uncompensated herald/signal delay routes empty slots: the runs
-    # trigger, but no photon is there to convert
-    if ctl.herald_signal_offset_slots == 0:
-        for batch in route_chunks(triggers, conv, gen, src.signal_det_efficiency):
-            counts.coincidences += batch.success_count
-            counts.port_counts += batch.port_counts(detected_only=True)
+    counts = _TrialCounts(np.zeros((n, n), dtype=np.int64), slots=ctl.slots_per_trial,
+                          heralds=stream.herald_count, triggers=triggers)
+    for batch in route_chunks(triggers, conv, gen, src.signal_det_efficiency):
+        counts.coincidences += batch.success_count
+        counts.port_counts += batch.port_counts(detected_only=True)
     if ctl.calibration_mode and stream.herald_count:
         counts.calib_trials = stream.herald_count
         counts.calib_detected = int(gen.binomial(stream.herald_count, src.signal_det_efficiency))
@@ -125,25 +100,26 @@ def _check_memory(scenario: Scenario) -> None:
         ])
 
 
-def execute_scenario(scenario: Scenario, grid_index: int = 0, progress: "Progress | None" = None) -> ExecutionResult:
-    """Run all trials of a scenario and assemble the report."""
+def execute_scenario(scenario: Scenario, grid_index: int = 0, progress: "Progress | None" = None) -> dict:
+    """Run all trials of a scenario and build its report mapping.
+
+    The report holds every counted quantity and the config echo.  Wall
+    time is deliberately absent so identical (config, seed) runs produce
+    identical bytes.
+    """
     _check_memory(scenario)
     ctl = scenario.controls
-    streams = [RngStream(ctl.seed, (grid_index, t)) for t in range(ctl.trials)]
-    if ctl.workers > 1:
-        with ThreadPoolExecutor(max_workers=ctl.workers) as pool:
-            results = list(pool.map(lambda s: _simulate_trial(scenario, s), streams))
-    else:
-        results = []
-        for t, s in enumerate(streams):
-            results.append(_simulate_trial(scenario, s))
-            if progress is not None:
-                progress(f"trial {t + 1}/{ctl.trials}")
-    total = _TrialCounts()
-    for r in results:  # trial order, not completion order
-        total.merge(r)
     src = scenario.config.source
     n = scenario.config.converter.n_modes
+    streams = [RngStream(ctl.seed, (grid_index, t)) for t in range(ctl.trials)]
+    total = _TrialCounts(np.zeros((n, n), dtype=np.int64))
+    with (ThreadPoolExecutor(max_workers=ctl.workers) if ctl.workers > 1 else nullcontext()) as pool:
+        trial_map = map if pool is None else pool.map
+        # both maps yield in trial order, not completion order
+        for t, counts in enumerate(trial_map(lambda s: _simulate_trial(scenario, s), streams)):
+            total.merge(counts)
+            if progress is not None:
+                progress(f"trial {t + 1}/{ctl.trials}")
     if total.triggers == 0:
         hint = ""
         if n > 2 and src.herald_deadtime_slots >= 2:
@@ -177,48 +153,20 @@ def execute_scenario(scenario: Scenario, grid_index: int = 0, progress: "Progres
         p_rel_error=p_rel,
     )
     echo = scenario_to_mapping(scenario)
-    report = SimulationReport(
-        c_n_rate=c_n_rate,
-        c_h_rate=c_h_rate,
-        p_h1_eta_d=p_used,
-        s_estimate=s_est,
-        seed=ctl.seed,
-        config_digest=config_digest(echo),
-        slots_simulated=total.slots,
-        coincidence_count=total.coincidences,
-        trigger_count=total.triggers,
-        herald_count=total.heralds,
-        multi_pair_slots=total.multi_pair_slots,
-    )
-    return ExecutionResult(report=report, port_counts=total.port_counts,
-                           p_rel_error=p_rel, config_echo=echo)
-
-
-def report_to_mapping(result: ExecutionResult) -> dict:
-    """Serializable report: every counted quantity plus the config echo.
-
-    Wall time is deliberately absent so identical (config, seed) runs
-    produce identical bytes.
-    """
-    rep = result.report
     return {
-        "c_n_rate": rep.c_n_rate,
-        "c_h_rate": rep.c_h_rate,
-        "p_h1_eta_d": rep.p_h1_eta_d,
-        "p_h1_eta_d_rel_error": result.p_rel_error,
-        "s_estimate": {
-            "value": rep.s_estimate.value,
-            "std_error": rep.s_estimate.std_error,
-            "method": rep.s_estimate.method.value,
-        },
-        "seed": rep.seed,
-        "config_digest": rep.config_digest,
-        "slots_simulated": rep.slots_simulated,
-        "coincidence_count": rep.coincidence_count,
-        "trigger_count": rep.trigger_count,
-        "herald_count": rep.herald_count,
-        "multi_pair_slots": rep.multi_pair_slots,
-        "config": result.config_echo,
+        "c_n_rate": c_n_rate,
+        "c_h_rate": c_h_rate,
+        "p_h1_eta_d": p_used,
+        "p_h1_eta_d_rel_error": p_rel,
+        "s_estimate": {"value": s_est.value, "std_error": s_est.std_error, "method": "counting_pipeline"},
+        "seed": ctl.seed,
+        "config_digest": config_digest(echo),
+        "slots_simulated": total.slots,
+        "coincidence_count": total.coincidences,
+        "trigger_count": total.triggers,
+        "herald_count": total.heralds,
+        "port_counts": total.port_counts.tolist(),
+        "config": echo,
     }
 
 
@@ -267,8 +215,7 @@ def run_simulation(
 ) -> dict:
     """Execute one scenario end to end; optionally write the JSON report."""
     sc = _override_controls(_resolve(scenario), seed, slots, trials)
-    result = execute_scenario(sc, grid_index=0, progress=progress)
-    mapping = report_to_mapping(result)
+    mapping = execute_scenario(sc, grid_index=0, progress=progress)
     if out_path is not None:
         write_report(mapping, out_path)
     return mapping
@@ -322,14 +269,14 @@ def run_sweep(
         applied = apply_grid_point(Scenario(config=sc.config, controls=sc.controls, sweep=sweep), point)
         if progress is not None:
             progress(f"grid point {index + 1}/{len(points)}")
-        result = execute_scenario(applied, grid_index=index)
+        estimate = execute_scenario(applied, grid_index=index)["s_estimate"]
         conv = applied.config.converter
         rows.append({
             "strategy": conv.strategy.value,
             "n": conv.n_modes,
             "eta_sw": conv.switching_efficiency,
-            "s_estimate": result.report.s_estimate.value,
-            "std_error": result.report.s_estimate.std_error,
+            "s_estimate": estimate["value"],
+            "std_error": estimate["std_error"],
         })
     if out_path is not None:
         with open(out_path, "w", newline="") as fh:

@@ -67,9 +67,7 @@ class HeraldStream:
     ``fired`` are per member.  Every run of two or more consecutive
     heralds lies among the members, so ``herald_slots`` feeds run
     detection for any run length >= 2.  ``pair_count`` and
-    ``herald_count`` cover all pairs of the range, members or not;
-    ``multi_pair_slot_count`` counts slots carrying a second pair
-    (diagnostics only; the extra photon never feeds the estimator).
+    ``herald_count`` cover all pairs of the range, members or not.
     """
 
     n_slots: int
@@ -78,7 +76,6 @@ class HeraldStream:
     fired: np.ndarray  # bool, per member
     pair_count: int
     herald_count: int
-    multi_pair_slot_count: int
 
     @property
     def herald_slots(self) -> np.ndarray:
@@ -254,9 +251,8 @@ def generate_herald_stream(params: SourceParams, n_slots: int, rng: np.random.Ge
     """Run the source and heralding arm over ``n_slots`` pulse slots."""
     if n_slots < 1:
         raise ValueError(f"n_slots must be >= 1 (got {n_slots})")
-    p = params.pair_prob
     d = params.herald_deadtime_slots
-    pair_slots, pair_count = _sample_members(p, max(d, 1), n_slots, rng)
+    pair_slots, pair_count = _sample_members(params.pair_prob, max(d, 1), n_slots, rng)
     m = pair_slots.size
     to_a = rng.random(m) < params.herald_splitter_ratio
     eff = params.herald_det_efficiency
@@ -264,7 +260,6 @@ def generate_herald_stream(params: SourceParams, n_slots: int, rng: np.random.Ge
     fired = _apply_deadtime(pair_slots, to_a, eff_draws, d)
     # an isolated pair meets a live detector: it heralds with probability eff
     herald_count = int(fired.sum()) + int(rng.binomial(pair_count - m, eff))
-    multi = int(rng.binomial(pair_count, p)) if params.multi_pair_enabled else 0
     return HeraldStream(
         n_slots=n_slots,
         pair_slots=pair_slots,
@@ -272,7 +267,6 @@ def generate_herald_stream(params: SourceParams, n_slots: int, rng: np.random.Ge
         fired=fired,
         pair_count=pair_count,
         herald_count=herald_count,
-        multi_pair_slot_count=multi,
     )
 
 

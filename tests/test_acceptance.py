@@ -130,29 +130,29 @@ def test_experiment_fixture_end_to_end():
              "calibration_mode": True},
     )
     t0 = time.perf_counter()
-    result = execute_scenario(scenario)
+    rep = execute_scenario(scenario)
     elapsed = time.perf_counter() - t0
-    rep = result.report
-    assert 785 - 40 <= rep.c_h_rate <= 785 + 40
-    assert 2.3 <= rep.c_n_rate <= 2.9
-    assert 0.50 <= rep.s_estimate.value <= 0.56
+    est = rep["s_estimate"]
+    assert 785 - 40 <= rep["c_h_rate"] <= 785 + 40
+    assert 2.3 <= rep["c_n_rate"] <= 2.9
+    assert 0.50 <= est["value"] <= 0.56
     assert elapsed <= 60.0
     _pass("experiment fixture",
-          f"C_h(2) = {rep.c_h_rate:.1f} cps, C(2) = {rep.c_n_rate:.3f} cps, "
-          f"S(2) = {rep.s_estimate.value:.4f} +/- {rep.s_estimate.std_error:.4f} "
+          f"C_h(2) = {rep['c_h_rate']:.1f} cps, C(2) = {rep['c_n_rate']:.3f} cps, "
+          f"S(2) = {est['value']:.4f} +/- {est['std_error']:.4f} "
           f"in {elapsed:.1f} s")
 
 
 def test_routing_efficiency_closed_loop():
     active = _scenario(ports=(0.99, 0.98),
                        run={"seed": 3, "slots_per_trial": 2_000_000, "trials": 1})
-    estimates = estimate_routing_efficiencies(execute_scenario(active).port_counts)
+    estimates = estimate_routing_efficiencies(execute_scenario(active)["port_counts"])
     for (value, err), target in zip(estimates, (0.99, 0.98)):
         assert abs(value - target) <= 3 * err, (value, err, target)
 
     passive = _scenario(strategy="passive", transmittance=1.0, ports=(1.0, 1.0),
                         run={"seed": 3, "slots_per_trial": 2_000_000, "trials": 1})
-    passive_est = estimate_routing_efficiencies(execute_scenario(passive).port_counts)
+    passive_est = estimate_routing_efficiencies(execute_scenario(passive)["port_counts"])
     for value, err in passive_est:
         assert abs(value - 0.5) <= 3 * err, (value, err)
     _pass("routing efficiencies",

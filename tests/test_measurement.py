@@ -13,7 +13,7 @@ from photondemux.measurement import (
     estimate_s,
     propagate_counting_uncertainty,
 )
-from photondemux.model import ConverterParams, EfficiencyEstimate, EstimatorMethod
+from photondemux.model import ConverterParams, EfficiencyEstimate
 from photondemux.source import RngStream
 
 
@@ -40,7 +40,6 @@ class TestEstimateS:
     def test_published_operating_point(self):
         est = estimate_s(2.62, 785.0, 0.079, 2)
         assert est.value == pytest.approx(0.533, abs=0.01)
-        assert est.method is EstimatorMethod.COUNTING_PIPELINE
 
     def test_inverts_its_own_forward_model(self):
         c_h, p = 500.0, 0.08
@@ -59,14 +58,6 @@ class TestEstimateS:
                          coincidence_count=10_000, trigger_count=1_000_000)
         expected_rel = math.sqrt(1 / 10_000 + 1 / 1_000_000)
         assert est.std_error == pytest.approx(est.value * expected_rel)
-
-    def test_counting_error_from_duration(self):
-        duration = 7_200.0
-        est = estimate_s(2.62, 785.0, 0.079, 2, duration_s=duration)
-        n_c = round(2.62 * duration)
-        n_h = round(785.0 * duration)
-        expected_rel = math.sqrt(1 / n_c + 1 / n_h)
-        assert est.std_error == pytest.approx(est.value * expected_rel, rel=1e-6)
 
     def test_p_uncertainty_enters_with_weight_n(self):
         base = estimate_s(2.62, 785.0, 0.079, 2, coincidence_count=10**6,
@@ -94,13 +85,13 @@ class TestEstimateS:
 
 class TestCompensateTransmittance:
     def test_published_operating_point(self):
-        est = EfficiencyEstimate(0.533, 0.003, EstimatorMethod.COUNTING_PIPELINE)
+        est = EfficiencyEstimate(0.533, 0.003)
         out = compensate_transmittance(est, 0.731, 2, t_std_error=0.003)
         assert out.value == pytest.approx(0.996, abs=0.005)
         assert 0.003 <= out.std_error <= 0.012  # within a factor 2 of 0.006
 
     def test_lossless_is_identity(self):
-        est = EfficiencyEstimate(0.42, 0.01, EstimatorMethod.MONTE_CARLO)
+        est = EfficiencyEstimate(0.42, 0.01)
         out = compensate_transmittance(est, 1.0, 3)
         assert out.value == est.value
         assert out.std_error == est.std_error

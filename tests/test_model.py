@@ -8,9 +8,7 @@ from photondemux.model import (
     ConfigError,
     ConverterParams,
     EfficiencyEstimate,
-    EstimatorMethod,
     RoutingStrategy,
-    SimulationReport,
     SourceParams,
     deadtime_to_slots,
     validate_config,
@@ -48,7 +46,6 @@ class TestSourceParams:
         assert p.herald_det_efficiency == 1.0
         assert p.herald_deadtime_slots == 0
         assert p.herald_splitter_ratio == 0.5
-        assert not p.multi_pair_enabled
 
     def test_slot_duration(self):
         assert make_source(rep_rate_hz=82e6).slot_duration_s == pytest.approx(12.195e-9, rel=1e-3)
@@ -118,40 +115,13 @@ class TestRoutingStrategy:
 
 
 class TestEfficiencyEstimate:
-    def test_closed_form_must_be_exact(self):
-        EfficiencyEstimate(0.5, 0.0, EstimatorMethod.CLOSED_FORM)
-        with pytest.raises(ConfigError):
-            EfficiencyEstimate(0.5, 0.01, EstimatorMethod.CLOSED_FORM)
-
     def test_negative_error_rejected(self):
         with pytest.raises(ConfigError):
-            EfficiencyEstimate(0.5, -0.01, EstimatorMethod.MONTE_CARLO)
+            EfficiencyEstimate(0.5, -0.01)
 
     def test_nan_rejected(self):
         with pytest.raises(ConfigError):
-            EfficiencyEstimate(math.nan, 0.0, EstimatorMethod.MONTE_CARLO)
-
-
-class TestSimulationReport:
-    def make(self, **overrides):
-        base = dict(
-            c_n_rate=2.6, c_h_rate=785.0, p_h1_eta_d=0.079,
-            s_estimate=EfficiencyEstimate(0.533, 0.01, EstimatorMethod.COUNTING_PIPELINE),
-            seed=42, config_digest="0" * 64, slots_simulated=10**9,
-        )
-        base.update(overrides)
-        return SimulationReport(**base)
-
-    def test_valid(self):
-        assert self.make().c_h_rate == 785.0
-
-    def test_coincidences_cannot_exceed_triggers(self):
-        with pytest.raises(ConfigError):
-            self.make(c_n_rate=800.0)
-
-    def test_needs_slots(self):
-        with pytest.raises(ConfigError):
-            self.make(slots_simulated=0)
+            EfficiencyEstimate(math.nan, 0.0)
 
 
 class TestValidateConfig:

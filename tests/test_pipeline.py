@@ -25,7 +25,6 @@ from photondemux.pipeline import (
     execute_scenario,
     read_report,
     report_digest_matches,
-    report_to_mapping,
     run_analytic,
     run_calibrate,
     run_simulation,
@@ -105,7 +104,6 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("section,key", [
         ("run", "calibration_mode"),
-        ("source", "multi_pair_enabled"),
     ])
     def test_flags_must_be_booleans(self, section, key):
         # the string "false" is truthy: accepting it would switch the flag on
@@ -120,7 +118,7 @@ class TestConfigHandling:
         ("run", "slots_per_trial", True),
         ("run", "trials", True),
         ("run", "workers", True),
-        ("run", "herald_signal_offset_slots", False),
+        ("source", "herald_deadtime_slots", False),  # False == 0, a valid deadtime
         ("source", "herald_deadtime_slots", True),
         ("converter", "n_modes", True),
         ("sweep", "n_modes", [True]),
@@ -187,22 +185,27 @@ class TestConfigHandling:
 
 class TestDeterminism:
     def test_identical_runs_are_byte_identical(self):
-        m1 = report_to_mapping(execute_scenario(scenario()))
-        m2 = report_to_mapping(execute_scenario(scenario()))
+        m1 = execute_scenario(scenario())
+        m2 = execute_scenario(scenario())
         assert json.dumps(m1, sort_keys=True) == json.dumps(m2, sort_keys=True)
 
     def test_seed_changes_raw_counts(self):
-        m1 = report_to_mapping(execute_scenario(scenario(seed=7)))
-        m2 = report_to_mapping(execute_scenario(scenario(seed=8)))
+        m1 = execute_scenario(scenario(seed=7))
+        m2 = execute_scenario(scenario(seed=8))
         assert m1["herald_count"] != m2["herald_count"]
         assert m1["config"]["source"] == m2["config"]["source"]
 
     def test_worker_count_does_not_change_counts(self):
-        serial = report_to_mapping(execute_scenario(scenario(workers=1, trials=3)))
-        threaded = report_to_mapping(execute_scenario(scenario(workers=3, trials=3)))
+        serial = execute_scenario(scenario(workers=1, trials=3))
+        threaded = execute_scenario(scenario(workers=3, trials=3))
         for mapping in (serial, threaded):  # the echo records the knob itself
             del mapping["config"], mapping["config_digest"]
         assert serial == threaded
+
+    def test_progress_reports_every_trial_with_workers(self):
+        seen = []
+        run_simulation(scenario(workers=2, trials=3), progress=seen.append)
+        assert seen == ["trial 1/3", "trial 2/3", "trial 3/3"]
 
     def test_report_file_round_trip(self, tmp_path):
         path = tmp_path / "report.json"
@@ -220,36 +223,33 @@ class TestDeterminism:
 
 class TestEstimatorConsistency:
     def test_heralded_estimate_converges_to_closed_form(self):
-        res = execute_scenario(scenario(slots_per_trial=1_500_000, trials=2))
+        est = execute_scenario(scenario(slots_per_trial=1_500_000, trials=2))["s_estimate"]
         expected = s_heralded(2, 1.0) * 0.731**2 * 0.998**2 / 1.0  # t^2 eta1 eta2
-        est = res.report.s_estimate
-        assert abs(est.value - expected) < 4 * est.std_error
+        assert abs(est["value"] - expected) < 4 * est["std_error"]
 
     def test_clocked_estimate_converges(self):
         raw = raw_scenario(slots_per_trial=1_500_000, trials=2)
         raw["converter"] = {"n_modes": 2, "strategy": "clocked", "transmittance": 0.72}
-        res = execute_scenario(scenario_from_mapping(raw))
-        est = res.report.s_estimate
-        assert abs(est.value - s_unheralded_clocked(2, 0.72)) < 4 * est.std_error
+        est = execute_scenario(scenario_from_mapping(raw))["s_estimate"]
+        assert abs(est["value"] - s_unheralded_clocked(2, 0.72)) < 4 * est["std_error"]
 
     def test_passive_estimate_converges(self):
         raw = raw_scenario(slots_per_trial=1_500_000, trials=2)
         raw["converter"] = {"n_modes": 2, "strategy": "passive"}
-        res = execute_scenario(scenario_from_mapping(raw))
-        est = res.report.s_estimate
-        assert abs(est.value - s_passive(2)) < 4 * est.std_error
+        est = execute_scenario(scenario_from_mapping(raw))["s_estimate"]
+        assert abs(est["value"] - s_passive(2)) < 4 * est["std_error"]
 
     def test_ideal_pipeline_is_lossless(self):
         raw = raw_scenario()
         raw["converter"] = {"n_modes": 2, "strategy": "heralded"}
-        res = execute_scenario(scenario_from_mapping(raw))
-        assert res.report.s_estimate.value == pytest.approx(1.0)
-        assert res.report.coincidence_count == res.report.trigger_count
+        rep = execute_scenario(scenario_from_mapping(raw))
+        assert rep["s_estimate"]["value"] == pytest.approx(1.0)
+        assert rep["coincidence_count"] == rep["trigger_count"]
 
     def test_error_shrinks_with_slots(self):
-        small = execute_scenario(scenario(slots_per_trial=200_000)).report
-        big = execute_scenario(scenario(slots_per_trial=3_200_000)).report
-        ratio = small.s_estimate.std_error / big.s_estimate.std_error
+        small = execute_scenario(scenario(slots_per_trial=200_000))["s_estimate"]
+        big = execute_scenario(scenario(slots_per_trial=3_200_000))["s_estimate"]
+        ratio = small["std_error"] / big["std_error"]
         assert ratio == pytest.approx(4.0, rel=0.25)  # 16x slots -> 4x smaller
 
 
@@ -277,13 +277,6 @@ class TestCalibration:
         expected = 0.731**2 * 0.998**2
         est = mapping["s_estimate"]
         assert abs(est["value"] - expected) < 4 * est["std_error"]
-
-
-class TestAlignmentOffset:
-    def test_uncompensated_delay_kills_coincidences(self):
-        res = execute_scenario(scenario(herald_signal_offset_slots=3))
-        assert res.report.coincidence_count == 0
-        assert res.report.trigger_count > 0
 
 
 class TestFailureModes:
@@ -421,6 +414,31 @@ class TestReportFiles:
         assert mapping["config"]["run"]["seed"] == 7
         assert mapping["s_estimate"]["method"] == "counting_pipeline"
 
+    def test_ideal_converter_lands_every_photon_on_its_port(self):
+        # eta_D = 1 and a lossless heralded converter: the landing table is
+        # the trigger count on the diagonal and nothing else
+        raw = raw_scenario()
+        raw["converter"] = {"n_modes": 2, "strategy": "heralded"}
+        mapping = run_simulation(scenario_from_mapping(raw))
+        triggers = mapping["trigger_count"]
+        assert triggers > 0
+        assert mapping["port_counts"] == (triggers * np.eye(2, dtype=int)).tolist()
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("source", "multi_pair_enabled", False),
+        ("run", "herald_signal_offset_slots", 0),
+    ])
+    def test_removed_keys_are_refused(self, tmp_path, capsys, section, key, value):
+        raw = raw_scenario()
+        raw[section][key] = value
+        with pytest.raises(ConfigError) as exc:
+            scenario_from_mapping(raw)
+        assert exc.value.violations == [f"{section}.{key}: unknown key"]
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(raw))
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert f"{section}.{key}: unknown key" in capsys.readouterr().err
+
     def test_overrides_change_controls(self):
         mapping = run_simulation(scenario(), seed=123, slots=250_000, trials=1)
         assert mapping["seed"] == 123
@@ -432,17 +450,17 @@ class TestStreamTallies:
         # a herald outside every cluster is a run of one: it counts too
         raw = raw_scenario(trials=1)
         raw["converter"] = {"n_modes": 1, "strategy": "heralded"}
-        rep = execute_scenario(scenario_from_mapping(raw)).report
-        assert rep.trigger_count == rep.herald_count > 0
+        rep = execute_scenario(scenario_from_mapping(raw))
+        assert rep["trigger_count"] == rep["herald_count"] > 0
 
     def test_calibration_draws_on_every_herald(self):
         # the bypass measurement sees every herald, clustered or isolated
         raw = raw_scenario(calibration_mode=True)
         raw["source"]["signal_det_efficiency"] = 0.5
-        result = execute_scenario(scenario_from_mapping(raw))
-        p = result.report.p_h1_eta_d
-        detected = (1.0 - p) / result.p_rel_error ** 2
-        assert detected / p == pytest.approx(result.report.herald_count, rel=1e-9)
+        rep = execute_scenario(scenario_from_mapping(raw))
+        p = rep["p_h1_eta_d"]
+        detected = (1.0 - p) / rep["p_h1_eta_d_rel_error"] ** 2
+        assert detected / p == pytest.approx(rep["herald_count"], rel=1e-9)
 
 
 class TestMemoryGuard:

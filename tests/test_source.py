@@ -304,7 +304,7 @@ class TestMemoryFigure:
         dict(pair_prob=0.0043882),
     ])
     def test_peak_bytes_per_member(self, overrides):
-        params = make_params(multi_pair_enabled=True, **overrides)
+        params = make_params(**overrides)
         n_slots = int(2e6 / params.pair_prob)
         tracemalloc.start()
         try:
@@ -439,20 +439,6 @@ class TestDeterminism:
             RngStream(-1)
         with pytest.raises(ValueError):
             RngStream(2**64)
-
-
-class TestMultiPair:
-    def test_disabled_by_default(self):
-        stream = generate_herald_stream(make_params(pair_prob=0.9), 10_000,
-                                        RngStream(1).generator())
-        assert stream.multi_pair_slot_count == 0
-
-    def test_double_pair_rate_is_squared(self):
-        params = make_params(pair_prob=0.2, multi_pair_enabled=True)
-        n = 500_000
-        stream = generate_herald_stream(params, n, RngStream(23).generator())
-        expected = n * 0.2 * 0.2  # second pair rides on a pair slot
-        assert abs(stream.multi_pair_slot_count - expected) < 5 * np.sqrt(expected)
 
 
 class TestHeraldProbability:
