@@ -28,10 +28,10 @@ from .controller import run_starts_from_heralds
 from .converter import (
     RoutingBatch,
     monte_carlo_efficiency,
-    route_chunks,
     route_clocked_batch,
     route_heralded_batch,
     route_passive_batch,
+    route_runs,
 )
 from .measurement import (
     compensate_transmittance,

@@ -19,22 +19,30 @@ Passive routing sends each photon out a uniformly random port (ideal
 lossless splitter), succeeding when every photon happens to pick its own
 designated port: (1/n)^n.
 
-Each strategy routes a batch of many independent runs at once and
-returns a :class:`RoutingBatch`; a single run is a batch of one.
+Many runs are routed at the level of counts, exactly in law (the
+conditional-distribution method; Devroye, *Non-Uniform Random Variate
+Generation*, 1986).  The photons of a run are independent given its clock
+phase, so over T runs photon i's landings are Multinomial(T, pi_i) over
+n + 2 categories: detected on port 0..n-1, lost in the optics, arrived
+undetected.  Given those rows, the runs where photon i was detected on
+port i are a uniform subset of size M_ii, so the success count is the
+hypergeometric chain K_1 = M_11, K_{i+1} = Hypergeom(K_i, T - K_i, M_{i+1,i+1}).
+The cost does not grow with T.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Sequence
 
 import numpy as np
 
 from .model import ConverterParams, RoutingStrategy
 from .source import RngStream
 
-_LOST = -1
-_CHUNK = 1 << 20  # runs routed per batch; bounds the (runs, n) arrays
+# numpy's hypergeometric takes ngood, nbad < 1e9: longer batches are
+# routed in iid pieces of at most this many runs
+_PIECE = 10**9 - 1
 
 
 def _as_generator(rng: "RngStream | np.random.Generator") -> np.random.Generator:
@@ -43,64 +51,70 @@ def _as_generator(rng: "RngStream | np.random.Generator") -> np.random.Generator
 
 @dataclass(frozen=True)
 class RoutingBatch:
-    """Vectorized outcome of many independent n-photon runs.
+    """Outcome of many independent n-photon runs, as counts.
 
-    ``ports[k, j]`` is the port photon j of run k left on (-1 when lost
-    in the converter optics); ``detected[k, j]`` whether that photon's
-    detector fired.  ``scheduled[k, j]`` is the port the router aimed
-    photon j at, which is what misroute statistics condition on.
+    ``success_count`` counts the runs in which every photon j was
+    detected at port j; ``port_counts[i, j]`` counts photon i detected
+    at port j.
     """
 
     n_modes: int
-    scheduled: np.ndarray  # (runs, n) int16
-    ports: np.ndarray  # (runs, n) int16, _LOST when absorbed
-    detected: np.ndarray  # (runs, n) bool
-
-    def __len__(self) -> int:
-        return self.ports.shape[0]
-
-    @property
-    def success_mask(self) -> np.ndarray:
-        """Runs where every photon j was detected at port j."""
-        designated = np.arange(self.n_modes, dtype=self.ports.dtype)
-        return ((self.ports == designated) & self.detected).all(axis=1)
-
-    @property
-    def success_count(self) -> int:
-        return int(self.success_mask.sum())
-
-    @property
-    def lost_per_run(self) -> np.ndarray:
-        return (self.ports == _LOST).sum(axis=1)
-
-    def port_counts(self, detected_only: bool = True) -> np.ndarray:
-        """(n, n) table: entry [i, j] counts photon i seen on port j."""
-        n = self.n_modes
-        counts = np.zeros((n, n), dtype=np.int64)
-        for i in range(n):
-            col = self.ports[:, i]
-            keep = col >= 0
-            if detected_only:
-                keep &= self.detected[:, i]
-            counts[i] = np.bincount(col[keep], minlength=n)
-        return counts
+    success_count: int
+    port_counts: np.ndarray  # (n, n) int64
 
 
-def _misroute(ports: np.ndarray, stray: np.ndarray, n: int, rng: np.random.Generator) -> None:
-    """Send strayed photons to a uniform port other than their scheduled one.
+def _count_runs(groups: "Sequence[int]", laws: "Sequence[np.ndarray]",
+                rng: np.random.Generator) -> tuple[np.ndarray, int]:
+    """Landing counts and success count of groups of iid runs.
 
-    With a single output there is no other port; a strayed photon leaves
-    the designated mode entirely and counts as lost.
+    ``groups[g]`` runs have per-photon law ``laws[g]``, an (n, n + 2)
+    array over the categories detected on port 0..n-1, lost in the
+    optics, arrived undetected.  Returns the summed (n, n + 2) table of
+    counts and the number of runs where every photon i was detected on
+    port i.
     """
-    m = int(stray.sum())
-    if m == 0:
-        return
-    if n == 1:
-        ports[stray] = _LOST
-        return
-    scheduled = ports[stray]
-    other = rng.integers(0, n - 1, size=m, dtype=np.int16)
-    ports[stray] = other + (other >= scheduled)
+    n = laws[0].shape[0]
+    counts = np.zeros((n, n + 2), dtype=np.int64)
+    successes = 0
+    for runs, probs in zip(groups, laws):
+        while runs > 0:
+            m = min(runs, _PIECE)
+            rows = rng.multinomial(m, probs)
+            k = int(rows[0, 0])
+            for i in range(1, n):
+                k = int(rng.hypergeometric(k, m - k, rows[i, i]))
+            counts += rows
+            successes += k
+            runs -= m
+    return counts, successes
+
+
+def _batch(n: int, counts: np.ndarray, successes: int) -> RoutingBatch:
+    return RoutingBatch(n_modes=n, success_count=successes, port_counts=counts[:, :n])
+
+
+def _landing_law(on_port: np.ndarray, eta_d: float) -> np.ndarray:
+    """(n, n + 2) per-photon law from where photons land.
+
+    ``on_port[i, j]`` is the probability photon i reaches port j; the rest
+    of its row is lost in the optics.  Each arrival is then detected with
+    probability ``eta_d``.
+    """
+    arrived = on_port.sum(axis=1)
+    lost = np.maximum(1.0 - arrived, 0.0)  # rounding may leave -1e-16
+    return np.column_stack([on_port * eta_d, lost, arrived * (1.0 - eta_d)])
+
+
+def _aimed(n: int, hit: "float | Sequence[float]") -> np.ndarray:
+    """(n, n) landing law of photons aimed at port i, each on it with ``hit[i]``.
+
+    A strayed photon takes a uniform other port; with a single port there
+    is none, so it leaves the designated mode and counts as lost.
+    """
+    hit = np.broadcast_to(np.asarray(hit, dtype=float), (n,))
+    on_port = np.repeat(((1.0 - hit) / max(n - 1, 1))[:, None], n, axis=1)
+    np.fill_diagonal(on_port, hit)
+    return on_port
 
 
 def route_heralded_batch(
@@ -112,58 +126,34 @@ def route_heralded_batch(
     """Route ``runs`` independent heralded n-photon runs."""
     if params.strategy is not RoutingStrategy.ACTIVE_HERALDED:
         raise ValueError(f"heralded routing called with strategy {params.strategy.value!r}")
-    rng = _as_generator(rng)
     n = params.n_modes
-    scheduled = np.broadcast_to(np.arange(n, dtype=np.int16), (runs, n))
-    ports = np.tile(np.arange(n, dtype=np.int16), (runs, 1))
-    t = params.transmittance
-    survived = rng.random((runs, n)) < t if t < 1.0 else np.ones((runs, n), dtype=bool)
-    eta = np.asarray(params.port_efficiencies)
-    stray = survived & (rng.random((runs, n)) >= eta)
-    _misroute(ports, stray, n, rng)
-    ports[~survived] = _LOST
-    arrived = ports >= 0
-    eta_d = signal_det_efficiency
-    detected = arrived & (rng.random((runs, n)) < eta_d) if eta_d < 1.0 else arrived
-    return RoutingBatch(n_modes=n, scheduled=scheduled, ports=ports, detected=detected)
+    on_port = params.transmittance * _aimed(n, params.port_efficiencies)
+    laws = [_landing_law(on_port, signal_det_efficiency)]
+    return _batch(n, *_count_runs([runs], laws, _as_generator(rng)))
 
 
 def route_clocked_batch(
     runs: int,
     params: ConverterParams,
     rng: "RngStream | np.random.Generator",
-    clock_offsets: "np.ndarray | int | None" = None,
     signal_det_efficiency: float = 1.0,
 ) -> RoutingBatch:
     """Route ``runs`` clocked n-photon runs.
 
-    ``clock_offsets`` may be a per-run array, a single shared offset, or
-    None to draw each run's phase uniformly (the physical situation: the
-    divided clock free-runs relative to photon arrivals).
+    Each run's clock phase is uniform (the divided clock free-runs
+    relative to photon arrivals): the runs split into phase groups by a
+    Multinomial(runs, 1/n, ...) draw, and each group is routed with
+    photon j aimed at port (j + phase) mod n.
     """
     if params.strategy is not RoutingStrategy.ACTIVE_CLOCKED:
         raise ValueError(f"clocked routing called with strategy {params.strategy.value!r}")
-    rng = _as_generator(rng)
     n = params.n_modes
     if n < 2:
         raise ValueError("clocked routing needs n_modes >= 2")
-    if clock_offsets is None:
-        offsets = rng.integers(0, n, size=runs, dtype=np.int16)
-    else:
-        offsets = np.broadcast_to(np.asarray(clock_offsets, dtype=np.int16), (runs,))
-        if offsets.size and (offsets.min() < 0 or offsets.max() >= n):
-            raise ValueError(f"clock offsets must lie in 0..{n - 1}")
-    scheduled = (np.arange(n, dtype=np.int16) + offsets[:, None]).astype(np.int16) % n
-    ports = scheduled.copy()
-    eta_sw = params.switching_efficiency
-    stray = rng.random((runs, n)) >= eta_sw
-    _misroute(ports, stray, n, rng)
-    eta_d = signal_det_efficiency
-    if eta_d < 1.0:
-        detected = rng.random((runs, n)) < eta_d
-    else:
-        detected = np.ones((runs, n), dtype=bool)
-    return RoutingBatch(n_modes=n, scheduled=scheduled, ports=ports, detected=detected)
+    aligned = _aimed(n, params.switching_efficiency)
+    laws = [_landing_law(np.roll(aligned, phase, axis=1), signal_det_efficiency) for phase in range(n)]
+    rng = _as_generator(rng)
+    return _batch(n, *_count_runs(rng.multinomial(runs, np.full(n, 1.0 / n)), laws, rng))
 
 
 def route_passive_batch(
@@ -175,39 +165,22 @@ def route_passive_batch(
     """Route ``runs`` runs through an ideal lossless 1-to-n splitter."""
     if n_modes < 1:
         raise ValueError(f"n_modes must be >= 1 (got {n_modes})")
-    rng = _as_generator(rng)
-    ports = rng.integers(0, n_modes, size=(runs, n_modes), dtype=np.int16)
-    eta_d = signal_det_efficiency
-    if eta_d < 1.0:
-        detected = rng.random((runs, n_modes)) < eta_d
-    else:
-        detected = np.ones((runs, n_modes), dtype=bool)
-    scheduled = np.broadcast_to(np.arange(n_modes, dtype=np.int16), (runs, n_modes))
-    return RoutingBatch(n_modes=n_modes, scheduled=scheduled, ports=ports, detected=detected)
+    laws = [_landing_law(np.full((n_modes, n_modes), 1.0 / n_modes), signal_det_efficiency)]
+    return _batch(n_modes, *_count_runs([runs], laws, _as_generator(rng)))
 
 
-def route_chunks(
+def route_runs(
     runs: int,
     params: ConverterParams,
     rng: "RngStream | np.random.Generator",
     signal_det_efficiency: float = 1.0,
-) -> Iterator[RoutingBatch]:
-    """Route ``runs`` runs with ``params.strategy``, in batches of at most _CHUNK.
-
-    The generator is taken once, so consecutive batches continue one
-    draw sequence rather than replaying it.
-    """
-    rng = _as_generator(rng)
-    strategy = params.strategy
-    while runs > 0:
-        m = min(runs, _CHUNK)
-        if strategy is RoutingStrategy.ACTIVE_HERALDED:
-            yield route_heralded_batch(m, params, rng, signal_det_efficiency=signal_det_efficiency)
-        elif strategy is RoutingStrategy.ACTIVE_CLOCKED:
-            yield route_clocked_batch(m, params, rng, signal_det_efficiency=signal_det_efficiency)
-        else:
-            yield route_passive_batch(m, params.n_modes, rng, signal_det_efficiency=signal_det_efficiency)
-        runs -= m
+) -> RoutingBatch:
+    """Route ``runs`` runs with the router ``params.strategy`` picks."""
+    if params.strategy is RoutingStrategy.ACTIVE_HERALDED:
+        return route_heralded_batch(runs, params, rng, signal_det_efficiency=signal_det_efficiency)
+    if params.strategy is RoutingStrategy.ACTIVE_CLOCKED:
+        return route_clocked_batch(runs, params, rng, signal_det_efficiency=signal_det_efficiency)
+    return route_passive_batch(runs, params.n_modes, rng, signal_det_efficiency=signal_det_efficiency)
 
 
 def monte_carlo_efficiency(
@@ -220,20 +193,12 @@ def monte_carlo_efficiency(
     """Empirical conversion efficiency over ``trials`` independent runs.
 
     Returns (success frequency, binomial standard error).  ``eta_sw`` is
-    realized as ideal transmittance with every port efficiency equal to
-    eta_sw for the heralded strategy, so the misroute path is exercised;
-    the clocked strategy consumes it directly; passive ignores it, but
-    it must still lie in 0..1.
+    realized as the converter transmittance with ideal ports, as a sweep
+    point realizes it; passive ignores it, but it must still lie in 0..1.
     """
-    strategy = RoutingStrategy.parse(strategy)
     if trials < 1:
         raise ValueError(f"trials must be >= 1 (got {trials})")
-    if strategy is RoutingStrategy.ACTIVE_HERALDED:
-        params = ConverterParams(n_modes=n_modes, strategy=strategy,
-                                 port_efficiencies=(eta_sw,) * n_modes)
-    else:
-        params = ConverterParams(n_modes=n_modes, strategy=strategy, transmittance=eta_sw)
-    successes = sum(batch.success_count for batch in route_chunks(trials, params, rng))
-    freq = successes / trials
+    params = ConverterParams(n_modes=n_modes, strategy=strategy, transmittance=eta_sw)
+    freq = route_runs(trials, params, rng).success_count / trials
     std_error = float(np.sqrt(freq * (1.0 - freq) / trials))
     return freq, std_error

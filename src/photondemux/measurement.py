@@ -23,7 +23,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .converter import RoutingBatch
 from .model import EfficiencyEstimate
 
 
@@ -141,24 +140,21 @@ def compensate_transmittance(
 
 
 def estimate_routing_efficiencies(
-    outputs: "RoutingBatch | np.ndarray | Sequence[Sequence[int]]",
+    counts: "np.ndarray | Sequence[Sequence[int]]",
     corrections: "Sequence[float] | None" = None,
 ) -> list[tuple[float, float]]:
     """Per-port routing efficiencies with binomial standard errors.
 
-    ``outputs`` is a routing batch or its (n, n) table of detected
-    landings, entry [i, j] counting photon i at port j, as an array or
-    as the nested lists of a report's ``port_counts``.  For each photon
-    index i, the efficiency is the fraction of its detected landings
-    that fell on its own port i, divided by the supplied correction
-    factor (residual optics and detector imbalance; 1.0 when none).
+    ``counts`` is the (n, n) table of detected landings, entry [i, j]
+    counting photon i at port j, as an array or as the nested lists of a
+    report's ``port_counts``.  For each photon index i, the efficiency is
+    the fraction of its detected landings that fell on its own port i,
+    divided by the supplied correction factor (residual optics and
+    detector imbalance; 1.0 when none).
     Detection thinning cancels in the fraction as long as all ports
     share a detector efficiency.
     """
-    if isinstance(outputs, RoutingBatch):
-        counts = outputs.port_counts(detected_only=True)
-    else:
-        counts = np.asarray(outputs)
+    counts = np.asarray(counts)
     n = counts.shape[0]
     if counts.shape != (n, n):
         raise ValueError(f"count table must be square (got {counts.shape})")

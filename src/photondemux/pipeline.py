@@ -38,9 +38,9 @@ from .config import (
     scenario_to_mapping,
 )
 from .controller import run_starts_from_heralds
-# perfbench/spans.py looks these three names up on this module; routing
-# itself goes through route_chunks, which calls the converter's own names
-from .converter import route_chunks, route_clocked_batch, route_heralded_batch, route_passive_batch  # noqa: F401
+# perfbench/spans.py looks the three route_*_batch names up on this module;
+# routing itself goes through route_runs, which calls the converter's own names
+from .converter import route_clocked_batch, route_heralded_batch, route_passive_batch, route_runs  # noqa: F401
 from .measurement import count_rates, estimate_s
 from .model import ConfigError, RoutingStrategy
 from .source import RngStream, expected_peak_bytes, generate_herald_stream
@@ -75,11 +75,9 @@ def _simulate_trial(scenario: Scenario, rng: RngStream) -> _TrialCounts:
     triggers = int(run_starts_from_heralds(stream.herald_slots, n).size)
     if n == 1:  # a herald outside every cluster is a run of one
         triggers += stream.herald_count - int(stream.fired.sum())
-    counts = _TrialCounts(np.zeros((n, n), dtype=np.int64), slots=ctl.slots_per_trial,
-                          heralds=stream.herald_count, triggers=triggers)
-    for batch in route_chunks(triggers, conv, gen, src.signal_det_efficiency):
-        counts.coincidences += batch.success_count
-        counts.port_counts += batch.port_counts(detected_only=True)
+    batch = route_runs(triggers, conv, gen, src.signal_det_efficiency)
+    counts = _TrialCounts(batch.port_counts, slots=ctl.slots_per_trial, heralds=stream.herald_count,
+                          triggers=triggers, coincidences=batch.success_count)
     if ctl.calibration_mode and stream.herald_count:
         counts.calib_trials = stream.herald_count
         counts.calib_detected = int(gen.binomial(stream.herald_count, src.signal_det_efficiency))

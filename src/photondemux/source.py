@@ -110,23 +110,42 @@ def expected_peak_bytes(params: SourceParams, n_slots: int) -> float:
 _BATCH_UNITS = 1 << 18  # units drawn per vector round; bounds the working arrays
 
 
-def _stretch_pairs_in_range(k: int, excess: "int | None", room: int, window: int,
-                            pair_prob: float, rng: np.random.Generator) -> int:
+def _max_piece(pair_prob: float) -> int:
+    # long gaps per negative-binomial draw: numpy refuses a mean near 2^63
+    return 2**62 if pair_prob >= 0.5 else int(2**62 * pair_prob / (1.0 - pair_prob))
+
+
+def _draw_stretch(k: int, room: int, window: int, pair_prob: float,
+                  rng: np.random.Generator) -> tuple[int, "int | None"]:
+    """Pairs of a stretch of ``k`` fresh long gaps less than ``room`` slots on, and its excess.
+
+    The excess is drawn in pieces of at most ``_max_piece`` gaps up to the
+    piece that passes the room, which is bisected; then it is None.
+    """
+    done = excess = 0
+    while done < k:
+        piece = min(k - done, _max_piece(pair_prob))
+        piece_excess = int(rng.negative_binomial(piece, pair_prob))
+        span = piece * (window + 1) + piece_excess
+        if span >= room:
+            return done + _bisect_stretch(piece, piece_excess, room, window, rng), None
+        room -= span
+        done += piece
+        excess += piece_excess
+    return k, excess
+
+
+def _bisect_stretch(k: int, excess: int, room: int, window: int, rng: np.random.Generator) -> int:
     """Pairs of a stretch of ``k`` long gaps that land less than ``room`` slots on.
 
     Gap i of the stretch is ``window + 1 + e_i`` with iid geometric
-    excesses e_i >= 0.  ``excess`` is their drawn total, or None when it
-    was never drawn.  Given the total, the excesses are uniform over weak
-    compositions (each composition has probability p^k (1-p)^total), so
-    the sum of the first a of b excesses is beta-binomial with shapes
-    (a, b - a); bisection finds the last pair in range in O(log k) draws.
+    excesses e_i >= 0 that total ``excess``.  Given the total, the
+    excesses are uniform over weak compositions (each composition has
+    probability p^k (1-p)^total), so the sum of the first a of b excesses
+    is beta-binomial with shapes (a, b - a); bisection finds the last pair
+    in range in O(log k) draws.
     """
     step = window + 1
-    if excess is None:
-        # the crossing decision did not look at these excesses, so the
-        # first ceil(room / step) of them, all that can matter, are fresh
-        k = min(k, -(-room // step))
-        excess = int(rng.negative_binomial(k, pair_prob)) if k else 0
     if k * step + excess < room:
         return k
     lo, lo_sum, hi, hi_sum = 0, 0, k, excess
@@ -149,12 +168,10 @@ def _sample_members(pair_prob: float, window: int, n_slots: int,
     (> window) closed by one close gap (<= window).  With
     q = 1 - (1-p)^window, k + 1 is Geom(q); the close gap is Geom(p)
     truncated to 1..window, drawn by inverse CDF; a stretch totals
-    k (window + 1) + NegBinomial(k, p) by memorylessness.  Slot -1 is a
-    virtual pair that starts the range.  The unit that crosses the end of
-    the range is resolved by ``_stretch_pairs_in_range``.
-
-    numpy refuses a negative-binomial draw whose mean nears 2^63, so a
-    pair_prob below about 1e-10 with 1e10 or more slots raises ValueError.
+    k (window + 1) + NegBinomial(k, p) by memorylessness, drawn by
+    ``_draw_stretch`` when k exceeds ``_max_piece``.  Slot -1 is a
+    virtual pair that starts the range.  In the unit that crosses the end
+    of the range, ``_bisect_stretch`` finds the last pair in range.
     """
     if pair_prob == 0.0:
         return np.empty(0, dtype=np.int64), 0
@@ -176,8 +193,23 @@ def _sample_members(pair_prob: float, window: int, n_slots: int,
         room = n_slots - last
         bound = np.cumsum(step)
         draw = (k > 0) & (bound < room)
-        step[draw] += rng.negative_binomial(k[draw], pair_prob)
-        ends = last + np.cumsum(step)  # slot of the pair after each close gap
+        pieced = draw & (k > _max_piece(pair_prob))
+        step[draw & ~pieced] += rng.negative_binomial(k[draw & ~pieced], pair_prob)
+        # capping a step at the room moves no end before the range ends,
+        # and keeps the sums from overflowing
+        capped = np.minimum(step, room)
+        crossed = None  # pairs in range, when the range ends in a pieced stretch
+        for u in np.flatnonzero(pieced):
+            start = last + int(capped[:u].sum())
+            if start >= n_slots:
+                break
+            in_range, excess = _draw_stretch(int(k[u]), n_slots - start, window, pair_prob, rng)
+            if excess is None:
+                crossed, capped[u] = in_range, room
+                break
+            step[u] += excess
+            capped[u] = min(step[u], room)
+        ends = last + np.cumsum(capped)  # slot of the pair after each close gap
         cross = int(np.searchsorted(ends, n_slots))
         members = np.empty(2 * cross, dtype=np.int64)
         members[0::2] = ends[:cross] - close[:cross]  # the pair before each close gap
@@ -189,12 +221,19 @@ def _sample_members(pair_prob: float, window: int, n_slots: int,
         chunks.append(members)
         pairs += int(k[:cross].sum()) + cross
         if cross < batch:
-            start = int(ends[cross - 1]) if cross else last
-            excess = int(step[cross] - k[cross] * (window + 1) - close[cross]) if draw[cross] else None
             # no pair of the crossing stretch is a member: each has a long
             # gap before it, and after the last one the range ends
-            pairs += _stretch_pairs_in_range(int(k[cross]), excess, n_slots - start,
-                                             window, pair_prob, rng)
+            room = n_slots - (int(ends[cross - 1]) if cross else last)
+            if crossed is not None:
+                pairs += crossed
+            elif draw[cross]:
+                excess = int(step[cross] - k[cross] * (window + 1) - close[cross])
+                pairs += _bisect_stretch(int(k[cross]), excess, room, window, rng)
+            else:
+                # the crossing decision did not look at these excesses, so the
+                # first ceil(room / (window + 1)) of them, all that can matter, are fresh
+                fresh = min(int(k[cross]), -(-room // (window + 1)))
+                pairs += _draw_stretch(fresh, room, window, pair_prob, rng)[0]
             break
         last = int(ends[-1])
     slots = np.concatenate(chunks)

@@ -171,7 +171,7 @@ def test_deterministic_reports(tmp_path):
           "same config+seed gives byte-identical reports; a new seed changes the raw counts")
 
 
-def test_randomized_property_sweep():
+def test_randomized_property_sweep(landings):
     rng = np.random.default_rng(8212026)
 
     # detectors stay quiet through their deadtime
@@ -188,7 +188,7 @@ def test_randomized_property_sweep():
             if slots.size > 1:
                 assert int(np.diff(slots).min()) > 4
 
-    # every photon either reaches some port or is counted lost
+    # every photon either lands on some port or is counted lost
     for _ in range(100):
         n = int(rng.integers(1, 6))
         conv = ConverterParams(
@@ -199,13 +199,16 @@ def test_randomized_property_sweep():
         )
         batch = route_heralded_batch(2000, conv, rng,
                                      signal_det_efficiency=float(rng.uniform(0.2, 1.0)))
-        arrived = (batch.ports >= 0).sum(axis=1)
-        assert np.array_equal(arrived + batch.lost_per_run, np.full(2000, n))
+        full = landings()
+        assert (full.sum(axis=1) == 2000).all()
+        assert np.array_equal(full[:, :n], batch.port_counts)
         if n >= 2:
             lossless = ConverterParams(n_modes=n, strategy=RoutingStrategy.ACTIVE_CLOCKED,
                                        transmittance=float(rng.uniform(0.2, 1.0)))
-            assert int(route_clocked_batch(2000, lossless, rng).lost_per_run.sum()) == 0
-        assert int(route_passive_batch(2000, n, rng).lost_per_run.sum()) == 0
+            route_clocked_batch(2000, lossless, rng)
+            assert int(landings()[:, n].sum()) == 0
+        route_passive_batch(2000, n, rng)
+        assert int(landings()[:, n].sum()) == 0
 
     # misrouted photons spread uniformly over the other ports
     min_p = 1.0
@@ -217,11 +220,7 @@ def test_randomized_property_sweep():
                 strategy=RoutingStrategy.ACTIVE_HERALDED,
                 port_efficiencies=tuple(rng.uniform(0.2, 0.6, size=n)),
             )
-            batch = route_heralded_batch(4000, conv, rng)
-            stray = batch.ports != batch.scheduled
-            for j in range(n):
-                landed = batch.ports[stray[:, j], j]
-                table[j] += np.bincount(landed[landed >= 0], minlength=n)
+            table += route_heralded_batch(4000, conv, rng).port_counts
         for j in range(n):
             off_diag = np.delete(table[j], j)
             assert off_diag.sum() > 1000

@@ -9,6 +9,7 @@ from photondemux.controller import run_starts_from_heralds
 from photondemux.converter import route_heralded_batch
 from photondemux.model import ConverterParams, SourceParams
 from photondemux.source import RngStream, generate_herald_stream
+from routing_oracle import route_heralded_runs
 
 
 def greedy_scan_oracle(effective, n):
@@ -107,6 +108,8 @@ class TestDriveSchedule:
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_identity_assignment(self, n):
         # photon j of every triggered run is aimed at port j
-        batch = route_heralded_batch(3, ConverterParams(n_modes=n), RngStream(10).generator())
-        assert batch.scheduled.tolist() == [list(range(n))] * 3
-        assert batch.ports.tolist() == [list(range(n))] * 3
+        runs = route_heralded_runs(3, ConverterParams(n_modes=n), RngStream(10).generator())
+        assert runs.scheduled.tolist() == [list(range(n))] * 3
+        assert runs.ports.tolist() == [list(range(n))] * 3
+        batch = route_heralded_batch(3, ConverterParams(n_modes=n), RngStream(10))
+        assert np.array_equal(batch.port_counts, 3 * np.eye(n, dtype=np.int64))

@@ -1,8 +1,9 @@
-"""The benchmark command runs its fixture workload and every check passes.
+"""The benchmark command runs its workloads and every check passes.
 
-The benchmark's trace probes read ``HeraldStream`` fields and its
+The benchmark's trace probes read ``HeraldStream`` and ``RoutingBatch``
+fields and wrap the converter's ``route_*_batch`` names, and its
 workloads call the public entry points, so a change to either shows here
-as a non-zero exit or failed operations.
+as a non-zero exit, failed operations or a wrong count.
 """
 
 import json
@@ -18,10 +19,10 @@ def _outputs():
     return sorted(OUT.iterdir()) if OUT.is_dir() else []
 
 
-def test_fixture_workload_passes_its_checks():
+def _run_untraced(workload: str) -> str:
     before = _outputs()
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "fixture", "--seed", "1",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
          "--seconds", "1", "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
@@ -29,3 +30,15 @@ def test_fixture_workload_passes_its_checks():
     assert result["failed"] == 0
     assert result["attempted"] > 0
     assert _outputs() == before  # an untraced run writes no spans
+    return proc.stdout
+
+
+def test_fixture_workload_passes_its_checks():
+    _run_untraced("fixture")
+
+
+def test_mc_table_counts_every_routed_run():
+    # the traced counting repetition finds the converter's routing names
+    # through their wrappers: 21 cells x 500,000 runs
+    stdout = _run_untraced("mc_table")
+    assert "10500000 routed runs each" in stdout

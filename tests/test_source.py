@@ -242,11 +242,34 @@ class TestAgainstDenseOracle:
             assert stream.herald_count == 0 and stream.pair_slots.size == 0
 
 
-@pytest.fixture(params=["one_round", "three_unit_rounds"])
+@pytest.fixture(params=["one_round", "three_unit_rounds", "two_gap_pieces"])
 def batch_units(request, monkeypatch):
-    """Run a test with the default vector round, and again with rounds of 3 units."""
+    """Run a test with the default vector round, with rounds of 3 units, and
+    with every stretch of more than 2 long gaps drawn in pieces."""
     if request.param == "three_unit_rounds":
         monkeypatch.setattr(source, "_BATCH_UNITS", 3)
+    if request.param == "two_gap_pieces":
+        monkeypatch.setattr(source, "_max_piece", lambda pair_prob: 2)
+
+
+def binomial_fit_pvalue(counts: np.ndarray, n_slots: int, pair_prob: float) -> float:
+    """Chi-square p-value of pair counts against Binomial(n_slots, pair_prob).
+
+    Each tail is pooled into one bin that expects at least 5 counts.
+    """
+    draws = counts.size
+    mean = n_slots * pair_prob
+    k = np.arange(min(n_slots, int(mean + 10.0 * np.sqrt(mean) + 10)) + 1)
+    lo = int(k[stats.binom.cdf(k, n_slots, pair_prob) * draws >= 5].min())
+    hi = int(k[stats.binom.sf(k - 1, n_slots, pair_prob) * draws >= 5].max())
+    middle = np.arange(lo + 1, hi)
+    observed = np.concatenate(([(counts <= lo).sum()],
+                               np.bincount(np.minimum(counts, hi), minlength=hi + 1)[middle],
+                               [(counts >= hi).sum()]))
+    expected = np.concatenate(([stats.binom.cdf(lo, n_slots, pair_prob)],
+                               stats.binom.pmf(middle, n_slots, pair_prob),
+                               [stats.binom.sf(hi - 1, n_slots, pair_prob)]))
+    return stats.chisquare(observed, expected * draws / expected.sum()).pvalue
 
 
 @pytest.mark.usefixtures("batch_units")
@@ -265,18 +288,7 @@ class TestTrialBoundary:
             slots = stream.pair_slots
             assert slots.size == 0 or (slots[0] >= 0 and slots[-1] < n_slots)
             counts[i] = stream.pair_count
-        # pool each tail into one bin that expects at least 5 counts
-        k = np.arange(n_slots + 1)
-        lo = int(k[stats.binom.cdf(k, n_slots, pair_prob) * draws >= 5].min())
-        hi = int(k[stats.binom.sf(k - 1, n_slots, pair_prob) * draws >= 5].max())
-        middle = np.arange(lo + 1, hi)
-        observed = np.concatenate(([(counts <= lo).sum()],
-                                   np.bincount(counts, minlength=n_slots + 1)[middle],
-                                   [(counts >= hi).sum()]))
-        expected = np.concatenate(([stats.binom.cdf(lo, n_slots, pair_prob)],
-                                   stats.binom.pmf(middle, n_slots, pair_prob),
-                                   [stats.binom.sf(hi - 1, n_slots, pair_prob)]))
-        assert stats.chisquare(observed, expected * draws / expected.sum()).pvalue > ALPHA
+        assert binomial_fit_pvalue(counts, n_slots, pair_prob) > ALPHA
 
     def test_members_match_dense_oracle_slot_by_slot(self):
         # at N = 40 most clusters touch an end of the range: how often each
@@ -382,10 +394,17 @@ class TestEdgeCases:
         se = np.sqrt(0.01 * 0.99 / n)
         assert abs(stream.pair_count / n - 0.01) < 5 * se
 
-    def test_astronomical_stretch_is_refused(self):
-        # a stretch of long gaps whose mean length nears 2^63 slots
-        with pytest.raises(ValueError):
-            generate_herald_stream(make_params(pair_prob=1e-12), 10**12, RngStream(0).generator())
+    @pytest.mark.parametrize("pair_prob,n_slots", [(1e-10, 10**10), (1e-12, 10**12), (3e-10, 10**11)])
+    def test_astronomical_stretch_is_drawn_in_pieces(self, pair_prob, n_slots):
+        # a stretch of long gaps whose negative-binomial mean nears 2^63
+        # slots, which numpy refuses in one draw; in the last range single
+        # draws stay legal but their slot sum would overflow int64
+        params = make_params(pair_prob=pair_prob)
+        counts = np.array([
+            generate_herald_stream(params, n_slots, RngStream(53, (i,)).generator()).pair_count
+            for i in range(2000)
+        ])
+        assert binomial_fit_pvalue(counts, n_slots, pair_prob) > ALPHA
 
     def test_rejects_empty_range(self):
         with pytest.raises(ValueError):
