@@ -48,7 +48,6 @@ from .model import (
     SimulationConfig,
     SourceParams,
     deadtime_to_slots,
-    validate_config,
 )
 from .pipeline import (
     execute_scenario,
@@ -64,7 +63,6 @@ from .source import (
     HeraldStream,
     RngStream,
     generate_herald_stream,
-    herald_probability,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,4 +1,4 @@
-"""Config files: loading, normalization, and provenance digests.
+"""Scenario files: parsing, run overrides, normalization, and provenance digests.
 
 A scenario file is a single JSON document with up to four sections::
 
@@ -15,6 +15,13 @@ as ``herald_deadtime_s`` (seconds, converted to whole slots) or
 ``herald_deadtime_slots``.  Every run section key has a default, so the
 minimal file is just the physics.
 
+:func:`scenario_from_mapping` builds all four sections in one pass and
+raises a single :class:`ConfigError` listing every violation of every
+section, each prefixed with its section: an unknown key, a missing
+required key (``source.rep_rate_hz: missing key``) or a field the value
+type refuses.  Overrides of the run section (:func:`override_controls`)
+go through the same checks.
+
 The config digest is a SHA-256 over the *normalized* configuration
 (defaults filled in, deadtime in slots, strategy lowercased), so key
 order in the file never matters while any value change, the seed
@@ -28,6 +35,7 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Mapping
 
@@ -37,9 +45,9 @@ from .model import (
     RoutingStrategy,
     SimulationConfig,
     SourceParams,
+    deadtime_to_slots,
     is_int,
     is_real,
-    validate_config,
 )
 
 
@@ -60,23 +68,20 @@ class RunControls:
     def __post_init__(self) -> None:
         violations: list[str] = []
         if not (is_int(self.seed) and 0 <= self.seed < 2**64):
-            violations.append(f"run.seed: expected a 64-bit unsigned integer (got {self.seed!r})")
+            violations.append(f"seed: expected a 64-bit unsigned integer (got {self.seed!r})")
         if not (is_int(self.slots_per_trial) and self.slots_per_trial >= 1):
-            violations.append(f"run.slots_per_trial: expected integer >= 1 (got {self.slots_per_trial!r})")
+            violations.append(f"slots_per_trial: expected integer >= 1 (got {self.slots_per_trial!r})")
         if not (is_int(self.trials) and self.trials >= 1):
-            violations.append(f"run.trials: expected integer >= 1 (got {self.trials!r})")
+            violations.append(f"trials: expected integer >= 1 (got {self.trials!r})")
         if not isinstance(self.calibration_mode, bool):
-            violations.append(f"run.calibration_mode: expected true or false (got {self.calibration_mode!r})")
+            violations.append(f"calibration_mode: expected true or false (got {self.calibration_mode!r})")
         if not (is_int(self.workers) and self.workers >= 1):
-            violations.append(f"run.workers: expected integer >= 1 (got {self.workers!r})")
+            violations.append(f"workers: expected integer >= 1 (got {self.workers!r})")
         if violations:
             raise ConfigError(violations)
 
     def replace(self, **overrides: object) -> "RunControls":
         return dataclasses.replace(self, **overrides)
-
-
-_RUN_DEFAULTS: dict[str, object] = {f.name: f.default for f in dataclasses.fields(RunControls)}
 
 
 @dataclass(frozen=True)
@@ -109,20 +114,6 @@ class Scenario:
     sweep: SweepGrid = SweepGrid()
 
 
-def _build_controls(raw: Mapping, violations: list[str]) -> RunControls:
-    kwargs = dict(_RUN_DEFAULTS)
-    for key, value in raw.items():
-        if key not in _RUN_DEFAULTS:
-            violations.append(f"run.{key}: unknown key")
-        else:
-            kwargs[key] = value
-    try:
-        return RunControls(**kwargs)  # type: ignore[arg-type]
-    except ConfigError as err:
-        violations.extend(err.violations)
-        return RunControls()
-
-
 def _build_sweep(raw: Mapping, violations: list[str]) -> SweepGrid:
     axes = {"strategy": [], "n_modes": [], "eta_sw": []}
     for key, values in raw.items():
@@ -150,34 +141,78 @@ def _build_sweep(raw: Mapping, violations: list[str]) -> SweepGrid:
     return SweepGrid(strategies=strategies, n_modes=n_modes, eta_sw=tuple(eta_sw))
 
 
+def _build_section(name: str, cls: type, raw: Mapping, violations: list[str]):
+    """Build dataclass ``cls`` from section ``name``, or append its violations and give None.
+
+    Every key must name a field of ``cls``, and every field without a
+    default must be given.  A missing field is passed as None, so the
+    given ones are still checked; its own complaint is dropped.
+    """
+    fields = dataclasses.fields(cls)
+    known = {f.name for f in fields}
+    missing = [f.name for f in fields if f.default is dataclasses.MISSING and f.name not in raw]
+    violations.extend(f"{name}.{key}: unknown key" for key in raw if key not in known)
+    violations.extend(f"{name}.{key}: missing key" for key in missing)
+    kwargs = {key: value for key, value in raw.items() if key in known}
+    try:
+        built = cls(**kwargs, **dict.fromkeys(missing))
+    except ConfigError as err:
+        violations.extend(f"{name}.{v}" for v in err.violations if v.partition(":")[0] not in missing)
+        return None
+    return None if missing else built
+
+
+def _build_source(raw: Mapping, violations: list[str]) -> "SourceParams | None":
+    """The source section; a deadtime in seconds is first turned into slots."""
+    kwargs = dict(raw)
+    if "herald_deadtime_s" in kwargs:
+        seconds = kwargs.pop("herald_deadtime_s")
+        if "herald_deadtime_slots" in kwargs:
+            violations.append("source.herald_deadtime_s: give deadtime in seconds or slots, not both")
+        elif "rep_rate_hz" in kwargs:  # else the builder reports the missing rate
+            try:
+                kwargs["herald_deadtime_slots"] = deadtime_to_slots(seconds, kwargs["rep_rate_hz"])
+            except ConfigError as err:
+                violations.extend("source." + v for v in err.violations)
+    return _build_section("source", SourceParams, kwargs, violations)
+
+
+_SECTIONS = {
+    "source": _build_source,
+    "converter": partial(_build_section, "converter", ConverterParams),
+    "run": partial(_build_section, "run", RunControls),
+    "sweep": _build_sweep,
+}
+
+
 def scenario_from_mapping(raw: Mapping) -> Scenario:
-    """Validate a parsed config document, collecting every violation."""
+    """Validate a parsed config document, listing every violation of every section."""
+    violations = [f"{key}: unknown section" for key in raw if key not in _SECTIONS]
+    built = {}
+    for name, build in _SECTIONS.items():
+        section = raw.get(name, {})
+        if name not in raw and name in ("source", "converter"):
+            violations.append(f"{name}: missing section")
+        elif not isinstance(section, Mapping):
+            violations.append(f"{name}: expected a mapping")
+        else:
+            built[name] = build(section, violations)
+    if violations:
+        # a bad rate beside a deadtime in seconds is reported by the conversion and the source
+        raise ConfigError(list(dict.fromkeys(violations)))
+    config = SimulationConfig(source=built["source"], converter=built["converter"])
+    return Scenario(config=config, controls=built["run"], sweep=built["sweep"])
+
+
+def override_controls(scenario: Scenario, **overrides: object) -> Scenario:
+    """``scenario`` with the run keys given (not None) replaced, checked as a run section."""
+    given = {key: value for key, value in overrides.items() if value is not None}
     violations: list[str] = []
-    known = {"source", "converter", "run", "sweep"}
-    for key in raw:
-        if key not in known:
-            violations.append(f"{key}: unknown section")
-    for section in ("source", "converter"):
-        if section not in raw:
-            violations.append(f"{section}: missing section")
-        elif not isinstance(raw[section], Mapping):
-            violations.append(f"{section}: expected a mapping")
-    run_raw = raw.get("run", {})
-    if isinstance(run_raw, Mapping):
-        controls = _build_controls(run_raw, violations)
-    else:
-        violations.append("run: expected a mapping")
-        controls = RunControls()
-    sweep_raw = raw.get("sweep", {})
-    if isinstance(sweep_raw, Mapping):
-        sweep = _build_sweep(sweep_raw, violations)
-    else:
-        violations.append("sweep: expected a mapping")
-        sweep = SweepGrid()
+    raw = {**dataclasses.asdict(scenario.controls), **given}
+    controls = _build_section("run", RunControls, raw, violations)
     if violations:
         raise ConfigError(violations)
-    config = validate_config(raw["source"], raw["converter"])
-    return Scenario(config=config, controls=controls, sweep=sweep)
+    return dataclasses.replace(scenario, controls=controls)
 
 
 def load_scenario(path: "str | Path") -> Scenario:

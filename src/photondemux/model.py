@@ -6,19 +6,17 @@ immutable after construction and safe to share between concurrent trial
 workers.
 
 Validation happens eagerly in ``__post_init__`` so that an out-of-range
-field can never propagate into a simulation.  :func:`validate_config`
-additionally accepts raw mappings (e.g. a parsed config file), collects
-*all* violations instead of failing on the first one, and normalizes a
-deadtime given in seconds to whole pulse slots.
+field can never propagate into a simulation; each type collects all of
+its violations into one :class:`ConfigError`.  Reading a scenario file
+into these types is :mod:`photondemux.config`'s job.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 
 class ConfigError(ValueError):
@@ -117,10 +115,6 @@ class SourceParams:
         if violations:
             raise ConfigError(violations)
 
-    @property
-    def slot_duration_s(self) -> float:
-        return 1.0 / self.rep_rate_hz
-
 
 @dataclass(frozen=True)
 class ConverterParams:
@@ -149,7 +143,11 @@ class ConverterParams:
             violations.extend(err.violations)
             object.__setattr__(self, "strategy", RoutingStrategy.ACTIVE_HERALDED)
         _check_prob("transmittance", self.transmittance, violations)
-        ports = tuple(float(p) if is_real(p) else p for p in self.port_efficiencies)
+        ports = self.port_efficiencies
+        if not isinstance(ports, (list, tuple)):
+            violations.append(f"port_efficiencies: expected a list (got {ports!r})")
+            ports = ()
+        ports = tuple(float(p) if is_real(p) else p for p in ports)
         if not ports and is_int(self.n_modes) and self.n_modes >= 1:
             ports = (1.0,) * self.n_modes  # ideal routers unless stated otherwise
         object.__setattr__(self, "port_efficiencies", ports)
@@ -161,10 +159,6 @@ class ConverterParams:
             )
         if violations:
             raise ConfigError(violations)
-
-    @property
-    def n_routers(self) -> int:
-        return self.n_modes - 1
 
     @property
     def switching_efficiency(self) -> float:
@@ -199,72 +193,3 @@ class SimulationConfig:
     source: SourceParams
     converter: ConverterParams
 
-
-_SOURCE_KEYS = {f.name for f in dataclasses.fields(SourceParams)} | {"herald_deadtime_s"}
-_CONVERTER_KEYS = {f.name for f in dataclasses.fields(ConverterParams)}
-
-
-def _build_source(raw: Mapping, violations: list[str]) -> SourceParams | None:
-    kwargs = dict(raw)
-    for key in raw:
-        if key not in _SOURCE_KEYS:
-            violations.append(f"source.{key}: unknown key")
-            kwargs.pop(key)
-    rate = kwargs.get("rep_rate_hz", 0.0)
-    if "herald_deadtime_s" in kwargs:
-        seconds = kwargs.pop("herald_deadtime_s")
-        if "herald_deadtime_slots" in kwargs:
-            violations.append("source.herald_deadtime_s: give deadtime in seconds or slots, not both")
-        else:
-            try:
-                kwargs["herald_deadtime_slots"] = deadtime_to_slots(seconds, rate)
-            except ConfigError as err:
-                violations.extend("source." + v for v in err.violations)
-    if "port_efficiencies" in kwargs:  # catches a common misplacement
-        violations.append("source.port_efficiencies: belongs to the converter section")
-        return None
-    try:
-        return SourceParams(**kwargs)
-    except ConfigError as err:
-        violations.extend("source." + v for v in err.violations)
-    except TypeError as err:
-        violations.append(f"source: {err}")
-    return None
-
-
-def _build_converter(raw: Mapping, violations: list[str]) -> ConverterParams | None:
-    kwargs = dict(raw)
-    for key in raw:
-        if key not in _CONVERTER_KEYS:
-            violations.append(f"converter.{key}: unknown key")
-            kwargs.pop(key)
-    try:
-        return ConverterParams(**kwargs)
-    except ConfigError as err:
-        violations.extend("converter." + v for v in err.violations)
-    except TypeError as err:
-        violations.append(f"converter: {err}")
-    return None
-
-
-def validate_config(
-    source: "SourceParams | Mapping",
-    converter: "ConverterParams | Mapping",
-) -> SimulationConfig:
-    """Build a validated simulation configuration.
-
-    Accepts already-constructed parameter objects or raw mappings (parsed
-    from a config file).  Mapping input is normalized field by field,
-    converting ``herald_deadtime_s`` to slots, and every violation is
-    collected before a single :class:`ConfigError` is raised, so a bad
-    file reports all of its problems at once.
-    """
-    violations: list[str] = []
-    if isinstance(source, Mapping):
-        source = _build_source(source, violations)
-    if isinstance(converter, Mapping):
-        converter = _build_converter(converter, violations)
-    if violations:
-        raise ConfigError(violations)
-    assert source is not None and converter is not None
-    return SimulationConfig(source=source, converter=converter)

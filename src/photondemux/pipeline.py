@@ -35,6 +35,7 @@ from .config import (
     apply_grid_point,
     config_digest,
     load_scenario,
+    override_controls,
     scenario_to_mapping,
 )
 from .controller import run_starts_from_heralds
@@ -187,22 +188,6 @@ def _resolve(scenario: "Scenario | str | Path") -> Scenario:
     return load_scenario(scenario)
 
 
-def _override_controls(scenario: Scenario, seed, slots, trials, calibration_mode=None) -> Scenario:
-    overrides: dict = {}
-    if seed is not None:
-        overrides["seed"] = seed
-    if slots is not None:
-        overrides["slots_per_trial"] = slots
-    if trials is not None:
-        overrides["trials"] = trials
-    if calibration_mode is not None:
-        overrides["calibration_mode"] = calibration_mode
-    if not overrides:
-        return scenario
-    return Scenario(config=scenario.config, controls=scenario.controls.replace(**overrides),
-                    sweep=scenario.sweep)
-
-
 def run_simulation(
     scenario: "Scenario | str | Path",
     seed: "int | None" = None,
@@ -212,7 +197,7 @@ def run_simulation(
     progress: "Progress | None" = None,
 ) -> dict:
     """Execute one scenario end to end; optionally write the JSON report."""
-    sc = _override_controls(_resolve(scenario), seed, slots, trials)
+    sc = override_controls(_resolve(scenario), seed=seed, slots_per_trial=slots, trials=trials)
     mapping = execute_scenario(sc, grid_index=0, progress=progress)
     if out_path is not None:
         write_report(mapping, out_path)
@@ -234,7 +219,8 @@ def run_calibrate(
     experiment measures it with the router bypassed) and used in the
     estimator; the report's p value is the measured one.
     """
-    sc = _override_controls(_resolve(scenario), seed, slots, trials, calibration_mode=True)
+    sc = override_controls(_resolve(scenario), seed=seed, slots_per_trial=slots, trials=trials,
+                           calibration_mode=True)
     return run_simulation(sc, out_path=out_path, progress=progress)
 
 
@@ -254,7 +240,7 @@ def run_sweep(
     one row per point; optionally writes them as CSV with columns
     strategy, n, eta_sw, s_estimate, std_error.
     """
-    sc = _override_controls(_resolve(scenario), seed, slots, trials)
+    sc = override_controls(_resolve(scenario), seed=seed, slots_per_trial=slots, trials=trials)
     sweep = sc.sweep
     if strategy is not None:
         sweep = SweepGrid(strategies=(RoutingStrategy.parse(strategy),),

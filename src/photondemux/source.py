@@ -31,7 +31,7 @@ from .model import SourceParams
 
 @dataclass(frozen=True)
 class RngStream:
-    """Deterministic, splittable random stream.
+    """Deterministic random stream keyed by a master seed and a stream index.
 
     Identical ``(master_seed, stream_index)`` always reproduces the same
     sequence; distinct stream indices give statistically independent
@@ -53,9 +53,6 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(entropy=self.master_seed, spawn_key=self.stream_index)
         return np.random.Generator(np.random.PCG64(seq))
-
-    def substream(self, *index: int) -> "RngStream":
-        return RngStream(self.master_seed, self.stream_index + tuple(index))
 
 
 @dataclass(frozen=True)
@@ -308,11 +305,3 @@ def generate_herald_stream(params: SourceParams, n_slots: int, rng: np.random.Ge
         herald_count=herald_count,
     )
 
-
-def herald_probability(params: SourceParams) -> float:
-    """Per-slot herald probability, neglecting deadtime.
-
-    Calibration helper: the product pair_prob * herald_det_efficiency is
-    the rate knob that sets the n-run trigger rate.
-    """
-    return params.pair_prob * params.herald_det_efficiency

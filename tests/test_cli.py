@@ -76,6 +76,27 @@ class TestSimulateVerb:
         err_lines = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error: config:")]
         assert len(err_lines) >= 4  # every violation listed, not just the first
 
+    def test_every_section_listed_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "source": {"pair_prob": 2, "rep_rate_hz": 82e6},
+            "converter": {"n_modes": 0},
+            "run": {"trials": 0},
+            "sweep": {"eta_sw": [3]},
+        }))
+        assert main(["simulate", "--config", str(bad)]) == 2
+        err_lines = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error: config:")]
+        assert [l.split()[2] for l in err_lines] == [
+            "source.pair_prob:", "converter.n_modes:", "run.trials:", "sweep.eta_sw:"]
+
+    @pytest.mark.parametrize("flag,key", [
+        ("--trials", "run.trials"),
+        ("--slots", "run.slots_per_trial"),
+    ])
+    def test_out_of_range_override_exit_2(self, config_path, capsys, flag, key):
+        assert main(["simulate", "--config", str(config_path), flag, "0"]) == 2
+        assert f"error: config: {key}: expected integer >= 1 (got 0)" in capsys.readouterr().err
+
     def test_string_deadtime_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({

@@ -11,7 +11,6 @@ from photondemux.model import (
     RoutingStrategy,
     SourceParams,
     deadtime_to_slots,
-    validate_config,
 )
 
 
@@ -47,9 +46,6 @@ class TestSourceParams:
         assert p.herald_deadtime_slots == 0
         assert p.herald_splitter_ratio == 0.5
 
-    def test_slot_duration(self):
-        assert make_source(rep_rate_hz=82e6).slot_duration_s == pytest.approx(12.195e-9, rel=1e-3)
-
     @pytest.mark.parametrize("field,value", [
         ("pair_prob", -0.1),
         ("pair_prob", 1.5),
@@ -74,10 +70,6 @@ class TestConverterParams:
     def test_port_efficiencies_default_to_ideal(self):
         c = ConverterParams(n_modes=3)
         assert c.port_efficiencies == (1.0, 1.0, 1.0)
-
-    def test_router_count_is_modes_minus_one(self):
-        assert ConverterParams(n_modes=4).n_routers == 3
-        assert ConverterParams(n_modes=1).n_routers == 0
 
     def test_switching_efficiency_composes_loss_and_routing(self):
         c = ConverterParams(n_modes=2, transmittance=0.731, port_efficiencies=(0.99, 0.98))
@@ -122,45 +114,3 @@ class TestEfficiencyEstimate:
     def test_nan_rejected(self):
         with pytest.raises(ConfigError):
             EfficiencyEstimate(math.nan, 0.0)
-
-
-class TestValidateConfig:
-    def good_raw(self):
-        return (
-            {"pair_prob": 0.004, "rep_rate_hz": 82e6, "herald_deadtime_s": 40e-9},
-            {"n_modes": 2, "strategy": "heralded", "transmittance": 0.731,
-             "port_efficiencies": [0.998, 0.998]},
-        )
-
-    def test_accepts_mappings_and_converts_deadtime(self):
-        src_raw, conv_raw = self.good_raw()
-        cfg = validate_config(src_raw, conv_raw)
-        assert cfg.source.herald_deadtime_slots == 4
-        assert cfg.converter.strategy is RoutingStrategy.ACTIVE_HERALDED
-        assert cfg.converter.n_modes == 2
-
-    def test_accepts_built_params(self):
-        cfg = validate_config(make_source(), ConverterParams(n_modes=2))
-        assert cfg.converter.n_modes == 2
-
-    def test_collects_all_violations(self):
-        bad_src = {"pair_prob": 7.0, "rep_rate_hz": -1.0, "telescope": True}
-        # a bad strategy stops the field checks, so the unknown key keeps
-        # the converter section contributing two violations
-        bad_conv = {"n_modes": 0, "strategy": "psychic", "crystal": 1}
-        with pytest.raises(ConfigError) as exc:
-            validate_config(bad_src, bad_conv)
-        messages = "\n".join(exc.value.violations)
-        assert len(exc.value.violations) >= 5
-        assert "source.pair_prob" in messages
-        assert "source.rep_rate_hz" in messages
-        assert "source.telescope" in messages
-        assert "converter.n_modes" in messages
-        assert "strategy" in messages
-
-    def test_deadtime_given_both_ways_is_a_violation(self):
-        src_raw, conv_raw = self.good_raw()
-        src_raw["herald_deadtime_slots"] = 4
-        with pytest.raises(ConfigError) as exc:
-            validate_config(src_raw, conv_raw)
-        assert any("not both" in v for v in exc.value.violations)

@@ -169,6 +169,83 @@ class TestConfigHandling:
             scenario_from_mapping(raw)
         assert exc.value.violations == [f"sweep.{axis}: expected a list (got {value!r})"]
 
+    def test_accepts_mappings_and_converts_deadtime(self):
+        raw = raw_scenario()
+        del raw["source"]["herald_deadtime_slots"]
+        raw["source"]["herald_deadtime_s"] = 40e-9
+        sc = scenario_from_mapping(raw)
+        assert sc.config.source.herald_deadtime_slots == 4
+        assert sc.config.converter.strategy is RoutingStrategy.ACTIVE_HERALDED
+        assert sc.config.converter.n_modes == 2
+
+    def test_collects_all_violations(self):
+        raw = raw_scenario()
+        raw["source"] = {"pair_prob": 7.0, "rep_rate_hz": -1.0, "telescope": True}
+        # a bad strategy stops the field checks, so the unknown key keeps
+        # the converter section contributing two violations
+        raw["converter"] = {"n_modes": 0, "strategy": "psychic", "crystal": 1}
+        with pytest.raises(ConfigError) as exc:
+            scenario_from_mapping(raw)
+        messages = "\n".join(exc.value.violations)
+        assert len(exc.value.violations) >= 5
+        assert "source.pair_prob" in messages
+        assert "source.rep_rate_hz" in messages
+        assert "source.telescope" in messages
+        assert "converter.n_modes" in messages
+        assert "strategy" in messages
+
+    def test_deadtime_given_both_ways_is_a_violation(self):
+        raw = raw_scenario()
+        raw["source"]["herald_deadtime_s"] = 40e-9
+        with pytest.raises(ConfigError) as exc:
+            scenario_from_mapping(raw)
+        assert any("not both" in v for v in exc.value.violations)
+
+    def test_every_section_reported_in_one_pass(self):
+        raw = raw_scenario(trials=0)
+        raw["source"]["pair_prob"] = 2
+        raw["converter"]["n_modes"] = 0
+        raw["sweep"] = {"eta_sw": [3]}
+        with pytest.raises(ConfigError) as exc:
+            scenario_from_mapping(raw)
+        assert [v.partition(":")[0] for v in exc.value.violations] == [
+            "source.pair_prob", "converter.n_modes", "run.trials", "sweep.eta_sw"]
+
+    def test_missing_required_key_is_named(self):
+        raw = raw_scenario()
+        raw["source"] = {"herald_deadtime_s": 4e-8, "pair_prob": 0.1}
+        with pytest.raises(ConfigError) as exc:
+            scenario_from_mapping(raw)
+        assert exc.value.violations == ["source.rep_rate_hz: missing key"]
+
+    def test_missing_key_does_not_hide_other_violations(self):
+        raw = raw_scenario()
+        raw["source"] = {"pair_prob": 2}
+        raw["converter"] = {"strategy": "clocked"}
+        with pytest.raises(ConfigError) as exc:
+            scenario_from_mapping(raw)
+        assert exc.value.violations == [
+            "source.rep_rate_hz: missing key",
+            "source.pair_prob: probability out of range (got 2, expected 0..1)",
+            "converter.n_modes: missing key",
+        ]
+
+    @pytest.mark.parametrize("value", [0.9, "0.9"], ids=["number", "string"])
+    def test_scalar_port_efficiencies_rejected(self, value):
+        raw = raw_scenario()
+        raw["converter"]["port_efficiencies"] = value
+        with pytest.raises(ConfigError) as exc:
+            scenario_from_mapping(raw)
+        assert exc.value.violations == [f"converter.port_efficiencies: expected a list (got {value!r})"]
+
+    def test_deadtime_with_a_bad_rate_reports_the_rate_once(self):
+        raw = raw_scenario()
+        del raw["source"]["herald_deadtime_slots"]
+        raw["source"].update(herald_deadtime_s=40e-9, rep_rate_hz="82e6")
+        with pytest.raises(ConfigError) as exc:
+            scenario_from_mapping(raw)
+        assert exc.value.violations == ["source.rep_rate_hz: expected a finite number > 0 (got '82e6')"]
+
     def test_controls_replace(self):
         ctl = RunControls(seed=1, trials=4)
         assert ctl.replace(seed=9).seed == 9

@@ -25,7 +25,6 @@ from photondemux.source import (
     RngStream,
     _apply_deadtime,
     generate_herald_stream,
-    herald_probability,
 )
 from source_oracle import dense_herald_stream, loop_two_detectors
 
@@ -141,7 +140,7 @@ class TestMullerDeadtime:
         se = np.sqrt(n * expected * (1 - expected))
         stream = generate_herald_stream(params, n, RngStream(29).generator())
         assert abs(stream.herald_count - n * expected) < 5 * se
-        assert abs(n * herald_probability(params) - n * expected) > 10 * se
+        assert abs(n * params.pair_prob * params.herald_det_efficiency - n * expected) > 10 * se
 
 
 class TestDoublingDeadtime:
@@ -449,24 +448,8 @@ class TestDeterminism:
         b = generate_herald_stream(params, 50_000, RngStream(21, (4,)).generator())
         assert not np.array_equal(a.pair_slots, b.pair_slots)
 
-    def test_substream_spawning(self):
-        root = RngStream(99)
-        assert root.substream(2, 5) == RngStream(99, (2, 5))
-
     def test_bad_seed_rejected(self):
         with pytest.raises(ValueError):
             RngStream(-1)
         with pytest.raises(ValueError):
             RngStream(2**64)
-
-
-class TestHeraldProbability:
-    def test_product(self):
-        params = make_params(pair_prob=0.01, herald_det_efficiency=0.31)
-        assert herald_probability(params) == pytest.approx(0.0031)
-
-    def test_zero_emission(self):
-        assert herald_probability(make_params(pair_prob=0.0)) == 0.0
-
-    def test_ideal(self):
-        assert herald_probability(make_params(pair_prob=1.0, herald_deadtime_slots=0)) == 1.0
