@@ -17,7 +17,7 @@ from pathlib import Path
 
 from photondemux import run_analytic, s_heralded, s_unheralded_clocked
 
-OUT = Path(__file__).with_suffix(".csv")
+OUT = Path("closed_form_curves.csv")  # in the current directory
 
 
 def show(rows, eta):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 from photondemux import run_sweep, s_closed_form, scenario_from_mapping
 
-OUT = Path(__file__).with_suffix(".csv")
+OUT = Path("strategy_sweep.csv")  # in the current directory
 
 SCENARIO = {
     "source": {"pair_prob": 0.05, "rep_rate_hz": 82e6, "herald_deadtime_slots": 4},

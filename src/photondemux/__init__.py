@@ -51,7 +51,6 @@ from .model import (
 )
 from .pipeline import (
     execute_scenario,
-    read_report,
     report_digest_matches,
     run_analytic,
     run_calibrate,

@@ -40,6 +40,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .model import (
+    MAX_SLOTS,
     ConfigError,
     ConverterParams,
     RoutingStrategy,
@@ -71,6 +72,8 @@ class RunControls:
             violations.append(f"seed: expected a 64-bit unsigned integer (got {self.seed!r})")
         if not (is_int(self.slots_per_trial) and self.slots_per_trial >= 1):
             violations.append(f"slots_per_trial: expected integer >= 1 (got {self.slots_per_trial!r})")
+        elif self.slots_per_trial > MAX_SLOTS:
+            violations.append(f"slots_per_trial: expected at most 2**62 (got {self.slots_per_trial!r})")
         if not (is_int(self.trials) and self.trials >= 1):
             violations.append(f"trials: expected integer >= 1 (got {self.trials!r})")
         if not isinstance(self.calibration_mode, bool):

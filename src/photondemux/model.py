@@ -59,6 +59,10 @@ def is_real(value: object) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+# largest slot count or deadtime in slots: the sampler sums slot offsets in int64
+MAX_SLOTS = 2**62
+
+
 def _check_prob(name: str, value: float, violations: list[str]) -> None:
     if not (is_real(value) and math.isfinite(value) and 0.0 <= value <= 1.0):
         violations.append(f"{name}: probability out of range (got {value!r}, expected 0..1)")
@@ -111,6 +115,10 @@ class SourceParams:
         if not (is_int(self.herald_deadtime_slots) and self.herald_deadtime_slots >= 0):
             violations.append(
                 f"herald_deadtime_slots: expected nonnegative integer (got {self.herald_deadtime_slots!r})"
+            )
+        elif self.herald_deadtime_slots > MAX_SLOTS:
+            violations.append(
+                f"herald_deadtime_slots: expected at most 2**62 (got {self.herald_deadtime_slots!r})"
             )
         if violations:
             raise ConfigError(violations)

@@ -8,8 +8,9 @@ rates, and invert the counting estimator for the conversion efficiency.
 mapping; every entry point writes or reads that mapping.
 
 Trials execute on disjoint random substreams keyed by (grid index,
-trial), and partial counts merge additively in trial order, so results
-are byte-for-byte reproducible for a given (config, seed) regardless of
+trial), and each trial builds its generator from that key where it
+runs.  Partial counts merge additively in trial order, so results are
+byte-for-byte reproducible for a given (config, seed) regardless of
 worker scheduling, and a sweep containing a single grid point reproduces
 a plain run exactly.  Wall-clock time is kept out of written reports for
 the same reason.
@@ -23,6 +24,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -58,7 +60,6 @@ class _TrialCounts:
     heralds: int = 0
     triggers: int = 0
     coincidences: int = 0
-    calib_trials: int = 0
     calib_detected: int = 0
 
     def merge(self, other: "_TrialCounts") -> None:
@@ -66,21 +67,21 @@ class _TrialCounts:
             setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
-def _simulate_trial(scenario: Scenario, rng: RngStream) -> _TrialCounts:
+def _simulate_trial(scenario: Scenario, grid_index: int, trial: int) -> _TrialCounts:
     src = scenario.config.source
     conv = scenario.config.converter
     ctl = scenario.controls
     n = conv.n_modes
-    gen = rng.generator()
+    gen = RngStream(ctl.seed, (grid_index, trial)).generator()
     stream = generate_herald_stream(src, ctl.slots_per_trial, gen)
-    triggers = int(run_starts_from_heralds(stream.herald_slots, n).size)
-    if n == 1:  # a herald outside every cluster is a run of one
-        triggers += stream.herald_count - int(stream.fired.sum())
+    if n == 1:  # every herald is a run of one
+        triggers = stream.herald_count
+    else:
+        triggers = int(run_starts_from_heralds(stream.herald_slots, n).size)
     batch = route_runs(triggers, conv, gen, src.signal_det_efficiency)
     counts = _TrialCounts(batch.port_counts, slots=ctl.slots_per_trial, heralds=stream.herald_count,
                           triggers=triggers, coincidences=batch.success_count)
-    if ctl.calibration_mode and stream.herald_count:
-        counts.calib_trials = stream.herald_count
+    if ctl.calibration_mode:
         counts.calib_detected = int(gen.binomial(stream.herald_count, src.signal_det_efficiency))
     return counts
 
@@ -110,15 +111,17 @@ def execute_scenario(scenario: Scenario, grid_index: int = 0, progress: "Progres
     ctl = scenario.controls
     src = scenario.config.source
     n = scenario.config.converter.n_modes
-    streams = [RngStream(ctl.seed, (grid_index, t)) for t in range(ctl.trials)]
     total = _TrialCounts(np.zeros((n, n), dtype=np.int64))
+    run = partial(_simulate_trial, scenario, grid_index)
+    chunk = 4 * ctl.workers  # trials queued at once
     with (ThreadPoolExecutor(max_workers=ctl.workers) if ctl.workers > 1 else nullcontext()) as pool:
         trial_map = map if pool is None else pool.map
-        # both maps yield in trial order, not completion order
-        for t, counts in enumerate(trial_map(lambda s: _simulate_trial(scenario, s), streams)):
-            total.merge(counts)
-            if progress is not None:
-                progress(f"trial {t + 1}/{ctl.trials}")
+        for first in range(0, ctl.trials, chunk):
+            # both maps yield in trial order, not completion order
+            for t, counts in enumerate(trial_map(run, range(first, min(first + chunk, ctl.trials))), first):
+                total.merge(counts)
+                if progress is not None:
+                    progress(f"trial {t + 1}/{ctl.trials}")
     if total.triggers == 0:
         hint = ""
         if n > 2 and src.herald_deadtime_slots >= 2:
@@ -137,7 +140,7 @@ def execute_scenario(scenario: Scenario, grid_index: int = 0, progress: "Progres
             raise ValueError(
                 "calibration measured zero delivered photons; cannot form the estimator"
             )
-        p_used = total.calib_detected / total.calib_trials
+        p_used = total.calib_detected / total.heralds
         p_rel = float(np.sqrt((1.0 - p_used) / total.calib_detected)) if p_used < 1.0 else 0.0
     else:
         p_used = src.signal_det_efficiency
@@ -171,10 +174,6 @@ def execute_scenario(scenario: Scenario, grid_index: int = 0, progress: "Progres
 
 def write_report(mapping: Mapping, out_path: "str | Path") -> None:
     Path(out_path).write_text(json.dumps(mapping, sort_keys=True, indent=2) + "\n")
-
-
-def read_report(path: "str | Path") -> dict:
-    return json.loads(Path(path).read_text())
 
 
 def report_digest_matches(mapping: Mapping) -> bool:

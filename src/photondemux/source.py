@@ -78,14 +78,6 @@ class HeraldStream:
     def herald_slots(self) -> np.ndarray:
         return self.pair_slots[self.fired]
 
-    @property
-    def herald_a_slots(self) -> np.ndarray:
-        return self.pair_slots[self.fired & self.to_detector_a]
-
-    @property
-    def herald_b_slots(self) -> np.ndarray:
-        return self.pair_slots[self.fired & ~self.to_detector_a]
-
 
 # tracemalloc peak of one generate_herald_stream call per cluster member:
 # 46 B at the two-mode operating point, 83 B at pair_prob 1 (every pair a
@@ -167,8 +159,10 @@ def _sample_members(pair_prob: float, window: int, n_slots: int,
     truncated to 1..window, drawn by inverse CDF; a stretch totals
     k (window + 1) + NegBinomial(k, p) by memorylessness, drawn by
     ``_draw_stretch`` when k exceeds ``_max_piece``.  Slot -1 is a
-    virtual pair that starts the range.  In the unit that crosses the end
-    of the range, ``_bisect_stretch`` finds the last pair in range.
+    virtual pair that starts the range.  Every other excess is drawn up
+    front, so the unit that crosses the end of the range always has a
+    known total, and ``_bisect_stretch`` finds its last pair in range; a
+    pieced stretch that crosses is ended inside ``_draw_stretch``.
     """
     if pair_prob == 0.0:
         return np.empty(0, dtype=np.int64), 0
@@ -185,17 +179,14 @@ def _sample_members(pair_prob: float, window: int, n_slots: int,
         close = np.ceil(np.log1p(-q * rng.random(batch)) / log_miss).astype(np.int64)
         np.clip(close, 1, window, out=close)
         step = k * (window + 1) + close
-        # a unit whose lower-bound end is already past the range needs no
-        # excess: only units before it can end inside the range
         room = n_slots - last
-        bound = np.cumsum(step)
-        draw = (k > 0) & (bound < room)
-        pieced = draw & (k > _max_piece(pair_prob))
-        step[draw & ~pieced] += rng.negative_binomial(k[draw & ~pieced], pair_prob)
+        pieced = k > _max_piece(pair_prob)
+        short = (k > 0) & ~pieced
+        step[short] += rng.negative_binomial(k[short], pair_prob)
         # capping a step at the room moves no end before the range ends,
         # and keeps the sums from overflowing
         capped = np.minimum(step, room)
-        crossed = None  # pairs in range, when the range ends in a pieced stretch
+        crossed = None  # pairs of the crossing stretch in range, once counted
         for u in np.flatnonzero(pieced):
             start = last + int(capped[:u].sum())
             if start >= n_slots:
@@ -220,17 +211,11 @@ def _sample_members(pair_prob: float, window: int, n_slots: int,
         if cross < batch:
             # no pair of the crossing stretch is a member: each has a long
             # gap before it, and after the last one the range ends
-            room = n_slots - (int(ends[cross - 1]) if cross else last)
-            if crossed is not None:
-                pairs += crossed
-            elif draw[cross]:
+            if crossed is None:
+                room = n_slots - (int(ends[cross - 1]) if cross else last)
                 excess = int(step[cross] - k[cross] * (window + 1) - close[cross])
-                pairs += _bisect_stretch(int(k[cross]), excess, room, window, rng)
-            else:
-                # the crossing decision did not look at these excesses, so the
-                # first ceil(room / (window + 1)) of them, all that can matter, are fresh
-                fresh = min(int(k[cross]), -(-room // (window + 1)))
-                pairs += _draw_stretch(fresh, room, window, pair_prob, rng)[0]
+                crossed = _bisect_stretch(int(k[cross]), excess, room, window, rng)
+            pairs += crossed
             break
         last = int(ends[-1])
     slots = np.concatenate(chunks)

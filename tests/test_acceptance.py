@@ -184,7 +184,8 @@ def test_randomized_property_sweep(landings):
             herald_splitter_ratio=float(rng.uniform(0.1, 0.9)),
         )
         stream = generate_herald_stream(params, 20_000, rng)
-        for slots in (stream.herald_a_slots, stream.herald_b_slots):
+        for slots in (stream.pair_slots[stream.fired & stream.to_detector_a],
+                      stream.pair_slots[stream.fired & ~stream.to_detector_a]):
             if slots.size > 1:
                 assert int(np.diff(slots).min()) > 4
 

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from photondemux.cli import build_parser, main
-from photondemux.pipeline import read_report, report_digest_matches
+from photondemux.pipeline import report_digest_matches
 
 
 @pytest.fixture
@@ -47,7 +47,7 @@ class TestSimulateVerb:
     def test_report_file(self, tmp_path, config_path):
         out = tmp_path / "report.json"
         assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 0
-        report = read_report(out)
+        report = json.loads(out.read_text())
         assert report["seed"] == 11
         assert report["trigger_count"] > 0
         assert report_digest_matches(report)
@@ -96,6 +96,19 @@ class TestSimulateVerb:
     def test_out_of_range_override_exit_2(self, config_path, capsys, flag, key):
         assert main(["simulate", "--config", str(config_path), flag, "0"]) == 2
         assert f"error: config: {key}: expected integer >= 1 (got 0)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("slots,code", [(2**62, 0), (10**19, 2)])
+    def test_slots_bounded_by_2_62(self, tmp_path, capsys, slots, code):
+        # a sparse one-mode source keeps a 2**62-slot trial cheap
+        path = tmp_path / "sparse.json"
+        path.write_text(json.dumps({
+            "source": {"pair_prob": 1e-15, "rep_rate_hz": 82e6, "herald_deadtime_slots": 4},
+            "converter": {"n_modes": 1},
+            "run": {"trials": 1},
+        }))
+        assert main(["simulate", "--config", str(path), "--slots", str(slots)]) == code
+        err = capsys.readouterr().err
+        assert ("error: config: run.slots_per_trial:" in err) == (code == 2)
 
     def test_string_deadtime_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

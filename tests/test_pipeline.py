@@ -2,11 +2,13 @@
 
 import csv
 import json
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from photondemux import pipeline
 from photondemux.analytic import s_heralded, s_passive, s_unheralded_clocked
 from photondemux.config import (
     RunControls,
@@ -23,7 +25,6 @@ from photondemux.model import ConfigError, RoutingStrategy
 from photondemux.pipeline import (
     _check_memory,
     execute_scenario,
-    read_report,
     report_digest_matches,
     run_analytic,
     run_calibrate,
@@ -157,6 +158,23 @@ class TestConfigHandling:
             scenario_from_mapping(raw)
         assert all(v.startswith("source.") for v in exc.value.violations)
 
+    @pytest.mark.parametrize("deadtime", [
+        {"herald_deadtime_slots": 2**63},
+        {"herald_deadtime_s": 1e12},  # 8.2e19 slots at 82 MHz
+    ])
+    def test_deadtime_beyond_2_62_slots_rejected(self, deadtime):
+        raw = raw_scenario()
+        del raw["source"]["herald_deadtime_slots"]
+        raw["source"].update(deadtime)
+        with pytest.raises(ConfigError) as exc:
+            scenario_from_mapping(raw)
+        assert [v.partition(":")[0] for v in exc.value.violations] == ["source.herald_deadtime_slots"]
+
+    def test_deadtime_of_2_62_slots_accepted(self):
+        raw = raw_scenario()
+        raw["source"]["herald_deadtime_slots"] = 2**62
+        assert scenario_from_mapping(raw).config.source.herald_deadtime_slots == 2**62
+
     @pytest.mark.parametrize("axis,value", [
         ("eta_sw", 0.5),
         ("n_modes", 3),
@@ -284,10 +302,34 @@ class TestDeterminism:
         run_simulation(scenario(workers=2, trials=3), progress=seen.append)
         assert seen == ["trial 1/3", "trial 2/3", "trial 3/3"]
 
+    def test_threaded_trials_queue_at_most_four_per_worker(self, monkeypatch):
+        started, queued_ahead = [], []
+        real = pipeline._simulate_trial
+
+        def spy(scenario, grid_index, trial):
+            started.append(trial)
+            return real(scenario, grid_index, trial)
+
+        monkeypatch.setattr(pipeline, "_simulate_trial", spy)
+        seen = []
+
+        def progress(message):  # a slow consumer: the workers must not run ahead
+            seen.append(message)
+            queued_ahead.append(len(started) - len(seen))
+            time.sleep(0.02)
+
+        threaded = run_simulation(scenario(workers=2, trials=20, slots_per_trial=20_000), progress=progress)
+        serial = execute_scenario(scenario(workers=1, trials=20, slots_per_trial=20_000))
+        assert seen == [f"trial {t}/20" for t in range(1, 21)]
+        assert max(queued_ahead) < 4 * 2
+        for mapping in (serial, threaded):
+            del mapping["config"], mapping["config_digest"]
+        assert serial == threaded
+
     def test_report_file_round_trip(self, tmp_path):
         path = tmp_path / "report.json"
         mapping = run_simulation(scenario(), out_path=path)
-        on_disk = read_report(path)
+        on_disk = json.loads(path.read_text())
         assert on_disk == mapping
         assert report_digest_matches(on_disk)
 
@@ -483,7 +525,7 @@ class TestReportFiles:
         path = tmp_path / "r.json"
         mapping = run_simulation(scenario(), out_path=path)
         assert path.read_text().endswith("\n")
-        assert read_report(path) == mapping
+        assert json.loads(path.read_text()) == mapping
 
     def test_report_contains_config_echo(self):
         mapping = run_simulation(scenario())

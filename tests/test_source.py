@@ -97,7 +97,8 @@ def make_params(**overrides):
 def same_detector_refire_gaps(stream: HeraldStream, deadtime: int) -> int:
     """Number of same-detector firing pairs closer than the blind window."""
     violations = 0
-    for slots in (stream.herald_a_slots, stream.herald_b_slots):
+    for slots in (stream.pair_slots[stream.fired & stream.to_detector_a],
+                  stream.pair_slots[stream.fired & ~stream.to_detector_a]):
         if slots.size > 1:
             violations += int((np.diff(slots) <= deadtime).sum())
     return violations
@@ -344,7 +345,8 @@ class TestDeadtimeInvariant:
     def test_dense_stream_respects_deadtime_per_detector(self):
         params = make_params(pair_prob=1.0)
         stream = generate_herald_stream(params, 50_000, RngStream(3).generator())
-        for fires in (stream.herald_a_slots, stream.herald_b_slots):
+        for fires in (stream.pair_slots[stream.fired & stream.to_detector_a],
+                      stream.pair_slots[stream.fired & ~stream.to_detector_a]):
             assert (np.diff(fires) > 4).all()
 
 
@@ -418,7 +420,8 @@ class TestStreamConsistency:
         assert (np.diff(pairs) > 0).all()
         assert stream.to_detector_a.size == stream.fired.size == pairs.size
         # a herald needs an emitted pair and exactly one detector that fired
-        a, b = stream.herald_a_slots, stream.herald_b_slots
+        a = pairs[stream.fired & stream.to_detector_a]
+        b = pairs[stream.fired & ~stream.to_detector_a]
         assert stream.herald_slots.size > 0
         assert np.isin(stream.herald_slots, pairs).all()
         assert np.intersect1d(a, b).size == 0
