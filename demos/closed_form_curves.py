@@ -15,7 +15,7 @@ a realistic switching efficiency, and writes a plot-ready CSV.
 
 from pathlib import Path
 
-from photondemux import run_analytic, s_heralded, s_unheralded_clocked
+from photondemux import run_analytic, s_heralded, s_unheralded_clocked, write_rows
 
 OUT = Path("closed_form_curves.csv")  # in the current directory
 
@@ -34,7 +34,8 @@ def main() -> None:
     print("the clocked one still pays the 1/n phase lottery, and the passive")
     print("splitter pays it once per photon.")
 
-    rows = run_analytic(6, 0.72, out_path=OUT)
+    rows = run_analytic(6, 0.72)
+    write_rows(rows, OUT)
     show(rows, 0.72)
 
     # the two active strategies trade places at eta_sw = 1/n

@@ -40,11 +40,12 @@ SCENARIO = {
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--slots", type=int, default=None,
+    parser.add_argument("--slots", type=int, default=SCENARIO["run"]["slots_per_trial"],
                         help="slots per trial (default 2.5e8, about 3 s of beam time)")
     args = parser.parse_args()
 
-    report = run_calibrate(scenario_from_mapping(SCENARIO), slots=args.slots)
+    run = {**SCENARIO["run"], "slots_per_trial": args.slots}
+    report = run_calibrate(scenario_from_mapping({**SCENARIO, "run": run}))
     seconds = report["slots_simulated"] / SCENARIO["source"]["rep_rate_hz"]
     est = report["s_estimate"]
     print(f"simulated {report['slots_simulated']:.2e} pulse slots ({seconds:.1f} s of beam time)")

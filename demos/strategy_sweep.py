@@ -8,7 +8,7 @@ counting.  The closed forms are printed alongside as a cross-check.
 
 from pathlib import Path
 
-from photondemux import run_sweep, s_closed_form, scenario_from_mapping
+from photondemux import run_sweep, s_closed_form, scenario_from_mapping, write_rows
 
 OUT = Path("strategy_sweep.csv")  # in the current directory
 
@@ -24,7 +24,8 @@ SCENARIO = {
 
 
 def main() -> None:
-    rows = run_sweep(scenario_from_mapping(SCENARIO), out_path=OUT)
+    rows = run_sweep(scenario_from_mapping(SCENARIO))
+    write_rows(rows, OUT)
     print(f"{'strategy':>9} {'eta_sw':>6} {'simulated':>10} {'closed':>8}")
     for row in rows:
         expected = s_closed_form(row["strategy"], row["n"], row["eta_sw"])

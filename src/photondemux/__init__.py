@@ -57,6 +57,7 @@ from .pipeline import (
     run_simulation,
     run_sweep,
     write_report,
+    write_rows,
 )
 from .source import (
     HeraldStream,

@@ -9,6 +9,11 @@ Four verbs cover the toolkit:
 - ``calibrate``: measure the delivered-photon probability in-stream and
   report the run with that measured value.
 
+The command line alone loads the scenario file, applies the
+``--seed``/``--slots``/``--trials`` overrides, and picks the destination:
+a verb's value is written by ``write_report`` (JSON) or ``write_rows``
+(CSV) to ``--out`` or to stdout, the same bytes either way.
+
 Exit status is 0 on success; 2 for configuration problems (every
 violation is listed), 3 for I/O failures, 1 for anything else.  Progress
 goes to stderr so written artifacts stay clean.
@@ -17,11 +22,11 @@ goes to stderr so written artifacts stay clean.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from .model import ConfigError
-from .pipeline import run_analytic, run_calibrate, run_simulation, run_sweep
+from .config import load_scenario, override_controls
+from .model import ConfigError, RoutingStrategy
+from .pipeline import run_analytic, run_calibrate, run_simulation, run_sweep, write_report, write_rows
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
@@ -53,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(verb, help=help_text)
         _add_run_flags(p)
         if verb == "sweep":
-            p.add_argument("--strategy", choices=["heralded", "clocked", "passive"],
+            p.add_argument("--strategy", choices=[s.value for s in RoutingStrategy],
                            default=None, help="restrict the sweep to one strategy")
     return parser
 
@@ -62,38 +67,21 @@ def _echo(text: str) -> None:
     print(text, file=sys.stderr)
 
 
-def _print_rows(rows: list[dict]) -> None:
-    if not rows:
-        return
-    names = list(rows[0])
-    print(",".join(names))
-    for row in rows:
-        print(",".join("" if row[k] is None else str(row[k]) for k in names))
-
-
 def main(argv: "list[str] | None" = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.verb == "analytic":
-            rows = run_analytic(args.n_max, args.eta_sw, out_path=args.out)
-            if args.out is None:
-                _print_rows(rows)
-        elif args.verb == "simulate":
-            report = run_simulation(args.config, seed=args.seed, slots=args.slots,
-                                    trials=args.trials, out_path=args.out, progress=_echo)
-            if args.out is None:
-                print(json.dumps(report, sort_keys=True, indent=2))
-        elif args.verb == "sweep":
-            rows = run_sweep(args.config, out_path=args.out, seed=args.seed,
-                             slots=args.slots, trials=args.trials,
-                             strategy=args.strategy, progress=_echo)
-            if args.out is None:
-                _print_rows(rows)
-        elif args.verb == "calibrate":
-            report = run_calibrate(args.config, seed=args.seed, slots=args.slots,
-                                   trials=args.trials, out_path=args.out, progress=_echo)
-            if args.out is None:
-                print(json.dumps(report, sort_keys=True, indent=2))
+            result = run_analytic(args.n_max, args.eta_sw)
+        else:
+            scenario = override_controls(load_scenario(args.config), seed=args.seed,
+                                         slots_per_trial=args.slots, trials=args.trials)
+            if args.verb == "sweep":
+                result = run_sweep(scenario, strategy=args.strategy, progress=_echo)
+            else:
+                entry = run_calibrate if args.verb == "calibrate" else run_simulation
+                result = entry(scenario, progress=_echo)
+        write = write_rows if isinstance(result, list) else write_report
+        write(result, sys.stdout if args.out is None else args.out)
     except ConfigError as err:
         for violation in err.violations:
             print(f"error: config: {violation}", file=sys.stderr)

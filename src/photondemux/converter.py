@@ -148,8 +148,6 @@ def route_clocked_batch(
     if params.strategy is not RoutingStrategy.ACTIVE_CLOCKED:
         raise ValueError(f"clocked routing called with strategy {params.strategy.value!r}")
     n = params.n_modes
-    if n < 2:
-        raise ValueError("clocked routing needs n_modes >= 2")
     aligned = _aimed(n, params.switching_efficiency)
     laws = [_landing_law(np.roll(aligned, phase, axis=1), signal_det_efficiency) for phase in range(n)]
     rng = _as_generator(rng)

@@ -132,7 +132,7 @@ class ConverterParams:
     ``transmittance`` is the lumped probability a photon survives the
     converter optics; ``port_efficiencies[i]`` is the probability photon i
     is routed to output i *given* it survived.  The clocked strategy only
-    sees the composite ``switching_efficiency``.
+    sees the composite ``switching_efficiency``, and needs two or more modes.
     """
 
     n_modes: int
@@ -150,6 +150,8 @@ class ConverterParams:
             # keep collecting; the construction fails below either way
             violations.extend(err.violations)
             object.__setattr__(self, "strategy", RoutingStrategy.ACTIVE_HERALDED)
+        if self.strategy is RoutingStrategy.ACTIVE_CLOCKED and is_int(self.n_modes) and self.n_modes == 1:
+            violations.append("n_modes: clocked routing needs n_modes >= 2 (got 1)")
         _check_prob("transmittance", self.transmittance, violations)
         ports = self.port_efficiencies
         if not isinstance(ports, (list, tuple)):

@@ -1,11 +1,14 @@
-"""Scenario execution: full simulation runs, sweeps, and report emission.
+"""Scenario execution: full simulation runs, sweeps, and their JSON and CSV writers.
 
 A run walks the whole chain at pulse-slot resolution: generate the
 heralded photon stream, detect runs of n consecutive heralds, route each
 run's photons through the converter, count trigger and coincidence
 rates, and invert the counting estimator for the conversion efficiency.
 ``execute_scenario`` turns the merged counts straight into the report
-mapping; every entry point writes or reads that mapping.
+mapping.  The entry points take a validated ``Scenario`` and return a
+value, a report mapping or a list of CSV rows; they write nothing.
+``write_report`` and ``write_rows`` serialize those values to a path or
+an open text stream.
 
 Trials execute on disjoint random substreams keyed by (grid index,
 trial), and each trial builds its generator from that key where it
@@ -26,7 +29,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Mapping, TextIO
 
 import numpy as np
 
@@ -36,7 +39,6 @@ from .config import (
     SweepGrid,
     apply_grid_point,
     config_digest,
-    load_scenario,
     override_controls,
     scenario_to_mapping,
 )
@@ -172,8 +174,23 @@ def execute_scenario(scenario: Scenario, grid_index: int = 0, progress: "Progres
     }
 
 
-def write_report(mapping: Mapping, out_path: "str | Path") -> None:
-    Path(out_path).write_text(json.dumps(mapping, sort_keys=True, indent=2) + "\n")
+def _sink(out: "str | Path | TextIO"):
+    """``out`` itself if it is an open text stream, else ``out`` opened for writing."""
+    return nullcontext(out) if hasattr(out, "write") else open(out, "w", newline="")
+
+
+def write_report(mapping: Mapping, out: "str | Path | TextIO") -> None:
+    """Write a report as indented, key-sorted JSON and a final newline."""
+    with _sink(out) as fh:
+        fh.write(json.dumps(mapping, sort_keys=True, indent=2) + "\n")
+
+
+def write_rows(rows: "list[dict]", out: "str | Path | TextIO") -> None:
+    """Write rows as CSV, the first row's keys as header; None is an empty cell, lines end in LF."""
+    with _sink(out) as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def report_digest_matches(mapping: Mapping) -> bool:
@@ -181,36 +198,12 @@ def report_digest_matches(mapping: Mapping) -> bool:
     return config_digest(mapping["config"]) == mapping["config_digest"]
 
 
-def _resolve(scenario: "Scenario | str | Path") -> Scenario:
-    if isinstance(scenario, Scenario):
-        return scenario
-    return load_scenario(scenario)
+def run_simulation(scenario: Scenario, progress: "Progress | None" = None) -> dict:
+    """Execute one scenario end to end and return its report mapping."""
+    return execute_scenario(scenario, grid_index=0, progress=progress)
 
 
-def run_simulation(
-    scenario: "Scenario | str | Path",
-    seed: "int | None" = None,
-    slots: "int | None" = None,
-    trials: "int | None" = None,
-    out_path: "str | Path | None" = None,
-    progress: "Progress | None" = None,
-) -> dict:
-    """Execute one scenario end to end; optionally write the JSON report."""
-    sc = override_controls(_resolve(scenario), seed=seed, slots_per_trial=slots, trials=trials)
-    mapping = execute_scenario(sc, grid_index=0, progress=progress)
-    if out_path is not None:
-        write_report(mapping, out_path)
-    return mapping
-
-
-def run_calibrate(
-    scenario: "Scenario | str | Path",
-    seed: "int | None" = None,
-    slots: "int | None" = None,
-    trials: "int | None" = None,
-    out_path: "str | Path | None" = None,
-    progress: "Progress | None" = None,
-) -> dict:
+def run_calibrate(scenario: Scenario, progress: "Progress | None" = None) -> dict:
     """Measure the delivered-photon probability in a bypass run.
 
     Forces calibration mode: the per-herald delivered-and-detected
@@ -218,40 +211,34 @@ def run_calibrate(
     experiment measures it with the router bypassed) and used in the
     estimator; the report's p value is the measured one.
     """
-    sc = override_controls(_resolve(scenario), seed=seed, slots_per_trial=slots, trials=trials,
-                           calibration_mode=True)
-    return run_simulation(sc, out_path=out_path, progress=progress)
+    return run_simulation(override_controls(scenario, calibration_mode=True), progress=progress)
 
 
 def run_sweep(
-    scenario: "Scenario | str | Path",
-    out_path: "str | Path | None" = None,
-    seed: "int | None" = None,
-    slots: "int | None" = None,
-    trials: "int | None" = None,
+    scenario: Scenario,
     strategy: "RoutingStrategy | str | None" = None,
     progress: "Progress | None" = None,
 ) -> list[dict]:
     """Run every grid point of a scenario's sweep section.
 
     Each point is a full simulation, keyed by its grid index so that a
-    single-point sweep equals a plain run of the same scenario.  Returns
-    one row per point; optionally writes them as CSV with columns
-    strategy, n, eta_sw, s_estimate, std_error.
+    single-point sweep equals a plain run of the same scenario.  Every
+    point is applied before the first one runs, so a point the converter
+    refuses fails the sweep before any simulation.  Returns one row per
+    point, with keys strategy, n, eta_sw, s_estimate, std_error.
     """
-    sc = override_controls(_resolve(scenario), seed=seed, slots_per_trial=slots, trials=trials)
-    sweep = sc.sweep
+    sweep = scenario.sweep
     if strategy is not None:
         sweep = SweepGrid(strategies=(RoutingStrategy.parse(strategy),),
                           n_modes=sweep.n_modes, eta_sw=sweep.eta_sw)
-    points = sweep.points()
-    if not points:
-        raise ValueError("sweep grid is empty")
+    try:
+        scenarios = [apply_grid_point(scenario, point) for point in sweep.points()]
+    except ConfigError as err:
+        raise ConfigError([f"sweep.{v}" for v in err.violations]) from None
     rows: list[dict] = []
-    for index, point in enumerate(points):
-        applied = apply_grid_point(Scenario(config=sc.config, controls=sc.controls, sweep=sweep), point)
+    for index, applied in enumerate(scenarios):
         if progress is not None:
-            progress(f"grid point {index + 1}/{len(points)}")
+            progress(f"grid point {index + 1}/{len(scenarios)}")
         estimate = execute_scenario(applied, grid_index=index)["s_estimate"]
         conv = applied.config.converter
         rows.append({
@@ -261,29 +248,18 @@ def run_sweep(
             "s_estimate": estimate["value"],
             "std_error": estimate["std_error"],
         })
-    if out_path is not None:
-        with open(out_path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=["strategy", "n", "eta_sw", "s_estimate", "std_error"])
-            writer.writeheader()
-            for row in rows:
-                writer.writerow({k: _cell(v) for k, v in row.items()})
     return rows
 
 
-def _cell(value) -> str:
-    # repr round-trips floats exactly; str() matches repr() for float
-    return str(value)
-
-
-def run_analytic(n_max: int, eta_sw: float, out_path: "str | Path | None" = None) -> list[dict]:
+def run_analytic(n_max: int, eta_sw: float) -> list[dict]:
     """Closed-form efficiency table for n = 1..n_max at a given eta_sw.
 
-    CSV columns n, heralded, clocked, passive; the clocked cell is empty
-    at n = 1, where that strategy is undefined.
+    Keys n, heralded, clocked, passive; the clocked cell is None at
+    n = 1, where that strategy is undefined.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2 (got {n_max})")
-    rows = [
+    return [
         {
             "n": n,
             "heralded": s_heralded(n, eta_sw),
@@ -292,11 +268,3 @@ def run_analytic(n_max: int, eta_sw: float, out_path: "str | Path | None" = None
         }
         for n in range(1, n_max + 1)
     ]
-    if out_path is not None:
-        with open(out_path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=["n", "heralded", "clocked", "passive"])
-            writer.writeheader()
-            for row in rows:
-                writer.writerow({k: ("" if v is None else _cell(v)) for k, v in row.items()})
-    return rows
-

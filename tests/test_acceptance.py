@@ -30,7 +30,7 @@ from photondemux.measurement import (
     estimate_routing_efficiencies,
 )
 from photondemux.model import ConverterParams, RoutingStrategy, SourceParams
-from photondemux.pipeline import execute_scenario, run_simulation
+from photondemux.pipeline import execute_scenario, run_simulation, write_report
 from photondemux.source import generate_herald_stream
 
 
@@ -162,9 +162,11 @@ def test_routing_efficiency_closed_loop():
 
 def test_deterministic_reports(tmp_path):
     first, second, reseeded = (tmp_path / name for name in ("a.json", "b.json", "c.json"))
-    m1 = run_simulation(_scenario(), out_path=first)
-    run_simulation(_scenario(), out_path=second)
-    m3 = run_simulation(_scenario(), seed=8, out_path=reseeded)
+    m1 = run_simulation(_scenario())
+    write_report(m1, first)
+    write_report(run_simulation(_scenario()), second)
+    m3 = run_simulation(_scenario(run={"seed": 8, "slots_per_trial": 400_000, "trials": 1}))
+    write_report(m3, reseeded)
     assert first.read_bytes() == second.read_bytes()
     assert m1["herald_count"] != m3["herald_count"]
     _pass("determinism",

@@ -119,6 +119,16 @@ class TestSimulateVerb:
         assert main(["simulate", "--config", str(bad)]) == 2
         assert "error: config: source.herald_deadtime_s:" in capsys.readouterr().err
 
+    def test_single_mode_clocked_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "clocked.json"
+        path.write_text(json.dumps({
+            "source": {"pair_prob": 0.05, "rep_rate_hz": 82e6},
+            "converter": {"n_modes": 1, "strategy": "clocked"},
+        }))
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: config: converter.n_modes: clocked routing needs n_modes >= 2 (got 1)\n")
+
     def test_missing_file_exit_3(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 3
         assert "error: io:" in capsys.readouterr().err
@@ -179,6 +189,21 @@ class TestCalibrateVerb:
         assert report["config"]["run"]["calibration_mode"] is True
         assert abs(report["p_h1_eta_d"] - 0.3) < 0.02
         assert report["p_h1_eta_d_rel_error"] > 0
+
+
+@pytest.mark.parametrize("verb", ["analytic", "simulate", "sweep", "calibrate"])
+def test_stdout_and_out_file_are_the_same_bytes(verb, config_path, tmp_path, capsys):
+    if verb == "analytic":
+        args = [verb, "--n-max", "5", "--eta-sw", "0.72"]
+    else:
+        args = [verb, "--config", str(config_path), "--seed", "7"]
+    assert main(args) == 0
+    printed = capsys.readouterr().out.encode()
+    out = tmp_path / "written"
+    assert main(args + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == printed
+    assert b"\r" not in printed
 
 
 class TestParser:

@@ -92,6 +92,13 @@ class TestConverterParams:
         with pytest.raises(ConfigError):
             ConverterParams(n_modes=n)
 
+    def test_single_mode_clocked_rejected(self):
+        with pytest.raises(ConfigError) as exc:
+            ConverterParams(n_modes=1, strategy="clocked")
+        assert exc.value.violations == ["n_modes: clocked routing needs n_modes >= 2 (got 1)"]
+        ConverterParams(n_modes=1, strategy="heralded")  # the other strategies take one mode
+        ConverterParams(n_modes=1, strategy="passive")
+
 
 class TestRoutingStrategy:
     @pytest.mark.parametrize("name,member", [

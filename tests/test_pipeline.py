@@ -17,6 +17,7 @@ from photondemux.config import (
     apply_grid_point,
     config_digest,
     load_scenario,
+    override_controls,
     scenario_from_mapping,
     scenario_to_mapping,
 )
@@ -31,6 +32,7 @@ from photondemux.pipeline import (
     run_simulation,
     run_sweep,
     write_report,
+    write_rows,
 )
 
 
@@ -328,15 +330,16 @@ class TestDeterminism:
 
     def test_report_file_round_trip(self, tmp_path):
         path = tmp_path / "report.json"
-        mapping = run_simulation(scenario(), out_path=path)
+        mapping = run_simulation(scenario())
+        write_report(mapping, path)
         on_disk = json.loads(path.read_text())
         assert on_disk == mapping
         assert report_digest_matches(on_disk)
 
     def test_two_written_reports_identical(self, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        run_simulation(scenario(), out_path=p1)
-        run_simulation(scenario(), out_path=p2)
+        write_report(run_simulation(scenario()), p1)
+        write_report(run_simulation(scenario()), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -426,7 +429,8 @@ class TestSweep:
         raw["source"]["pair_prob"] = 0.2
         raw["sweep"] = {"strategy": ["clocked"], "n_modes": [2, 3, 4], "eta_sw": [1.0]}
         out = tmp_path / "sweep.csv"
-        rows = run_sweep(scenario_from_mapping(raw), out_path=out)
+        rows = run_sweep(scenario_from_mapping(raw))
+        write_rows(rows, out)
         assert [r["n"] for r in rows] == [2, 3, 4]
         for row in rows:
             expected = 1.0 / row["n"]
@@ -452,6 +456,19 @@ class TestSweep:
         rows = run_sweep(scenario_from_mapping(raw), strategy="passive")
         assert [r["strategy"] for r in rows] == ["passive"]
 
+    def test_bad_point_refused_before_any_simulation(self, monkeypatch):
+        # the second point is a one-mode clocked converter, which the converter refuses
+        raw = raw_scenario(slots_per_trial=400_000, trials=1)
+        raw["sweep"] = {"strategy": ["clocked"], "n_modes": [2, 1]}
+        simulated = []
+        monkeypatch.setattr(pipeline, "_simulate_trial", lambda *args: simulated.append(args))
+        seen = []
+        with pytest.raises(ConfigError) as exc:
+            run_sweep(scenario_from_mapping(raw), progress=seen.append)
+        assert exc.value.violations == ["sweep.n_modes: clocked routing needs n_modes >= 2 (got 1)"]
+        assert seen == []  # no grid point started, so no trial either
+        assert simulated == []
+
     def test_grid_points_use_distinct_substreams(self):
         raw = raw_scenario(slots_per_trial=400_000, trials=1)
         raw["sweep"] = {"eta_sw": [0.8, 0.8]}  # same physics, different grid index
@@ -462,7 +479,8 @@ class TestSweep:
 class TestAnalyticTable:
     def test_table_values(self, tmp_path):
         out = tmp_path / "curves.csv"
-        rows = run_analytic(4, 1.0, out_path=out)
+        rows = run_analytic(4, 1.0)
+        write_rows(rows, out)
         by_n = {r["n"]: r for r in rows}
         assert by_n[2]["heralded"] == 1.0
         assert by_n[2]["clocked"] == 0.5
@@ -485,7 +503,8 @@ class TestAnalyticTable:
 
     def test_csv_reads_back_as_rows(self, tmp_path):
         out = tmp_path / "curves.csv"
-        rows = run_analytic(6, 0.72, out_path=out)
+        rows = run_analytic(6, 0.72)
+        write_rows(rows, out)
         with open(out, newline="") as fh:
             read = [
                 {k: (int(v) if k == "n" else float(v) if v else None) for k, v in row.items()}
@@ -523,7 +542,8 @@ class TestGridOverrides:
 class TestReportFiles:
     def test_write_and_read(self, tmp_path):
         path = tmp_path / "r.json"
-        mapping = run_simulation(scenario(), out_path=path)
+        mapping = run_simulation(scenario())
+        write_report(mapping, path)
         assert path.read_text().endswith("\n")
         assert json.loads(path.read_text()) == mapping
 
@@ -559,7 +579,7 @@ class TestReportFiles:
         assert f"{section}.{key}: unknown key" in capsys.readouterr().err
 
     def test_overrides_change_controls(self):
-        mapping = run_simulation(scenario(), seed=123, slots=250_000, trials=1)
+        mapping = run_simulation(override_controls(scenario(), seed=123, slots_per_trial=250_000, trials=1))
         assert mapping["seed"] == 123
         assert mapping["slots_simulated"] == 250_000
 
