@@ -203,7 +203,10 @@ def scenario_from_mapping(raw: Mapping) -> Scenario:
     if violations:
         # a bad rate beside a deadtime in seconds is reported by the conversion and the source
         raise ConfigError(list(dict.fromkeys(violations)))
-    config = SimulationConfig(source=built["source"], converter=built["converter"])
+    try:
+        config = SimulationConfig(source=built["source"], converter=built["converter"])
+    except ConfigError as err:
+        raise ConfigError([f"converter.{v}" for v in err.violations]) from None
     return Scenario(config=config, controls=built["run"], sweep=built["sweep"])
 
 

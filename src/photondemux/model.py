@@ -197,9 +197,27 @@ class EfficiencyEstimate:
 class SimulationConfig:
     """A validated (source, converter) pair.
 
-    A trigger is a run of ``converter.n_modes`` consecutive heralds.
+    A trigger is a run of ``converter.n_modes`` consecutive heralds; a
+    pair whose heralding arm cannot herald that many in a row is refused.
+    A detector is blind for the deadtime after it fires, so at a deadtime
+    of one slot or more a lone detector (splitter ratio 0 or 1) never
+    heralds two slots in a row, and at two slots or more two alternating
+    detectors herald at most two in a row.
     """
 
     source: SourceParams
     converter: ConverterParams
+
+    def __post_init__(self) -> None:
+        n, d = self.converter.n_modes, self.source.herald_deadtime_slots
+        ratio = self.source.herald_splitter_ratio
+        if d >= 1 and ratio in (0.0, 1.0) and n >= 2:
+            why = (f"with a {d}-slot deadtime and herald_splitter_ratio {ratio} one detector"
+                   " takes every idler and never heralds two slots in a row; use a deadtime of 0 slots")
+        elif d >= 2 and n >= 3:
+            why = (f"with a {d}-slot deadtime the two alternating detectors herald at most 2 in a row;"
+                   " use a deadtime of 0 or 1 slots")
+        else:
+            return
+        raise ConfigError([f"n_modes: no run of {n} consecutive heralds can occur: {why}"])
 

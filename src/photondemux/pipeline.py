@@ -125,16 +125,9 @@ def execute_scenario(scenario: Scenario, grid_index: int = 0, progress: "Progres
                 if progress is not None:
                     progress(f"trial {t + 1}/{ctl.trials}")
     if total.triggers == 0:
-        hint = ""
-        if n > 2 and src.herald_deadtime_slots >= 2:
-            hint = (
-                f" (with a {src.herald_deadtime_slots}-slot deadtime the two alternating"
-                " detectors cannot herald runs longer than 2; use a deadtime of 0 or 1"
-                " slots for longer runs)"
-            )
         raise ValueError(
             f"no runs of {n} consecutive heralds occurred; increase slots_per_trial,"
-            f" trials, or pair_prob{hint}"
+            " trials, or pair_prob"
         )
     c_n_rate, c_h_rate = count_rates(total.coincidences, total.triggers, total.slots, src.rep_rate_hz)
     if ctl.calibration_mode:
@@ -224,7 +217,8 @@ def run_sweep(
     Each point is a full simulation, keyed by its grid index so that a
     single-point sweep equals a plain run of the same scenario.  Every
     point is applied before the first one runs, so a point the converter
-    refuses fails the sweep before any simulation.  Returns one row per
+    or the heralding arm cannot serve fails the sweep before any
+    simulation.  Returns one row per
     point, with keys strategy, n, eta_sw, s_estimate, std_error.
     """
     sweep = scenario.sweep

@@ -232,39 +232,53 @@ def _apply_deadtime(slots: np.ndarray, to_a: np.ndarray, eff_draws: np.ndarray,
     ``slots`` is sorted; ``to_a`` picks each arrival's detector.  An
     arrival fires iff its efficiency draw succeeded and its detector is
     live, i.e. more than ``deadtime`` slots have passed since that
-    detector's last *fire*.  Failed draws never blind, so among one
-    detector's successful arrivals the fired ones are the orbit of
-    next(i) = the first arrival later than slot i + deadtime, started at
-    each cluster's first arrival (a cluster ends where the next arrival
-    is more than ``deadtime`` on).  The orbit is marked by pointer
-    doubling, in log2(longest orbit) vector rounds.
+    detector's last *fire*.  Failed draws never blind, so each detector's
+    successful arrivals split into clusters at gaps of more than
+    ``deadtime``, and each cluster is resolved on its own.  Its first
+    arrival fires.  In a cluster of two the second arrival is within the
+    deadtime of the first, so it is blind: clusters of one or two, nearly
+    all of them near the paper's operating point, are settled in closed
+    form.  In a cluster of three or more the fired arrivals are the orbit
+    of next(i) = the first arrival later than slot i + deadtime, started
+    at the cluster's first arrival.  Only these clusters' arrivals are
+    gathered, and their orbits are marked by pointer doubling, in
+    log2(longest orbit) vector rounds.
     """
     if deadtime == 0:
         return eff_draws.copy()
-    # successful arrivals, detector A's first; B's are shifted past A's
-    # last by more than the deadtime, so no cluster spans both detectors
     fired = np.zeros(slots.size, dtype=bool)
-    hits = np.flatnonzero(eff_draws)
-    if hits.size == 0:
-        return fired
-    on_a = to_a[hits]
-    hits = hits[np.argsort(~on_a, kind="stable")]
-    s = slots[hits]
-    s[int(on_a.sum()):] += int(slots[-1]) + deadtime + 1
-    m = hits.size
-    first = np.ones(m + 1, dtype=bool)  # index m: "no further arrival"
-    first[1:m] = np.diff(s) > deadtime
-    jump = np.empty(m + 1, dtype=np.int64)
-    jump[:m] = np.searchsorted(s, s + (deadtime + 1))
-    jump[m] = m
-    jump[first[jump]] = m  # orbits stop at their cluster's end
-    on = first.copy()
-    on[m] = False
-    starts = np.flatnonzero(on)
-    while (jump[starts] != m).any():
-        on[jump[on]] = True
-        jump = jump[jump]
-    fired[hits[on[:m]]] = True
+    for detector in (to_a & eff_draws, ~to_a & eff_draws):
+        # gather and scatter through indices: boolean masks are several
+        # times slower on these irregular patterns
+        hits = np.flatnonzero(detector)
+        s = slots[hits]
+        on = np.ones(s.size, dtype=bool)  # first of its cluster
+        np.greater(s[1:] - s[:-1], deadtime, out=on[1:])
+        # three arrivals in a row with close gaps between them lie in one
+        # cluster; these triples cover the clusters of three or more
+        close = ~on[1:]
+        triple = close[1:] & close[:-1]
+        if triple.any():
+            big = np.zeros(s.size, dtype=bool)
+            big[:-2] = triple
+            big[1:-1] |= triple
+            big[2:] |= triple
+            idx = np.flatnonzero(big)
+            t = s[idx]
+            k = idx.size
+            first = np.append(on[idx], True)  # index k: "no further arrival"
+            jump = np.empty(k + 1, dtype=np.int64)
+            jump[:k] = np.searchsorted(t, t + (deadtime + 1))
+            jump[k] = k
+            jump[first[jump]] = k  # orbits stop at their cluster's end
+            orbit = first.copy()
+            orbit[k] = False
+            starts = np.flatnonzero(orbit)
+            while (jump[starts] != k).any():
+                orbit[jump[orbit]] = True
+                jump = jump[jump]
+            on[idx] = orbit[:k]
+        fired[hits] = on
     return fired
 
 

@@ -5,7 +5,8 @@ draws each pair's detector and efficiency outcome, and resolves the
 deadtime with a per-cluster sequential scan.  It is slow (linear in
 pairs, and a Python loop per cluster) but obviously exact.
 The package's cluster-skipping sampler must agree with it in law, and
-its pointer-doubling deadtime resolver must agree with
+its deadtime resolver (closed form for clusters of one or two arrivals,
+pointer doubling for longer ones) must agree with
 ``loop_two_detectors`` bit for bit.
 """
 

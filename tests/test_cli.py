@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from photondemux import pipeline
 from photondemux.cli import build_parser, main
 from photondemux.pipeline import report_digest_matches
 
@@ -128,6 +129,21 @@ class TestSimulateVerb:
         assert main(["simulate", "--config", str(path)]) == 2
         assert capsys.readouterr().err == (
             "error: config: converter.n_modes: clocked routing needs n_modes >= 2 (got 1)\n")
+
+    def test_unreachable_run_length_exit_2(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "long_runs.json"
+        path.write_text(json.dumps({
+            "source": {"pair_prob": 0.05, "rep_rate_hz": 82e6, "herald_deadtime_slots": 4},
+            "converter": {"n_modes": 3},
+        }))
+        simulated = []
+        monkeypatch.setattr(pipeline, "_simulate_trial", lambda *args: simulated.append(args))
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert simulated == []  # refused before any trial
+        assert capsys.readouterr().err == (
+            "error: config: converter.n_modes: no run of 3 consecutive heralds can occur: with a"
+            " 4-slot deadtime the two alternating detectors herald at most 2 in a row; use a"
+            " deadtime of 0 or 1 slots\n")
 
     def test_missing_file_exit_3(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 3

@@ -9,6 +9,7 @@ from photondemux.model import (
     ConverterParams,
     EfficiencyEstimate,
     RoutingStrategy,
+    SimulationConfig,
     SourceParams,
     deadtime_to_slots,
 )
@@ -98,6 +99,39 @@ class TestConverterParams:
         assert exc.value.violations == ["n_modes: clocked routing needs n_modes >= 2 (got 1)"]
         ConverterParams(n_modes=1, strategy="heralded")  # the other strategies take one mode
         ConverterParams(n_modes=1, strategy="passive")
+
+
+class TestSimulationConfig:
+    """A converter may not ask for longer herald runs than the arm can produce."""
+
+    def test_two_detectors_at_deadtime_two_refuse_three_modes(self):
+        with pytest.raises(ConfigError) as exc:
+            SimulationConfig(make_source(herald_deadtime_slots=2), ConverterParams(n_modes=3))
+        assert exc.value.violations == [
+            "n_modes: no run of 3 consecutive heralds can occur: with a 2-slot deadtime the two"
+            " alternating detectors herald at most 2 in a row; use a deadtime of 0 or 1 slots"]
+
+    @pytest.mark.parametrize("ratio", [0.0, 1.0])
+    def test_one_detector_refuses_two_modes(self, ratio):
+        with pytest.raises(ConfigError) as exc:
+            SimulationConfig(make_source(herald_deadtime_slots=1, herald_splitter_ratio=ratio),
+                             ConverterParams(n_modes=2))
+        assert exc.value.violations == [
+            f"n_modes: no run of 2 consecutive heralds can occur: with a 1-slot deadtime and"
+            f" herald_splitter_ratio {ratio} one detector takes every idler and never heralds"
+            f" two slots in a row; use a deadtime of 0 slots"]
+
+    @pytest.mark.parametrize("deadtime,ratio,n", [
+        (4, 0.5, 2),  # the paper's point
+        (1, 0.5, 5),  # a detector is live again two slots on
+        (0, 0.5, 5),
+        (0, 1.0, 5),
+        (4, 1.0, 1),
+        (4, 0.999, 2),
+    ])
+    def test_reachable_run_lengths_accepted(self, deadtime, ratio, n):
+        SimulationConfig(make_source(herald_deadtime_slots=deadtime, herald_splitter_ratio=ratio),
+                         ConverterParams(n_modes=n))
 
 
 class TestRoutingStrategy:

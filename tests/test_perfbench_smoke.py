@@ -42,3 +42,14 @@ def test_mc_table_counts_every_routed_run():
     # through their wrappers: 21 cells x 500,000 runs
     stdout = _run_untraced("mc_table")
     assert "10500000 routed runs each" in stdout
+
+
+def test_sweep_workload_passes_its_checks():
+    # deadtime 0: the deadtime resolver is bypassed, and n = 3 and 4 are reachable
+    _run_untraced("sweep")
+
+
+def test_dense_workload_passes_its_checks():
+    # about half of the arrivals lie in clusters of three or more, so the
+    # deadtime's pointer-doubling pass is under the byte and 5-SE checks
+    _run_untraced("dense")

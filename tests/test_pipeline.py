@@ -469,6 +469,21 @@ class TestSweep:
         assert seen == []  # no grid point started, so no trial either
         assert simulated == []
 
+    def test_unreachable_run_length_refused_before_any_point(self, monkeypatch):
+        # at a 4-slot deadtime two detectors herald at most 2 in a row
+        raw = raw_scenario(slots_per_trial=400_000, trials=1)
+        raw["sweep"] = {"n_modes": [2, 3]}
+        simulated = []
+        monkeypatch.setattr(pipeline, "_simulate_trial", lambda *args: simulated.append(args))
+        seen = []
+        with pytest.raises(ConfigError) as exc:
+            run_sweep(scenario_from_mapping(raw), progress=seen.append)
+        assert exc.value.violations == [
+            "sweep.n_modes: no run of 3 consecutive heralds can occur: with a 4-slot deadtime the"
+            " two alternating detectors herald at most 2 in a row; use a deadtime of 0 or 1 slots"]
+        assert seen == []
+        assert simulated == []
+
     def test_grid_points_use_distinct_substreams(self):
         raw = raw_scenario(slots_per_trial=400_000, trials=1)
         raw["sweep"] = {"eta_sw": [0.8, 0.8]}  # same physics, different grid index
@@ -515,8 +530,9 @@ class TestAnalyticTable:
 
 class TestGridOverrides:
     def test_apply_strategy_and_modes(self):
-        sc = scenario()
-        out = apply_grid_point(sc, (RoutingStrategy.PASSIVE_BEAMSPLITTER, 3, None))
+        raw = raw_scenario()
+        raw["source"]["herald_deadtime_slots"] = 1  # two detectors can herald three in a row
+        out = apply_grid_point(scenario_from_mapping(raw), (RoutingStrategy.PASSIVE_BEAMSPLITTER, 3, None))
         assert out.config.converter.strategy is RoutingStrategy.PASSIVE_BEAMSPLITTER
         assert out.config.converter.n_modes == 3
         assert out.config.converter.port_efficiencies == (1.0, 1.0, 1.0)

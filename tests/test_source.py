@@ -172,6 +172,44 @@ class TestDoublingDeadtime:
         assert np.array_equal(fired, loop_two_detectors(slots, to_a, eff_draws, 4))
 
 
+def _per_detector_cluster_sizes(slots, to_a, eff_draws, deadtime):
+    """Sizes of each detector's clusters of successful arrivals (gaps <= deadtime)."""
+    sizes = []
+    for on_detector in (to_a, ~to_a):
+        hits = slots[on_detector & eff_draws]
+        breaks = np.flatnonzero(np.diff(hits) > deadtime) + 1
+        sizes.append(np.diff(np.concatenate(([0], breaks, [hits.size]))))
+    return sizes
+
+
+class TestClosedFormClusters:
+    """Generated streams, where clusters of one, two and three or more meet in one call."""
+
+    # name: (SourceParams overrides, slots)
+    POINTS = {
+        "fixture": (dict(pair_prob=0.0043882, herald_deadtime_slots=4), 50_000_000),
+        "dense": (dict(pair_prob=0.3, herald_deadtime_slots=4), 200_000),
+    }
+
+    @pytest.mark.parametrize("eff", [1.0, 0.7])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("name", sorted(POINTS))
+    def test_matches_loop_bit_for_bit(self, name, seed, eff):
+        overrides, n_slots = self.POINTS[name]
+        stream = generate_herald_stream(make_params(**overrides), n_slots, RngStream(seed).generator())
+        slots, to_a = stream.pair_slots, stream.to_detector_a
+        if eff == 1.0:  # the stream's own draws
+            eff_draws = np.ones(slots.size, dtype=bool)
+        else:
+            eff_draws = RngStream(seed, (1,)).generator().random(slots.size) < eff
+        for sizes in _per_detector_cluster_sizes(slots, to_a, eff_draws, 4):
+            assert (sizes == 1).any() and (sizes == 2).any() and (sizes >= 3).any()
+        fired = _apply_deadtime(slots, to_a, eff_draws, 4)
+        assert np.array_equal(fired, loop_two_detectors(slots, to_a, eff_draws, 4))
+        if eff == 1.0:
+            assert np.array_equal(fired, stream.fired)
+
+
 def _cluster_sizes(stream, window):
     """Per-detector histogram of clusters (gaps <= window) of two or more arrivals."""
     hist = np.zeros(8, dtype=np.int64)  # last bin: 7 or more
