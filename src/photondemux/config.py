@@ -282,8 +282,8 @@ def apply_grid_point(
     """
     strategy, n_modes, eta_sw = point
     conv = scenario.config.converter
-    new_strategy = strategy or conv.strategy
-    new_n = n_modes or conv.n_modes
+    new_strategy = conv.strategy if strategy is None else strategy
+    new_n = conv.n_modes if n_modes is None else n_modes
     if eta_sw is None:
         transmittance = conv.transmittance
         ports = conv.port_efficiencies if new_n == conv.n_modes else (1.0,) * new_n

@@ -45,10 +45,6 @@ from .source import RngStream
 _PIECE = 10**9 - 1
 
 
-def _as_generator(rng: "RngStream | np.random.Generator") -> np.random.Generator:
-    return rng.generator() if isinstance(rng, RngStream) else rng
-
-
 @dataclass(frozen=True)
 class RoutingBatch:
     """Outcome of many independent n-photon runs, as counts.
@@ -120,7 +116,7 @@ def _aimed(n: int, hit: "float | Sequence[float]") -> np.ndarray:
 def route_heralded_batch(
     runs: int,
     params: ConverterParams,
-    rng: "RngStream | np.random.Generator",
+    rng: np.random.Generator,
     signal_det_efficiency: float = 1.0,
 ) -> RoutingBatch:
     """Route ``runs`` independent heralded n-photon runs."""
@@ -129,13 +125,13 @@ def route_heralded_batch(
     n = params.n_modes
     on_port = params.transmittance * _aimed(n, params.port_efficiencies)
     laws = [_landing_law(on_port, signal_det_efficiency)]
-    return _batch(n, *_count_runs([runs], laws, _as_generator(rng)))
+    return _batch(n, *_count_runs([runs], laws, rng))
 
 
 def route_clocked_batch(
     runs: int,
     params: ConverterParams,
-    rng: "RngStream | np.random.Generator",
+    rng: np.random.Generator,
     signal_det_efficiency: float = 1.0,
 ) -> RoutingBatch:
     """Route ``runs`` clocked n-photon runs.
@@ -150,35 +146,37 @@ def route_clocked_batch(
     n = params.n_modes
     aligned = _aimed(n, params.switching_efficiency)
     laws = [_landing_law(np.roll(aligned, phase, axis=1), signal_det_efficiency) for phase in range(n)]
-    rng = _as_generator(rng)
     return _batch(n, *_count_runs(rng.multinomial(runs, np.full(n, 1.0 / n)), laws, rng))
 
 
 def route_passive_batch(
     runs: int,
-    n_modes: int,
-    rng: "RngStream | np.random.Generator",
+    params: ConverterParams,
+    rng: np.random.Generator,
     signal_det_efficiency: float = 1.0,
 ) -> RoutingBatch:
     """Route ``runs`` runs through an ideal lossless 1-to-n splitter."""
-    if n_modes < 1:
-        raise ValueError(f"n_modes must be >= 1 (got {n_modes})")
-    laws = [_landing_law(np.full((n_modes, n_modes), 1.0 / n_modes), signal_det_efficiency)]
-    return _batch(n_modes, *_count_runs([runs], laws, _as_generator(rng)))
+    if params.strategy is not RoutingStrategy.PASSIVE_BEAMSPLITTER:
+        raise ValueError(f"passive routing called with strategy {params.strategy.value!r}")
+    n = params.n_modes
+    laws = [_landing_law(np.full((n, n), 1.0 / n), signal_det_efficiency)]
+    return _batch(n, *_count_runs([runs], laws, rng))
 
 
 def route_runs(
     runs: int,
     params: ConverterParams,
-    rng: "RngStream | np.random.Generator",
+    rng: np.random.Generator,
     signal_det_efficiency: float = 1.0,
 ) -> RoutingBatch:
     """Route ``runs`` runs with the router ``params.strategy`` picks."""
+    # the routers are looked up by module name at each call, so a wrapper
+    # set on this module (the benchmark's spans) sees every routed run
     if params.strategy is RoutingStrategy.ACTIVE_HERALDED:
         return route_heralded_batch(runs, params, rng, signal_det_efficiency=signal_det_efficiency)
     if params.strategy is RoutingStrategy.ACTIVE_CLOCKED:
         return route_clocked_batch(runs, params, rng, signal_det_efficiency=signal_det_efficiency)
-    return route_passive_batch(runs, params.n_modes, rng, signal_det_efficiency=signal_det_efficiency)
+    return route_passive_batch(runs, params, rng, signal_det_efficiency=signal_det_efficiency)
 
 
 def monte_carlo_efficiency(
@@ -193,10 +191,12 @@ def monte_carlo_efficiency(
     Returns (success frequency, binomial standard error).  ``eta_sw`` is
     realized as the converter transmittance with ideal ports, as a sweep
     point realizes it; passive ignores it, but it must still lie in 0..1.
+    An ``RngStream`` is turned into its generator once.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1 (got {trials})")
     params = ConverterParams(n_modes=n_modes, strategy=strategy, transmittance=eta_sw)
-    freq = route_runs(trials, params, rng).success_count / trials
+    gen = rng.generator() if isinstance(rng, RngStream) else rng
+    freq = route_runs(trials, params, gen).success_count / trials
     std_error = float(np.sqrt(freq * (1.0 - freq) / trials))
     return freq, std_error

@@ -46,36 +46,24 @@ def count_rates(
 
 
 def propagate_counting_uncertainty(
-    counts: "Sequence[float] | float",
-    formula: str = "quotient",
+    counts: "Sequence[float]",
     n: int = 1,
     p_rel_error: float = 0.0,
 ) -> float:
     """Relative standard error of a counting-derived quantity.
 
     Each raw count N is Poisson, contributing a relative error 1/sqrt(N);
-    contributions add in quadrature.  ``formula`` selects the shape:
-
-    - ``"poisson"``: a single count.
-    - ``"quotient"``: a ratio of two independent counts.
-    - ``"estimator"``: the full estimator (coincidence count, trigger count)
-      with the delivered-photon probability raised to the n-th power;
-      ``p_rel_error`` is that probability's own relative error, entering
-      with weight n.
+    contributions add in quadrature.  One count gives its own error, two
+    give that of their ratio, and the full estimator (coincidence count,
+    trigger count) adds ``p_rel_error``, the delivered-photon
+    probability's own relative error, with weight n since the estimator
+    raises that probability to the n-th power.
     """
-    values = [float(counts)] if isinstance(counts, (int, float)) else [float(c) for c in counts]
+    values = [float(c) for c in counts]
     for c in values:
         if c <= 0:
             raise ValueError(f"counts must be positive (got {c})")
-    expected = {"poisson": 1, "quotient": 2, "estimator": 2}
-    if formula not in expected:
-        raise ValueError(f"unknown formula {formula!r}")
-    if len(values) != expected[formula]:
-        raise ValueError(f"formula {formula!r} takes {expected[formula]} counts, got {len(values)}")
-    var = sum(1.0 / c for c in values)
-    if formula == "estimator":
-        var += (n * p_rel_error) ** 2
-    return math.sqrt(var)
+    return math.sqrt(sum(1.0 / c for c in values) + (n * p_rel_error) ** 2)
 
 
 def estimate_s(
@@ -103,20 +91,17 @@ def estimate_s(
         raise ValueError(f"c_n_rate must be nonnegative (got {c_n_rate})")
     value = (c_n_rate / c_h_rate) / p_h1_eta_d**n
     if coincidence_count > 0 and trigger_count > 0:
-        rel = propagate_counting_uncertainty(
-            (coincidence_count, trigger_count), "estimator", n=n, p_rel_error=p_rel_error
-        )
-        std_error = value * rel
+        counts = (coincidence_count, trigger_count)
+        std_error = value * propagate_counting_uncertainty(counts, n=n, p_rel_error=p_rel_error)
     else:
         std_error = 0.0
     return EfficiencyEstimate(value=value, std_error=std_error)
 
 
 def compensate_transmittance(
-    s: "EfficiencyEstimate | float",
+    s: EfficiencyEstimate,
     t: float,
     n: int,
-    s_std_error: float = 0.0,
     t_std_error: float = 0.0,
 ) -> EfficiencyEstimate:
     """Divide out the converter transmittance: value / t**n.
@@ -128,14 +113,10 @@ def compensate_transmittance(
         raise ValueError(f"transmittance must lie in (0, 1] (got {t})")
     if n < 1:
         raise ValueError(f"n must be >= 1 (got {n})")
-    if isinstance(s, EfficiencyEstimate):
-        s_value, s_err = s.value, s.std_error
-    else:
-        s_value, s_err = float(s), s_std_error
-    value = s_value / t**n
+    value = s.value / t**n
     rel_sq = (n * t_std_error / t) ** 2
-    if s_value > 0:
-        rel_sq += (s_err / s_value) ** 2
+    if s.value > 0:
+        rel_sq += (s.std_error / s.value) ** 2
     return EfficiencyEstimate(value=value, std_error=value * math.sqrt(rel_sq))
 
 

@@ -62,6 +62,12 @@ def is_real(value: object) -> bool:
 # largest slot count or deadtime in slots: the sampler sums slot offsets in int64
 MAX_SLOTS = 2**62
 
+# smallest nonzero pair_prob, one pair per ~4 years at 82 MHz.  The sampler
+# draws the excess of 2^62 * p long gaps at once; numpy refuses that
+# negative-binomial draw once (n + 10 sqrt(n))(1-p)/p passes its Poisson
+# limit of about 9.2e18, which happens below about 2e-17
+MIN_PAIR_PROB = 1e-16
+
 
 def _check_prob(name: str, value: float, violations: list[str]) -> None:
     if not (is_real(value) and math.isfinite(value) and 0.0 <= value <= 1.0):
@@ -107,6 +113,8 @@ class SourceParams:
     def __post_init__(self) -> None:
         violations: list[str] = []
         _check_prob("pair_prob", self.pair_prob, violations)
+        if is_real(self.pair_prob) and 0.0 < self.pair_prob < MIN_PAIR_PROB:
+            violations.append(f"pair_prob: expected 0 or at least {MIN_PAIR_PROB:g} (got {self.pair_prob!r})")
         _check_prob("herald_det_efficiency", self.herald_det_efficiency, violations)
         _check_prob("herald_splitter_ratio", self.herald_splitter_ratio, violations)
         _check_prob("signal_det_efficiency", self.signal_det_efficiency, violations)

@@ -58,7 +58,6 @@ class _TrialCounts:
     """Additive per-trial tallies; merging is order-independent."""
 
     port_counts: np.ndarray  # (n, n) int64: photon i detected at port j
-    slots: int = 0
     heralds: int = 0
     triggers: int = 0
     coincidences: int = 0
@@ -81,8 +80,8 @@ def _simulate_trial(scenario: Scenario, grid_index: int, trial: int) -> _TrialCo
     else:
         triggers = int(run_starts_from_heralds(stream.herald_slots, n).size)
     batch = route_runs(triggers, conv, gen, src.signal_det_efficiency)
-    counts = _TrialCounts(batch.port_counts, slots=ctl.slots_per_trial, heralds=stream.herald_count,
-                          triggers=triggers, coincidences=batch.success_count)
+    counts = _TrialCounts(batch.port_counts, heralds=stream.herald_count, triggers=triggers,
+                          coincidences=batch.success_count)
     if ctl.calibration_mode:
         counts.calib_detected = int(gen.binomial(stream.herald_count, src.signal_det_efficiency))
     return counts
@@ -129,7 +128,8 @@ def execute_scenario(scenario: Scenario, grid_index: int = 0, progress: "Progres
             f"no runs of {n} consecutive heralds occurred; increase slots_per_trial,"
             " trials, or pair_prob"
         )
-    c_n_rate, c_h_rate = count_rates(total.coincidences, total.triggers, total.slots, src.rep_rate_hz)
+    slots = ctl.trials * ctl.slots_per_trial
+    c_n_rate, c_h_rate = count_rates(total.coincidences, total.triggers, slots, src.rep_rate_hz)
     if ctl.calibration_mode:
         if total.calib_detected == 0:
             raise ValueError(
@@ -158,7 +158,7 @@ def execute_scenario(scenario: Scenario, grid_index: int = 0, progress: "Progres
         "s_estimate": {"value": s_est.value, "std_error": s_est.std_error, "method": "counting_pipeline"},
         "seed": ctl.seed,
         "config_digest": config_digest(echo),
-        "slots_simulated": total.slots,
+        "slots_simulated": slots,
         "coincidence_count": total.coincidences,
         "trigger_count": total.triggers,
         "herald_count": total.heralds,

@@ -135,11 +135,12 @@ def route_clocked_runs(runs: int, params: ConverterParams, rng: np.random.Genera
     return RunBatch(n_modes=n, scheduled=scheduled, ports=ports, detected=detected)
 
 
-def route_passive_runs(runs: int, n_modes: int, rng: np.random.Generator,
+def route_passive_runs(runs: int, params: ConverterParams, rng: np.random.Generator,
                        signal_det_efficiency: float = 1.0) -> RunBatch:
     """Route ``runs`` runs through an ideal lossless 1-to-n splitter, photon by photon."""
-    if n_modes < 1:
-        raise ValueError(f"n_modes must be >= 1 (got {n_modes})")
+    if params.strategy is not RoutingStrategy.PASSIVE_BEAMSPLITTER:
+        raise ValueError(f"passive routing called with strategy {params.strategy.value!r}")
+    n_modes = params.n_modes
     ports = rng.integers(0, n_modes, size=(runs, n_modes), dtype=np.int16)
     detected = _detect(np.ones((runs, n_modes), dtype=bool), signal_det_efficiency, rng)
     scheduled = np.broadcast_to(np.arange(n_modes, dtype=np.int16), (runs, n_modes))

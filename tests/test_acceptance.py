@@ -29,7 +29,7 @@ from photondemux.measurement import (
     estimate_s,
     estimate_routing_efficiencies,
 )
-from photondemux.model import ConverterParams, RoutingStrategy, SourceParams
+from photondemux.model import ConverterParams, EfficiencyEstimate, RoutingStrategy, SourceParams
 from photondemux.pipeline import execute_scenario, run_simulation, write_report
 from photondemux.source import generate_herald_stream
 
@@ -68,7 +68,7 @@ def test_counting_estimator_operating_point():
 
 
 def test_transmittance_compensation():
-    est = compensate_transmittance(0.533, 0.731, 2, s_std_error=0.003, t_std_error=0.003)
+    est = compensate_transmittance(EfficiencyEstimate(0.533, 0.003), 0.731, 2, t_std_error=0.003)
     assert abs(est.value - 0.996) <= 0.005
     assert 0.003 <= est.std_error <= 0.012
     _pass("loss compensation",
@@ -210,7 +210,7 @@ def test_randomized_property_sweep(landings):
                                        transmittance=float(rng.uniform(0.2, 1.0)))
             route_clocked_batch(2000, lossless, rng)
             assert int(landings()[:, n].sum()) == 0
-        route_passive_batch(2000, n, rng)
+        route_passive_batch(2000, ConverterParams(n_modes=n, strategy="passive"), rng)
         assert int(landings()[:, n].sum()) == 0
 
     # misrouted photons spread uniformly over the other ports

@@ -120,6 +120,17 @@ class TestSimulateVerb:
         assert main(["simulate", "--config", str(bad)]) == 2
         assert "error: config: source.herald_deadtime_s:" in capsys.readouterr().err
 
+    def test_tiny_pair_prob_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({
+            "source": {"pair_prob": 1e-17, "rep_rate_hz": 82e6},
+            "converter": {"n_modes": 2},
+            "run": {"slots_per_trial": 1_000_000, "trials": 1},
+        }))
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: config: source.pair_prob: expected 0 or at least 1e-16 (got 1e-17)\n")
+
     def test_single_mode_clocked_exit_2(self, tmp_path, capsys):
         path = tmp_path / "clocked.json"
         path.write_text(json.dumps({

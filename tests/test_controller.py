@@ -111,5 +111,5 @@ class TestDriveSchedule:
         runs = route_heralded_runs(3, ConverterParams(n_modes=n), RngStream(10).generator())
         assert runs.scheduled.tolist() == [list(range(n))] * 3
         assert runs.ports.tolist() == [list(range(n))] * 3
-        batch = route_heralded_batch(3, ConverterParams(n_modes=n), RngStream(10))
+        batch = route_heralded_batch(3, ConverterParams(n_modes=n), RngStream(10).generator())
         assert np.array_equal(batch.port_counts, 3 * np.eye(n, dtype=np.int64))

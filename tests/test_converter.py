@@ -58,7 +58,7 @@ def oracle_runs(runs, params, rng, signal_det_efficiency):
         return route_heralded_runs(runs, params, rng, signal_det_efficiency=signal_det_efficiency)
     if params.strategy is RoutingStrategy.ACTIVE_CLOCKED:
         return route_clocked_runs(runs, params, rng, signal_det_efficiency=signal_det_efficiency)
-    return route_passive_runs(runs, params.n_modes, rng, signal_det_efficiency=signal_det_efficiency)
+    return route_passive_runs(runs, params, rng, signal_det_efficiency=signal_det_efficiency)
 
 
 def two_sample_pvalue(a, b):
@@ -83,7 +83,7 @@ class TestAgainstRunOracle:
         slow = np.zeros((n, n + 2), dtype=np.int64)
         fast_successes = slow_successes = 0
         for seed in range(self.SEEDS):
-            batch = route_runs(self.RUNS, params, RngStream(61, (seed,)), ETA_D)
+            batch = route_runs(self.RUNS, params, RngStream(61, (seed,)).generator(), ETA_D)
             fast += landings()
             fast_successes += batch.success_count
             runs = oracle_runs(self.RUNS, params, RngStream(67, (seed,)).generator(), ETA_D)
@@ -100,8 +100,10 @@ class TestAgainstRunOracle:
         # T iid runs succeed Binomial(T, s) times; the index of dispersion of
         # the per-seed counts is chi-square with seeds - 1 degrees of freedom
         runs, seeds = 2000, 400
-        counts = np.array([route_runs(runs, params, RngStream(71, (seed,)), ETA_D).success_count
-                           for seed in range(seeds)])
+        counts = np.array([
+            route_runs(runs, params, RngStream(71, (seed,)).generator(), ETA_D).success_count
+            for seed in range(seeds)
+        ])
         mean = counts.mean()
         dispersion = ((counts - mean) ** 2).sum() / (mean * (1.0 - mean / runs))
         tail = stats.chi2.cdf(dispersion, seeds - 1)
@@ -109,19 +111,20 @@ class TestAgainstRunOracle:
 
     @pytest.mark.parametrize("params", CASE_PARAMS, ids=CASE_IDS)
     def test_zero_runs_give_zeros(self, params):
-        batch = route_runs(0, params, RngStream(73))
+        batch = route_runs(0, params, RngStream(73).generator())
         assert batch.success_count == 0
         assert batch.port_counts.tolist() == np.zeros((params.n_modes,) * 2, dtype=int).tolist()
 
     def test_piece_split_is_exact_above_numpy_limit(self, landings):
         # numpy's hypergeometric refuses 1e9 good or bad items: 3e9 runs go in pieces
         runs = 3_000_000_000
-        ideal = route_heralded_batch(runs, heralded_params(n=3), RngStream(74))
+        ideal = route_heralded_batch(runs, heralded_params(n=3), RngStream(74).generator())
         assert ideal.success_count == runs
         assert np.array_equal(ideal.port_counts, runs * np.eye(3, dtype=np.int64))
         landings()
         params = heralded_params(n=3, t=0.9, ports=(0.9, 0.8, 0.7))
-        batch = route_heralded_batch(runs, params, RngStream(75), signal_det_efficiency=0.5)
+        batch = route_heralded_batch(runs, params, RngStream(75).generator(),
+                                     signal_det_efficiency=0.5)
         full = landings()
         assert (full.sum(axis=1) == runs).all()
         expected = 0.9**3 * (0.9 * 0.8 * 0.7) * 0.5**3
@@ -210,7 +213,8 @@ class TestPhotonConservation:
         route_clocked_batch(20_000, clocked_params(eta=0.5), RngStream(8).generator(),
                             signal_det_efficiency=0.6)
         clocked = landings()
-        route_passive_batch(20_000, 3, RngStream(8).generator(), signal_det_efficiency=0.6)
+        route_passive_batch(20_000, passive_params(n=3), RngStream(8).generator(),
+                            signal_det_efficiency=0.6)
         passive = landings()
         for full, n in ((clocked, 2), (passive, 3)):
             assert (full.sum(axis=1) == 20_000).all()
@@ -265,19 +269,23 @@ class TestClockedRouting:
 
 
 class TestPassiveRouting:
+    def test_strategy_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            route_passive_batch(10, heralded_params(), RngStream(0).generator())
+
     def test_single_mode_always_succeeds(self):
-        batch = route_passive_batch(1_000, 1, RngStream(13).generator())
+        batch = route_passive_batch(1_000, passive_params(n=1), RngStream(13).generator())
         assert batch.success_count == 1_000
         assert batch.port_counts.tolist() == [[1_000]]
 
     def test_two_modes_quarter(self):
         trials = 1_000_000
-        batch = route_passive_batch(trials, 2, RngStream(14).generator())
+        batch = route_passive_batch(trials, passive_params(n=2), RngStream(14).generator())
         assert abs(batch.success_count / trials - 0.25) < binomial_tolerance(0.25, trials)
 
     def test_three_modes_matches_enumeration(self):
         trials = 2_000_000
-        batch = route_passive_batch(trials, 3, RngStream(15).generator())
+        batch = route_passive_batch(trials, passive_params(n=3), RngStream(15).generator())
         expected = s_passive(3)
         assert abs(batch.success_count / trials - expected) < 3 * np.sqrt(
             expected * (1 - expected) / trials
@@ -303,7 +311,8 @@ class TestClockOffsetDraw:
         # an ideal clocked converter lands photon j of a phase-o run on port
         # (j + o) mod n: row 0 is the phase histogram, and the table circulates it
         for seed in range(5):
-            table = route_clocked_batch(20_000, clocked_params(n=n), RngStream(18, (seed,))).port_counts
+            gen = RngStream(18, (seed,)).generator()
+            table = route_clocked_batch(20_000, clocked_params(n=n), gen).port_counts
             assert stats.chisquare(table[0]).pvalue > 1e-3
             for j in range(n):
                 assert np.array_equal(table[j], np.roll(table[0], j))
@@ -317,7 +326,7 @@ class TestSingleTriggerRouting:
         assert batch.ports.tolist() == [[0, 1]]
         assert batch.success_mask.tolist() == [True]
         assert batch.lost_per_run.tolist() == [0]
-        single = route_heralded_batch(1, heralded_params(), RngStream(18))
+        single = route_heralded_batch(1, heralded_params(), RngStream(18).generator())
         assert single.success_count == 1 and single.port_counts.tolist() == [[1, 0], [0, 1]]
 
     def test_clocked_offset_one_fails_the_tally(self):
@@ -326,10 +335,10 @@ class TestSingleTriggerRouting:
         assert batch.success_mask.tolist() == [False]
 
     def test_passive_single_mode(self):
-        batch = route_passive_runs(1, 1, RngStream(20).generator())
+        batch = route_passive_runs(1, passive_params(n=1), RngStream(20).generator())
         assert batch.ports.tolist() == [[0]]
         assert batch.success_mask.tolist() == [True]
-        single = route_passive_batch(1, 1, RngStream(20))
+        single = route_passive_batch(1, passive_params(n=1), RngStream(20).generator())
         assert single.success_count == 1 and single.port_counts.tolist() == [[1]]
 
     def test_port_detections_require_the_right_photon(self):
@@ -341,7 +350,7 @@ class TestSingleTriggerRouting:
         assert batch.port_counts(detected_only=True).tolist() == [[0, 1], [1, 0]]
         # the count router: every off-phase run lands both photons and succeeds never
         for seed in range(20):
-            single = route_clocked_batch(1, clocked_params(), RngStream(21, (seed,)))
+            single = route_clocked_batch(1, clocked_params(), RngStream(21, (seed,)).generator())
             assert single.port_counts.sum() == 2
             assert single.success_count == int(single.port_counts[0, 0])
 
@@ -358,12 +367,12 @@ class TestMonteCarloGrid:
 
     def test_chunking_does_not_change_statistics(self, monkeypatch, landings):
         monkeypatch.setattr(converter, "_PIECE", 97)
-        batch = route_runs(1_000, clocked_params(), RngStream(23))
+        batch = route_runs(1_000, clocked_params(), RngStream(23).generator())
         assert (landings().sum(axis=1) == 1_000).all()
         assert batch.port_counts.sum() == 2_000
         # one generator serves every piece, so the pieces do not repeat each other
-        first = route_runs(97, heralded_params(ports=(0.5, 0.5)), RngStream(23))
-        doubled = route_runs(194, heralded_params(ports=(0.5, 0.5)), RngStream(23))
+        first = route_runs(97, heralded_params(ports=(0.5, 0.5)), RngStream(23).generator())
+        doubled = route_runs(194, heralded_params(ports=(0.5, 0.5)), RngStream(23).generator())
         assert not np.array_equal(doubled.port_counts, 2 * first.port_counts)
         doc = {
             "source": {"pair_prob": 0.05, "rep_rate_hz": 82e6},
@@ -374,6 +383,14 @@ class TestMonteCarloGrid:
         assert report["trigger_count"] > 5 * 97  # the pipeline routed several pieces
         est = report["s_estimate"]
         assert abs(est["value"] - s_heralded(2, 0.8)) <= 4 * est["std_error"]
+
+    @pytest.mark.parametrize("strategy", ["heralded", "clocked", "passive"])
+    def test_rng_stream_and_its_generator_agree(self, strategy):
+        # the benchmark's table hands an RngStream; the one conversion must not move a draw
+        for i, (n, eta) in enumerate([(2, 0.72), (3, 0.5), (4, 0.9)]):
+            by_stream = monte_carlo_efficiency(strategy, n, eta, 10_000, RngStream(29, (i,)))
+            by_generator = monte_carlo_efficiency(strategy, n, eta, 10_000, RngStream(29, (i,)).generator())
+            assert by_stream == by_generator
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):

@@ -97,47 +97,41 @@ class TestCompensateTransmittance:
         assert out.std_error == est.std_error
 
     def test_exact_quotient(self):
-        out = compensate_transmittance(0.25, 0.5, 2)
+        out = compensate_transmittance(EfficiencyEstimate(0.25, 0.0), 0.5, 2)
         assert out.value == pytest.approx(1.0)
         assert out.std_error == 0.0
 
-    def test_accepts_bare_floats_with_errors(self):
-        out = compensate_transmittance(0.533, 0.731, 2, s_std_error=0.003,
+    def test_estimate_and_transmittance_errors_add_in_quadrature(self):
+        out = compensate_transmittance(EfficiencyEstimate(0.533, 0.003), 0.731, 2,
                                        t_std_error=0.003)
         rel = math.sqrt((0.003 / 0.533) ** 2 + (2 * 0.003 / 0.731) ** 2)
         assert out.std_error == pytest.approx(out.value * rel)
 
     def test_zero_transmittance_rejected(self):
         with pytest.raises(ValueError):
-            compensate_transmittance(0.5, 0.0, 2)
+            compensate_transmittance(EfficiencyEstimate(0.5, 0.0), 0.0, 2)
 
 
 class TestPropagation:
     def test_single_count(self):
-        assert propagate_counting_uncertainty(785, "poisson") == pytest.approx(1 / math.sqrt(785))
+        assert propagate_counting_uncertainty((785,)) == pytest.approx(1 / math.sqrt(785))
 
     def test_quotient_of_equal_counts(self):
-        rel = propagate_counting_uncertainty((10_000, 10_000), "quotient")
+        rel = propagate_counting_uncertainty((10_000, 10_000))
         assert rel == pytest.approx(math.sqrt(2) * 0.01)
 
     def test_full_estimator_with_hour_scale_counts(self):
         # rates 2.62 and 785 cps accumulated for two hours
         duration = 7_200
-        rel = propagate_counting_uncertainty(
-            (2.62 * duration, 785 * duration), "estimator", n=2, p_rel_error=0.0
-        )
+        rel = propagate_counting_uncertainty((2.62 * duration, 785 * duration), n=2, p_rel_error=0.0)
         absolute = 0.535 * rel
         assert 0.0015 <= absolute <= 0.006  # a factor 2 around the published 0.003
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
-            propagate_counting_uncertainty(0, "poisson")
+            propagate_counting_uncertainty((0,))
         with pytest.raises(ValueError):
-            propagate_counting_uncertainty((10, -5), "quotient")
-        with pytest.raises(ValueError):
-            propagate_counting_uncertainty((10, 10), "harmonic")
-        with pytest.raises(ValueError):
-            propagate_counting_uncertainty((10, 10, 10), "quotient")
+            propagate_counting_uncertainty((10, -5))
 
 
 class TestRoutingEfficiencies:
@@ -157,7 +151,8 @@ class TestRoutingEfficiencies:
             assert abs(est - true) < 3 * err
 
     def test_passive_router_gives_one_over_n(self):
-        table = route_passive_batch(100_000, 2, RngStream(3).generator()).port_counts
+        params = ConverterParams(n_modes=2, strategy="passive")
+        table = route_passive_batch(100_000, params, RngStream(3).generator()).port_counts
         for est, err in estimate_routing_efficiencies(np.asarray(table)):
             assert abs(est - 0.5) < 3 * err
 

@@ -51,6 +51,8 @@ class TestSourceParams:
         ("pair_prob", -0.1),
         ("pair_prob", 1.5),
         ("pair_prob", float("nan")),
+        ("pair_prob", 9e-17),
+        ("pair_prob", 1e-300),
         ("herald_det_efficiency", 2.0),
         ("herald_splitter_ratio", -1.0),
         ("signal_det_efficiency", 1.0001),

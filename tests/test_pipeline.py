@@ -468,6 +468,13 @@ class TestSweep:
         assert exc.value.violations == ["sweep.n_modes: clocked routing needs n_modes >= 2 (got 1)"]
         assert seen == []  # no grid point started, so no trial either
         assert simulated == []
+        # a grid built in code may hold n_modes 0: the point is refused, not read as the base n
+        base = scenario(slots_per_trial=400_000, trials=1)
+        zero = Scenario(base.config, base.controls, SweepGrid(n_modes=(0,), eta_sw=(0.5,)))
+        with pytest.raises(ConfigError) as exc:
+            run_sweep(zero, progress=seen.append)
+        assert exc.value.violations == ["sweep.n_modes: expected integer >= 1 (got 0)"]
+        assert seen == [] and simulated == []
 
     def test_unreachable_run_length_refused_before_any_point(self, monkeypatch):
         # at a 4-slot deadtime two detectors herald at most 2 in a row

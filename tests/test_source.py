@@ -445,6 +445,15 @@ class TestEdgeCases:
         ])
         assert binomial_fit_pvalue(counts, n_slots, pair_prob) > ALPHA
 
+    @pytest.mark.parametrize("deadtime", [0, 4, 2**62])
+    def test_smallest_rate_over_the_longest_range(self, deadtime):
+        # pieces of 2^62 p long gaps stay within numpy's negative-binomial limit
+        params = make_params(pair_prob=1e-16, herald_deadtime_slots=deadtime)
+        expected = 2**62 * 1e-16
+        for i in range(3):
+            stream = generate_herald_stream(params, 2**62, RngStream(59, (i,)).generator())
+            assert abs(stream.pair_count - expected) < 6 * np.sqrt(expected)
+
     def test_rejects_empty_range(self):
         with pytest.raises(ValueError):
             generate_herald_stream(make_params(), 0, RngStream(0).generator())
