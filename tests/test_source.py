@@ -26,25 +26,30 @@ from photondemux.source import (
     _apply_deadtime,
     generate_herald_stream,
 )
-from source_oracle import dense_herald_stream, loop_two_detectors
+from source_oracle import absolute_members, dense_herald_stream, loop_two_detectors
 
 
-def stationary_herald_probability(pair_prob, eff, ratio, deadtime):
-    """Exact steady-state herald probability of the two-detector arm.
+def herald_chain(pair_prob, eff, ratio, deadtime, n=1):
+    """Transition matrix of the two-detector arm, and per-state herald and trigger probabilities.
 
-    State (a, b): blind slots remaining for detectors A and B at the
-    current slot (0 = live).  Per slot, a pair arrives with probability
-    pair_prob, its idler picks A with probability ratio, and a live
-    chosen detector fires with probability eff, resetting its counter to
-    the deadtime; all counters otherwise decrement.
+    State (a, b, r): blind slots remaining for detectors A and B at the
+    current slot (0 = live), and the length mod n of the block of
+    consecutive heralds that ended at the previous slot.  Per slot, a
+    pair arrives with probability pair_prob, its idler picks A with
+    probability ratio, and a live chosen detector fires with probability
+    eff, resetting its counter to the deadtime; all counters otherwise
+    decrement.  A herald moves r to (r + 1) mod n, and it is a trigger
+    when it closes the n-th herald in a row (r = n - 1); a slot without
+    a herald moves r to 0.
     """
     d = deadtime
     k = d + 1
-    states = [(a, b) for a in range(k) for b in range(k)]
+    states = [(a, b, r) for a in range(k) for b in range(k) for r in range(n)]
     index = {s: i for i, s in enumerate(states)}
     t_matrix = np.zeros((len(states), len(states)))
     herald_prob = np.zeros(len(states))
-    for (a, b), i in index.items():
+    trigger_prob = np.zeros(len(states))
+    for (a, b, r), i in index.items():
         a_dec, b_dec = max(a - 1, 0), max(b - 1, 0)
         moves = [(1.0 - pair_prob, (a_dec, b_dec), 0.0)]
         for to_a, weight in ((True, pair_prob * ratio), (False, pair_prob * (1 - ratio))):
@@ -56,14 +61,46 @@ def stationary_herald_probability(pair_prob, eff, ratio, deadtime):
             else:
                 moves.append((weight, (a_dec, b_dec), 0.0))
         for prob, dest, fired in moves:
-            t_matrix[i, index[dest]] += prob
+            t_matrix[i, index[(*dest, (r + 1) % n if fired else 0)]] += prob
             herald_prob[i] += prob * fired
-    # stationary distribution: left eigenvector, found by linear solve
-    m = np.vstack([t_matrix.T - np.eye(len(states)), np.ones(len(states))])
-    rhs = np.zeros(len(states) + 1)
+            trigger_prob[i] += prob * fired * (r == n - 1)
+    return t_matrix, herald_prob, trigger_prob
+
+
+def stationary_law(t_matrix):
+    """Stationary distribution: left eigenvector, found by linear solve."""
+    size = t_matrix.shape[0]
+    m = np.vstack([t_matrix.T - np.eye(size), np.ones(size)])
+    rhs = np.zeros(size + 1)
     rhs[-1] = 1.0
     pi, *_ = np.linalg.lstsq(m, rhs, rcond=None)
-    return float(pi @ herald_prob)
+    return pi
+
+
+def stationary_herald_probability(pair_prob, eff, ratio, deadtime):
+    """Exact steady-state herald probability of the two-detector arm."""
+    t_matrix, herald_prob, _ = herald_chain(pair_prob, eff, ratio, deadtime)
+    return float(stationary_law(t_matrix) @ herald_prob)
+
+
+def expected_triggers(pair_prob, eff, ratio, deadtime, n, n_slots):
+    """Exact mean number of n-herald triggers in ``n_slots`` slots.
+
+    The range starts with both detectors live and no open block; the
+    chain's law is stepped slot by slot until it is stationary, and the
+    stationary trigger rate covers the remaining slots.
+    """
+    t_matrix, _, trigger_prob = herald_chain(pair_prob, eff, ratio, deadtime, n)
+    pi = stationary_law(t_matrix)
+    law = np.zeros(t_matrix.shape[0])
+    law[0] = 1.0  # state (0, 0, 0)
+    total = 0.0
+    for slot in range(n_slots):
+        if np.abs(law - pi).sum() < 1e-13:
+            return total + (n_slots - slot) * float(pi @ trigger_prob)
+        total += float(law @ trigger_prob)
+        law = law @ t_matrix
+    return total
 
 
 def muller_herald_probability(pair_prob, eff, ratio, deadtime):
@@ -144,6 +181,36 @@ class TestMullerDeadtime:
         assert abs(n * params.pair_prob * params.herald_det_efficiency - n * expected) > 10 * se
 
 
+# (pair_prob, herald_det_efficiency, herald_splitter_ratio, deadtime, n, slots per seed)
+TRIGGER_POINTS = (
+    [(*point, 2, 40_000) for point in OPERATING_POINTS]
+    + [(*point, 3, 40_000) for point in OPERATING_POINTS if point[3] <= 1]
+    + [
+        (0.0043882, 1.0, 0.5, 4, 2, 100_000_000),  # the two-mode fixture point
+        (0.3, 1.0, 0.5, 4, 2, 300),  # the dense point, where the range's ends matter
+    ]
+)
+
+
+class TestTriggerRateOracle:
+    """Trigger counts of generated streams against the exact herald-block chain."""
+
+    @pytest.mark.parametrize("pair_prob,eff,ratio,deadtime,n,n_slots", TRIGGER_POINTS)
+    def test_mean_trigger_count(self, pair_prob, eff, ratio, deadtime, n, n_slots):
+        params = make_params(pair_prob=pair_prob, herald_det_efficiency=eff,
+                             herald_splitter_ratio=ratio, herald_deadtime_slots=deadtime)
+        expected = expected_triggers(pair_prob, eff, ratio, deadtime, n, n_slots)
+        seeds = 400 if n_slots < 1000 else 40
+        counts = np.array([
+            run_starts_from_heralds(
+                generate_herald_stream(params, n_slots, RngStream(61, (i,)).generator()).herald_slots, n
+            ).size
+            for i in range(seeds)
+        ])
+        se = counts.std(ddof=1) / np.sqrt(seeds)
+        assert abs(counts.mean() - expected) <= 5 * se + 1e-9, (counts.mean(), expected, se)
+
+
 class TestDoublingDeadtime:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -185,9 +252,11 @@ def _per_detector_cluster_sizes(slots, to_a, eff_draws, deadtime):
 class TestClosedFormClusters:
     """Generated streams, where clusters of one, two and three or more meet in one call."""
 
-    # name: (SourceParams overrides, slots)
+    # name: (SourceParams overrides, slots); at the fixture point and
+    # efficiency 0.7 a detector has about 11 clusters of three or more in
+    # 2e8 slots (2.7 in 5e7, where about one stream in seven has none)
     POINTS = {
-        "fixture": (dict(pair_prob=0.0043882, herald_deadtime_slots=4), 50_000_000),
+        "fixture": (dict(pair_prob=0.0043882, herald_deadtime_slots=4), 200_000_000),
         "dense": (dict(pair_prob=0.3, herald_deadtime_slots=4), 200_000),
     }
 
@@ -237,7 +306,7 @@ LAW_POINTS = {
     "saturated": (dict(pair_prob=1.0, herald_deadtime_slots=4, herald_det_efficiency=0.7), 2_000),
 }
 LAW_SEEDS = range(40)
-ALPHA = 1e-3  # per comparison; about 20 of them run
+ALPHA = 1e-3  # per comparison; about 60 of them run
 
 
 class TestAgainstDenseOracle:
@@ -278,6 +347,57 @@ class TestAgainstDenseOracle:
             ref = dense_herald_stream(params, 1000, RngStream(seed).generator())
             assert stream.pair_count == ref.pair_slots.size == 0
             assert stream.herald_count == 0 and stream.pair_slots.size == 0
+
+
+# name: (SourceParams overrides, slots per trial)
+COMPRESSED_POINTS = {
+    "fixture": (dict(pair_prob=0.0043882, herald_deadtime_slots=4), 2_000_000),
+    "dense": (dict(pair_prob=0.3, herald_deadtime_slots=4), 20_000),
+    "short": (dict(pair_prob=0.05, herald_deadtime_slots=4), 300),
+    "no_deadtime": (dict(pair_prob=0.2, herald_deadtime_slots=0), 5_000),
+}
+
+
+class TestCompressedSlots:
+    """Members sit in compressed slots: exact gaps within a cluster, window + 1 between."""
+
+    @pytest.mark.parametrize("name", sorted(COMPRESSED_POINTS))
+    def test_gaps_are_exact_or_window_plus_one(self, name):
+        overrides, n_slots = COMPRESSED_POINTS[name]
+        params = make_params(**overrides)
+        window = max(params.herald_deadtime_slots, 1)
+        for seed in range(5):
+            slots = generate_herald_stream(params, n_slots, RngStream(67, (seed,)).generator()).pair_slots
+            gaps = np.diff(slots)
+            assert ((gaps >= 1) & (gaps <= window) | (gaps == window + 1)).all()
+            assert slots.size == 0 or (slots[0] >= 0 and slots[-1] < n_slots)
+
+    @pytest.mark.parametrize("name", sorted(COMPRESSED_POINTS))
+    def test_compressed_absolute_oracle_has_same_law(self, name):
+        # the sampler that draws every stretch's absolute place, with its
+        # gaps between clusters cut to window + 1
+        overrides, n_slots = COMPRESSED_POINTS[name]
+        params = make_params(**overrides)
+        window = max(params.herald_deadtime_slots, 1)
+        seeds = 200
+        fast, oracle = [], []
+        fast_gaps = np.zeros(window + 2, dtype=np.int64)
+        oracle_gaps = np.zeros(window + 2, dtype=np.int64)
+        for seed in range(seeds):
+            stream = generate_herald_stream(params, n_slots, RngStream(71, (seed,)).generator())
+            fast.append((stream.pair_count, stream.pair_slots.size))
+            fast_gaps += np.bincount(np.diff(stream.pair_slots), minlength=window + 2)
+            slots, pairs = absolute_members(params.pair_prob, window, n_slots,
+                                            RngStream(73, (seed,)).generator())
+            oracle.append((pairs, slots.size))
+            oracle_gaps += np.bincount(np.minimum(np.diff(slots), window + 1), minlength=window + 2)
+        for column in (0, 1):  # pair count, member count
+            a = [row[column] for row in fast]
+            b = [row[column] for row in oracle]
+            assert stats.ks_2samp(a, b).pvalue > ALPHA, (column, np.mean(a), np.mean(b))
+        table = np.array([fast_gaps[1:], oracle_gaps[1:]])
+        table = table[:, table.sum(axis=0) > 0]
+        assert stats.chi2_contingency(table).pvalue > ALPHA, table
 
 
 @pytest.fixture(params=["one_round", "three_unit_rounds", "two_gap_pieces"])
@@ -328,23 +448,37 @@ class TestTrialBoundary:
             counts[i] = stream.pair_count
         assert binomial_fit_pvalue(counts, n_slots, pair_prob) > ALPHA
 
-    def test_members_match_dense_oracle_slot_by_slot(self):
-        # at N = 40 most clusters touch an end of the range: how often each
-        # slot holds a member must follow the dense definition (a pair with
-        # another pair of the range within the window)
-        params = make_params(pair_prob=0.05)
-        n_slots, draws = 40, 3000
-        fast = np.zeros(n_slots, dtype=np.int64)
-        dense = np.zeros(n_slots, dtype=np.int64)
+    @pytest.mark.parametrize("pair_prob,deadtime,n_slots", [
+        (0.05, 4, 40),
+        (0.2, 1, 60),
+        (0.05, 4, 300),
+    ])
+    def test_members_match_dense_oracle_in_law(self, pair_prob, deadtime, n_slots):
+        # in short ranges most clusters touch an end of the range: the member
+        # count and each detector's cluster sizes must follow the dense
+        # definition (a pair with another pair of the range within the window)
+        params = make_params(pair_prob=pair_prob, herald_deadtime_slots=deadtime)
+        window = max(deadtime, 1)
+        draws = 2000
+        fast, dense = [], []
+        fast_sizes = np.zeros(8, dtype=np.int64)
+        dense_sizes = np.zeros(8, dtype=np.int64)
         for i in range(draws):
-            np.add.at(fast, generate_herald_stream(params, n_slots, RngStream(43, (i,)).generator()).pair_slots, 1)
-            pairs = dense_herald_stream(params, n_slots, RngStream(47, (i,)).generator()).pair_slots
-            close = np.diff(pairs) <= 4
-            member = np.zeros(pairs.size, dtype=bool)
+            stream = generate_herald_stream(params, n_slots, RngStream(43, (i,)).generator())
+            fast.append(stream.pair_slots.size)
+            fast_sizes += _cluster_sizes(stream, window)
+            ref = dense_herald_stream(params, n_slots, RngStream(47, (i,)).generator())
+            close = np.diff(ref.pair_slots) <= window
+            member = np.zeros(ref.pair_slots.size, dtype=bool)
             member[1:] |= close
             member[:-1] |= close
-            np.add.at(dense, pairs[member], 1)
-        assert stats.chi2_contingency(np.array([fast, dense])).pvalue > ALPHA
+            dense.append(int(member.sum()))
+            dense_sizes += _cluster_sizes(ref, window)
+        assert stats.ks_2samp(fast, dense).pvalue > ALPHA, (np.mean(fast), np.mean(dense))
+        table = np.array([fast_sizes, dense_sizes])
+        table = table[:, table.sum(axis=0) > 0]
+        assert table.shape[1] >= 2
+        assert stats.chi2_contingency(table).pvalue > ALPHA, table
 
 
 class TestMemoryFigure:
