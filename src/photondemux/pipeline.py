@@ -78,7 +78,9 @@ def _simulate_trial(scenario: Scenario, grid_index: int, trial: int) -> _TrialCo
     if n == 1:  # every herald is a run of one
         triggers = stream.herald_count
     else:
-        triggers = int(run_starts_from_heralds(stream.herald_slots, n).size)
+        # a two-pair block is one run of two heralds, and no run of more
+        triggers = (int(run_starts_from_heralds(stream.herald_slots, n).size)
+                    + stream.two_pair_blocks * (2 // n))
     batch = route_runs(triggers, conv, gen, src.signal_det_efficiency)
     counts = _TrialCounts(batch.port_counts, heralds=stream.herald_count, triggers=triggers,
                           coincidences=batch.success_count)

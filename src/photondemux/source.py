@@ -11,17 +11,20 @@ several pulse slots.
 
 Only pairs within ``w = max(deadtime, 1)`` slots of a neighbouring pair
 can be blinded by another pair or take part in a run of consecutive
-heralds.  The sampler therefore places only those *cluster members* and
+heralds.  The sampler therefore draws only those pairs' clusters and
 counts every other pair: pair gaps are iid geometric, so the gaps of
 length <= w ("close" gaps) sit at Bernoulli positions in gap-index
 space, each has a truncated-geometric length, and a stretch of k longer
-gaps has a negative-binomial total.  Members sit in compressed slots:
-gaps inside a cluster are exact, and each stretch of long gaps between
-clusters takes w + 1 slots.  Deadtime and run detection read only gaps,
-and to both a gap of w + 1 acts as any longer one, so detector clusters
-and herald blocks are those of the real slots; real lengths are kept
-only to find where the range ends.  An isolated pair heralds with
-probability ``herald_det_efficiency`` and enters only as a count.  The
+gaps has a negative-binomial total.  A cluster of exactly two pairs
+(nearly every cluster at the paper's operating point) heralds 0, 1 or 2
+times by a closed-form law, so those clusters enter only as counts, as
+does an isolated pair, which heralds with probability
+``herald_det_efficiency``.  The pairs of clusters of three or more, the
+"members", are placed in compressed slots: gaps inside a cluster are
+exact, and each stretch between clusters takes w + 1 slots.  Deadtime
+and run detection read only gaps, and to both a gap of w + 1 acts as any
+longer one, so detector clusters and herald blocks are those of the real
+slots; real lengths are kept only to find where the range ends.  The
 law of every count and of the member gaps equals that of drawing all
 pairs, while the cost scales with the number of close gaps.
 """
@@ -62,13 +65,18 @@ class HeraldStream:
     """Cluster members of a generated slot range, plus whole-range counts.
 
     ``pair_slots`` holds, sorted and unique, the compressed slots of the
-    pairs within w = ``max(deadtime, 1)`` slots of another pair: gaps
-    inside a cluster are exact, and gaps between clusters are w + 1, so
-    the slots lie in [0, n_slots) but are not the pairs' absolute slots.
-    ``to_detector_a`` and ``fired`` are per member.  Every run of two or
-    more consecutive heralds lies among the members, so ``herald_slots``
-    feeds run detection for any run length >= 2.  ``pair_count`` and
-    ``herald_count`` cover all pairs of the range, members or not.
+    members: the pairs of clusters of three or more pairs, where a
+    cluster chains pairs within w = ``max(deadtime, 1)`` slots of each
+    other.  Gaps inside a cluster are exact, and gaps between clusters
+    are w + 1, so the slots lie in [0, n_slots) but are not the pairs'
+    absolute slots.  ``to_detector_a`` and ``fired`` are per member.  A
+    cluster of exactly two pairs is only counted: ``two_pair_blocks`` is
+    the number of them that herald in two adjacent slots, each one block
+    of two heralds.  (The last cluster of a vector round, and a cluster
+    cut short by the end of the range, may be placed with two pairs.)
+    So the runs of n >= 2 consecutive heralds are those in
+    ``herald_slots`` plus, at n = 2, the ``two_pair_blocks``.
+    ``pair_count`` and ``herald_count`` cover all pairs of the range.
     """
 
     n_slots: int
@@ -77,31 +85,42 @@ class HeraldStream:
     fired: np.ndarray  # bool, per member
     pair_count: int
     herald_count: int
+    two_pair_blocks: int  # two-pair clusters that herald in adjacent slots
 
     @property
     def herald_slots(self) -> np.ndarray:
         return self.pair_slots[self.fired]
 
 
-# tracemalloc peak of one generate_herald_stream call per cluster member,
-# over 2e6 pairs at seed 53: 38.2 B at the two-mode operating point, 34.0 B
-# at pair_prob 0.3 and 34.2 B at pair_prob 1 (efficiency 0.7, every pair a
-# member); tests/test_source.py holds the sampler to this bound
-_BYTES_PER_MEMBER = 96
+# bytes per member and per unit of a vector round that bound the tracemalloc
+# peak of one generate_herald_stream call (tests/test_source.py holds the
+# sampler to this bound); the measured peaks are in TestMemoryFigure
+_BYTES_PER_MEMBER = 80
+_BYTES_PER_UNIT = 64
+_BATCH_UNITS = 1 << 18  # units drawn per vector round; bounds the working arrays
+
+
+def _batch_units(units: float, window: int) -> int:
+    """Units drawn in one vector round when ``units`` are expected in the range left."""
+    # batch * window <= 2^62 keeps the close-gap sums within int64
+    return min(int(units + 6.0 * np.sqrt(units + 1.0)) + 16, _BATCH_UNITS, 2**62 // window)
 
 
 def expected_peak_bytes(params: SourceParams, n_slots: int) -> float:
     """Expected peak bytes of one ``generate_herald_stream`` call.
 
-    A pair is a cluster member when the gap before or after it is close,
-    with probability 1 - (1-q)^2 where q = 1 - (1-p)^max(deadtime, 1).
+    With q = 1 - (1-p)^max(deadtime, 1), each pair is followed by a close
+    gap with probability q, so per pair there are q units and q(1-q)
+    clusters, and a cluster has 2 + Geom pairs, three or more with
+    probability q.  The members, the pairs of clusters of three or more,
+    number n_slots p q^2 (3 - 2q) in expectation; one vector round of
+    unit arrays is alive at a time.
     """
     p = params.pair_prob
-    q = 1.0 - (1.0 - p) ** max(params.herald_deadtime_slots, 1)
-    return n_slots * p * (1.0 - (1.0 - q) ** 2) * _BYTES_PER_MEMBER
-
-
-_BATCH_UNITS = 1 << 18  # units drawn per vector round; bounds the working arrays
+    window = max(params.herald_deadtime_slots, 1)
+    q = 1.0 - (1.0 - p) ** window
+    members = n_slots * p * q * q * (3.0 - 2.0 * q)
+    return members * _BYTES_PER_MEMBER + _batch_units(n_slots * p * q, window) * _BYTES_PER_UNIT
 
 
 def _max_piece(pair_prob: float) -> int:
@@ -225,44 +244,68 @@ def _walk_units(close_sum: np.ndarray, long_units: np.ndarray, long_gaps: int, r
         b, k, excess = mid, left_k, left_excess
 
 
+def _two_pair_law(params: SourceParams) -> list[float]:
+    """Probabilities of 0, 1 and 2 heralds from a cluster of exactly two pairs.
+
+    The cluster's first arrival always meets a live detector.  Its second
+    arrival is at most w = max(deadtime, 1) slots later, so under a
+    deadtime of at least one slot it is blind exactly when it goes to the
+    detector that the first arrival fired.
+    """
+    eff = params.herald_det_efficiency
+    r = params.herald_splitter_ratio
+    apart = 1.0 if params.herald_deadtime_slots == 0 else 1.0 - r * r - (1.0 - r) ** 2
+    both = eff * eff * apart
+    none = (1.0 - eff) ** 2
+    return [none, 1.0 - none - both, both]
+
+
 def _sample_members(params: SourceParams, n_slots: int, rng: np.random.Generator
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Compressed slots of the pairs within a window of a neighbour, their
-    detector and efficiency draws, and the pair count.
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int, int]:
+    """Compressed slots of the pairs of clusters of three or more, their
+    detector and efficiency draws, the pair count, the heralds of the
+    pairs not placed, and the two-pair clusters that herald in adjacent slots.
 
     With window = max(deadtime, 1), the range is walked in "units" of
     gap-index space from its first pair: a stretch of k >= 0 long gaps
     (> window) closed by one close gap (<= window).  With
     q = 1 - (1-p)^window, k + 1 is Geom(q), so a unit has long gaps with
     probability 1 - q, one uniform per unit; the close gap is Geom(p)
-    truncated to 1..window, drawn by inverse CDF.  Members are placed in
-    compressed slots: close gaps are exact and a unit's stretch, if any,
-    takes window + 1 slots.  Per batch of units, the m units with long
-    gaps hold m + NegBinomial(m, q) long gaps, each window + 1 slots plus
-    a geometric excess, so the batch's real length is known after one
-    more negative-binomial draw; ``_walk_units`` places the end of the
-    range.  Every draw follows the laws of drawing all pairs, while the
-    cost scales with the number of close gaps.
+    truncated to 1..window, drawn by inverse CDF.  A unit starts a
+    cluster if it has long gaps or holds the range's first pair, and one
+    followed by another start closes a cluster of exactly two pairs; its
+    outcome is drawn, per batch, as one multinomial per gap class (close
+    gap 1, where two heralds form a block, or 2..window) from
+    ``_two_pair_law``.  The other units are placed in compressed slots:
+    close gaps are exact and a unit's stretch, if any, takes window + 1
+    slots.  Per batch of units, the m units with long gaps hold
+    m + NegBinomial(m, q) long gaps, each window + 1 slots plus a
+    geometric excess, so the batch's real length is known after one more
+    negative-binomial draw; ``_walk_units`` places the end of the range.
+    An isolated pair heralds with probability ``herald_det_efficiency``.
+    Every draw follows the laws of drawing all pairs, while the cost
+    scales with the number of close gaps.
     """
     p = params.pair_prob
     first = int(rng.geometric(p)) - 1 if p > 0.0 else n_slots  # slot of the first pair
     if first >= n_slots:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool), np.empty(0, dtype=bool), 0
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool), np.empty(0, dtype=bool), 0, 0, 0
     window = max(params.herald_deadtime_slots, 1)
     step = window + 1
+    eff = params.herald_det_efficiency
+    law = _two_pair_law(params)
     with np.errstate(divide="ignore"):
         log_miss = np.log1p(-p)  # -inf at pair_prob 1: every gap is 1
     q = -np.expm1(window * log_miss)
     room = n_slots - first  # a pair is in range if it lands less than room slots on
-    last = 0  # compressed slot of the pair closing the previous unit; the first pair's is 0
+    last = 0  # compressed slot of the last member placed; the first pair's is 0
     pairs = 1
+    counted_pairs = heralds = blocks = 0  # of the two-pair clusters
     slots: list[np.ndarray] = []
     to_a: list[np.ndarray] = []
     eff_draws: list[np.ndarray] = []
     while room is not None:
-        expected = room * p * q  # units left in the range
-        # batch * window <= 2^62 keeps the close-gap sums within int64
-        batch = min(int(expected + 6.0 * np.sqrt(expected + 1.0)) + 16, _BATCH_UNITS, 2**62 // window)
+        batch = _batch_units(room * p * q, window)  # room * p * q units are left in the range
         has_long = rng.random(batch) >= q
         close = np.ceil(np.log1p(-q * rng.random(batch)) / log_miss).astype(np.int64)
         np.maximum(close, 1, out=close)
@@ -272,31 +315,60 @@ def _sample_members(params: SourceParams, n_slots: int, rng: np.random.Generator
         long_units = np.zeros(batch + 1, dtype=np.int64)
         np.cumsum(has_long, out=long_units[1:])
         m = int(long_units[-1])
-        # a detector and an efficiency draw for every pair the batch's
-        # units can place, so where the range ends changes none of them
-        placeable = batch + m + int(not slots and not has_long[0])
+        # a unit starts a cluster if it has long gaps or holds the range's
+        # first pair, and one followed by another start closes a cluster of
+        # exactly two pairs (two[u]); the batch's last unit is placed, since
+        # whether the next unit starts a cluster is not drawn yet
+        first_unit = not slots  # unit 0 holds the range's first pair
+        two = has_long[:-1] & has_long[1:]
+        if first_unit and batch > 1:
+            two[0] = has_long[1]
+        # a detector and an efficiency draw for every pair the batch's placed
+        # units can hold (two if they start a cluster, else one), so where
+        # the range ends changes none of them
+        placeable = batch + m + int(first_unit and not has_long[0]) - 2 * int(np.count_nonzero(two))
         batch_to_a = rng.random(placeable) < params.herald_splitter_ratio
-        eff = params.herald_det_efficiency
         batch_eff = rng.random(placeable) < eff if eff < 1.0 else np.ones(placeable, dtype=bool)
         done, in_range, room = _walk_units(close_sum, long_units, m + _negative_binomial(m, q, rng),
                                            room, window, p, rng)
         pairs += in_range
-        ends = last + close_sum[1:done + 1] + step * long_units[1:done + 1]
-        members = np.empty(2 * done, dtype=np.int64)
-        members[0::2] = ends - close[:done]  # the pair before each close gap
+        two = two[:done]  # of the units wholly in range
+        units = (~two).nonzero()[0]  # the placed units wholly in range
+        if done == batch:
+            units = np.append(units, batch - 1)
+        counted = done - units.size
+        if counted:
+            counted_pairs += 2 * counted
+            adjacent = int(np.count_nonzero(close[:two.size][two] == 1))
+            if adjacent:  # two heralds in adjacent slots form a block
+                _, one, both = rng.multinomial(adjacent, law)
+                heralds += int(one + 2 * both)
+                blocks += int(both)
+            if counted > adjacent:
+                _, one, both = rng.multinomial(counted - adjacent, law)
+                heralds += int(one + 2 * both)
+        unit_close = close[units]
+        unit_long = has_long[units]
+        ends = (unit_close + step * unit_long).cumsum()
+        ends += last
+        members = np.empty(2 * units.size, dtype=np.int64)
+        members[0::2] = ends - unit_close  # the pair before each close gap
         members[1::2] = ends
-        # a unit without long gaps starts at the previous unit's last pair,
-        # already placed, except for the range's first pair
-        keep = np.ones(2 * done, dtype=bool)
-        keep[0::2] = has_long[:done]
-        keep[:1] |= not slots
+        # a unit that starts no cluster starts at the last member placed
+        keep = np.ones(2 * units.size, dtype=bool)
+        keep[0::2] = unit_long
+        if first_unit and units.size and units[0] == 0:
+            keep[0] = True
         members = members[keep]
         slots.append(members)
         to_a.append(batch_to_a[:members.size])
         eff_draws.append(batch_eff[:members.size])
-        if done:
+        if units.size:
             last = int(ends[-1])
-    return np.concatenate(slots), np.concatenate(to_a), np.concatenate(eff_draws), pairs
+    placed_slots = np.concatenate(slots)
+    # an isolated pair meets a live detector: it heralds with probability eff
+    heralds += int(rng.binomial(pairs - placed_slots.size - counted_pairs, eff))
+    return placed_slots, np.concatenate(to_a), np.concatenate(eff_draws), pairs, heralds, blocks
 
 
 def _apply_deadtime(slots: np.ndarray, to_a: np.ndarray, eff_draws: np.ndarray,
@@ -318,7 +390,7 @@ def _apply_deadtime(slots: np.ndarray, to_a: np.ndarray, eff_draws: np.ndarray,
     gathered, and their orbits are marked by pointer doubling, in
     log2(longest orbit) vector rounds.
     """
-    if deadtime == 0:
+    if deadtime == 0 or slots.size == 0:
         return eff_draws.copy()
     fired = np.zeros(slots.size, dtype=bool)
     for detector in (to_a & eff_draws, ~to_a & eff_draws):
@@ -360,17 +432,15 @@ def generate_herald_stream(params: SourceParams, n_slots: int, rng: np.random.Ge
     """Run the source and heralding arm over ``n_slots`` pulse slots."""
     if n_slots < 1:
         raise ValueError(f"n_slots must be >= 1 (got {n_slots})")
-    pair_slots, to_a, eff_draws, pair_count = _sample_members(params, n_slots, rng)
+    pair_slots, to_a, eff_draws, pair_count, counted_heralds, two_pair_blocks = _sample_members(
+        params, n_slots, rng)
     fired = _apply_deadtime(pair_slots, to_a, eff_draws, params.herald_deadtime_slots)
-    # an isolated pair meets a live detector: it heralds with probability eff
-    herald_count = int(fired.sum()) + int(rng.binomial(pair_count - pair_slots.size,
-                                                       params.herald_det_efficiency))
     return HeraldStream(
         n_slots=n_slots,
         pair_slots=pair_slots,
         to_detector_a=to_a,
         fired=fired,
         pair_count=pair_count,
-        herald_count=herald_count,
+        herald_count=int(fired.sum()) + counted_heralds,
+        two_pair_blocks=two_pair_blocks,
     )
-

@@ -12,7 +12,9 @@ pointer doubling for longer ones) must agree with
 ``absolute_members`` is the cluster-skipping sampler as it was before
 it placed members in compressed slots: it draws where every stretch of
 long gaps lies, one negative-binomial draw per unit, and returns the
-members' absolute slots.  Compressing its inter-cluster gaps to
+absolute slots of every pair within ``window`` of another.  Dropping
+its clusters of exactly two pairs, which the package's sampler counts
+without placing, and compressing its inter-cluster gaps to
 ``window + 1`` must give the package's sampler's law.
 """
 

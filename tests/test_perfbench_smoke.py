@@ -3,7 +3,10 @@
 The benchmark's trace probes read ``HeraldStream`` and ``RoutingBatch``
 fields and wrap the converter's ``route_*_batch`` names, and its
 workloads call the public entry points, so a change to either shows here
-as a non-zero exit, failed operations or a wrong count.
+as a non-zero exit, failed operations or a wrong count.  A traced run
+also checks that no detector heralds twice within its deadtime, that the
+controller claims at most heralds // n runs, and that the report bytes
+are the same at one and two workers.
 """
 
 import json
@@ -53,3 +56,16 @@ def test_dense_workload_passes_its_checks():
     # about half of the arrivals lie in clusters of three or more, so the
     # deadtime's pointer-doubling pass is under the byte and 5-SE checks
     _run_untraced("dense")
+
+
+def test_traced_fixture_passes_its_checks():
+    # traced, with repetitions at two workers; the spans go to the
+    # git-ignored perfbench/out/
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "fixture", "--seed", "1",
+         "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["failed"] == 0
+    assert result["attempted"] > 0
