@@ -79,7 +79,10 @@ def estimate_s(
 
     The standard error follows Poisson statistics of the raw counts
     behind the rates; without them it is reported as 0 (unknown counting
-    depth).
+    depth).  A run with triggers but no coincidence reports, in place of
+    the error, the Wilson score upper bound (z = 1) on the coincidence
+    fraction, 1 / (trigger_count + 1), scaled by 1 / p_h1_eta_d**n as the
+    estimate is (E. B. Wilson, J. Am. Stat. Assoc. 22, 209 (1927)).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1 (got {n})")
@@ -93,6 +96,8 @@ def estimate_s(
     if coincidence_count > 0 and trigger_count > 0:
         counts = (coincidence_count, trigger_count)
         std_error = value * propagate_counting_uncertainty(counts, n=n, p_rel_error=p_rel_error)
+    elif trigger_count > 0:
+        std_error = 1.0 / (trigger_count + 1) / p_h1_eta_d**n
     else:
         std_error = 0.0
     return EfficiencyEstimate(value=value, std_error=std_error)

@@ -19,19 +19,26 @@ gaps has a negative-binomial total.  A cluster of exactly two pairs
 (nearly every cluster at the paper's operating point) heralds 0, 1 or 2
 times by a closed-form law, so those clusters enter only as counts, as
 does an isolated pair, which heralds with probability
-``herald_det_efficiency``.  The pairs of clusters of three or more, the
-"members", are placed in compressed slots: gaps inside a cluster are
-exact, and each stretch between clusters takes w + 1 slots.  Deadtime
-and run detection read only gaps, and to both a gap of w + 1 acts as any
-longer one, so detector clusters and herald blocks are those of the real
-slots; real lengths are kept only to find where the range ends.  The
-law of every count and of the member gaps equals that of drawing all
-pairs, while the cost scales with the number of close gaps.
+``herald_det_efficiency``: between two clusters of three or more pairs,
+the two-pair clusters are one geometric count, and their close gaps one
+composition of counts that carries their exact sum.  The pairs of
+clusters of three or more, the "members", are placed in compressed
+slots: gaps inside a cluster are exact, and each stretch between
+clusters takes w + 1 slots.  Deadtime and run detection read only gaps,
+and to both a gap of w + 1 acts as any longer one, so detector clusters
+and herald blocks are those of the real slots; real lengths are kept
+only to find where the range ends.  The law of every count and of the
+member gaps equals that of drawing all pairs, while the cost scales with
+the number of members.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+import math
+import operator
+
 import numpy as np
 
 from .model import SourceParams
@@ -70,11 +77,10 @@ class HeraldStream:
     other.  Gaps inside a cluster are exact, and gaps between clusters
     are w + 1, so the slots lie in [0, n_slots) but are not the pairs'
     absolute slots.  ``to_detector_a`` and ``fired`` are per member.  A
-    cluster of exactly two pairs is only counted: ``two_pair_blocks`` is
-    the number of them that herald in two adjacent slots, each one block
-    of two heralds.  (The last cluster of a vector round, and a cluster
-    cut short by the end of the range, may be placed with two pairs.)
-    So the runs of n >= 2 consecutive heralds are those in
+    cluster with exactly two pairs in range, one cut short by the end of
+    the range included, is only counted: ``two_pair_blocks`` is the number
+    of them that herald in two adjacent slots, each one block of two
+    heralds.  So the runs of n >= 2 consecutive heralds are those in
     ``herald_slots`` plus, at n = 2, the ``two_pair_blocks``.
     ``pair_count`` and ``herald_count`` cover all pairs of the range.
     """
@@ -92,50 +98,47 @@ class HeraldStream:
         return self.pair_slots[self.fired]
 
 
-# bytes per member and per unit of a vector round that bound the tracemalloc
-# peak of one generate_herald_stream call (tests/test_source.py holds the
-# sampler to this bound); the measured peaks are in TestMemoryFigure
+# bytes per member and per super-unit of a vector round that bound the
+# tracemalloc peak of one generate_herald_stream call (tests/test_source.py
+# holds the sampler to this bound; the measured peaks are in
+# TestMemoryFigure).  A member keeps its slot and two flags and, within
+# its round, its gap, slot and uniform draws; the deadtime resolver then
+# gathers the members whose efficiency draw succeeded.  A super-unit's
+# round holds two uniform draws, their integer casts and two prefix sums.
 _BYTES_PER_MEMBER = 80
 _BYTES_PER_UNIT = 64
-_BATCH_UNITS = 1 << 18  # units drawn per vector round; bounds the working arrays
+# super-units, and members, drawn per vector round; bounds the working arrays
+_BATCH_UNITS = 1 << 18
+_HYPERGEOMETRIC_LIMIT = 10**9  # numpy draws hypergeometric counts below this
 
 
 def _batch_units(units: float, window: int) -> int:
-    """Units drawn in one vector round when ``units`` are expected in the range left."""
-    # batch * window <= 2^62 keeps the close-gap sums within int64
-    return min(int(units + 6.0 * np.sqrt(units + 1.0)) + 16, _BATCH_UNITS, 2**62 // window)
+    """Items drawn in one vector round when ``units`` are expected in the range left."""
+    # items * window <= 2^62 keeps a round's compressed slots below 2^64
+    return min(int(units + 6.0 * math.sqrt(units + 1.0)) + 16, _BATCH_UNITS, 2**62 // window)
 
 
 def expected_peak_bytes(params: SourceParams, n_slots: int) -> float:
     """Expected peak bytes of one ``generate_herald_stream`` call.
 
     With q = 1 - (1-p)^max(deadtime, 1), each pair is followed by a close
-    gap with probability q, so per pair there are q units and q(1-q)
-    clusters, and a cluster has 2 + Geom pairs, three or more with
-    probability q.  The members, the pairs of clusters of three or more,
-    number n_slots p q^2 (3 - 2q) in expectation; one vector round of
-    unit arrays is alive at a time.
+    gap with probability q, and a cluster has 2 + Geom pairs, three or
+    more with probability q.  The members, the pairs of clusters of three
+    or more, number n_slots p q^2 (3 - 2q) in expectation, and the
+    clusters of three or more, each closing a super-unit, n_slots p (1-q)
+    q^2.  One vector round of super-unit arrays is alive at a time.
     """
     p = params.pair_prob
     window = max(params.herald_deadtime_slots, 1)
     q = 1.0 - (1.0 - p) ** window
     members = n_slots * p * q * q * (3.0 - 2.0 * q)
-    return members * _BYTES_PER_MEMBER + _batch_units(n_slots * p * q, window) * _BYTES_PER_UNIT
+    super_units = _batch_units(n_slots * p * (1.0 - q) * q * q, window)
+    return members * _BYTES_PER_MEMBER + super_units * _BYTES_PER_UNIT
 
 
 def _max_piece(pair_prob: float) -> int:
     # successes per negative-binomial draw at this probability: numpy refuses a mean near 2^63
     return 2**62 if pair_prob >= 0.5 else int(2**62 * pair_prob / (1.0 - pair_prob))
-
-
-def _negative_binomial(n: int, prob: float, rng: np.random.Generator) -> int:
-    """NegBinomial(n, prob), drawn in pieces of at most ``_max_piece(prob)``."""
-    total = 0
-    while n > 0:
-        piece = min(n, _max_piece(prob))
-        total += int(rng.negative_binomial(piece, prob))
-        n -= piece
-    return total
 
 
 def _split(total: int, left: int, right: int, rng: np.random.Generator) -> int:
@@ -150,6 +153,107 @@ def _split(total: int, left: int, right: int, rng: np.random.Generator) -> int:
     if right == 0:
         return total
     return int(rng.binomial(total, rng.beta(left, right)))
+
+
+def _hypergeometric(good: int, bad: int, sample: int, rng: np.random.Generator) -> int:
+    """Good items among ``sample`` drawn without replacement from ``good + bad``."""
+    if sample == 0 or good == 0:
+        return 0
+    if bad == 0:
+        return sample
+    if sample == good + bad:
+        return good
+    return int(rng.hypergeometric(good, bad, sample))
+
+
+@dataclass(frozen=True)
+class _CloseGapLaw:
+    """Counts that carry the exact sum of m iid close gaps (Geom(p) cut to 1..window).
+
+    A composition is a list: the gaps of 1 slot, then the gaps of 2..window
+    per dyadic block of the window - 1 values 2..window, then for each
+    block of 2^b values and each bit t < b, the block's gaps whose offset
+    in the block has bit t set.  The law of a gap of 2..window is
+    proportional to (1-p)^(value - 2), so inside a block the bits of a
+    gap's offset from the block's first value are independent, bit t set
+    with probability r / (1 + r) at r = (1-p)^(2^t).  The sum of the gaps is
+    then a weighted sum of counts, drawn in O(log^2 window) draws, and the
+    counts of any subset of the gaps are hypergeometric given the whole.
+    """
+
+    adjacent: float  # P(gap = 1 | gap <= window)
+    block_probs: tuple[float, ...]  # P(block i | block >= i, gap >= 2)
+    bits: tuple[tuple[int, float], ...]  # (block, P(bit t set)) for each bit t of each block
+    weights: tuple[int, ...]  # slots per count: 1, each block's first value, each bit's 2^t
+
+    def draw(self, gaps: int, rng: np.random.Generator) -> list[int]:
+        """Composition of ``gaps`` fresh close gaps."""
+        if gaps == 0:
+            return [0] * len(self.weights)
+        ones = gaps if self.adjacent == 1.0 else int(rng.binomial(gaps, self.adjacent))
+        rest = gaps - ones
+        blocks = []
+        for prob in self.block_probs:
+            count = int(rng.binomial(rest, prob)) if rest and prob < 1.0 else rest
+            blocks.append(count)
+            rest -= count
+        return [ones, *blocks, *(int(rng.binomial(blocks[i], prob)) if blocks[i] else 0
+                                 for i, prob in self.bits)]
+
+    def split(self, comp: list[int], gaps: int, left: int,
+              rng: np.random.Generator) -> tuple[list[int], list[int]]:
+        """Compositions of the first ``left`` of ``gaps`` gaps of composition ``comp``, and of the rest.
+
+        Given the counts, the gaps are exchangeable, and given its block
+        counts each block's bit columns are independent and uniform: so
+        each count of the left part is hypergeometric.
+        """
+        if left == 0 or left == gaps:
+            return ([0] * len(comp), comp) if left == 0 else (comp, [0] * len(comp))
+        n_blocks = len(self.block_probs)
+        ones = _hypergeometric(comp[0], gaps - comp[0], left, rng)
+        rest, rest_left = gaps - comp[0], left - ones
+        blocks = []
+        for count in comp[1:n_blocks]:
+            in_left = _hypergeometric(count, rest - count, rest_left, rng)
+            blocks.append(in_left)
+            rest -= count
+            rest_left -= in_left
+        if n_blocks:
+            blocks.append(rest_left)
+        bits = [_hypergeometric(count, comp[1 + i] - count, blocks[i], rng)
+                for (i, _), count in zip(self.bits, comp[1 + n_blocks:])]
+        left_comp = [ones, *blocks, *bits]
+        return left_comp, [x - y for x, y in zip(comp, left_comp)]
+
+    def total(self, comp: list[int]) -> int:
+        """Sum of the gaps of a composition."""
+        return sum(map(operator.mul, self.weights, comp))
+
+
+@lru_cache(maxsize=64)
+def _close_gap_law(pair_prob: float, window: int) -> _CloseGapLaw:
+    """``_CloseGapLaw`` of the close gaps at this pair probability and window."""
+    if window == 1 or pair_prob == 1.0:  # every close gap is 1 slot
+        return _CloseGapLaw(1.0, (), (), (1,))
+    log_miss = math.log1p(-pair_prob)
+    probs, bits, starts, bit_weights = [], [], [], []
+    offset = 0
+    size = window - 1  # values 2..window
+    for b in reversed(range(size.bit_length())):
+        if size >> b & 1:
+            # 2^b values from 2 + offset, of weight (1-p)^offset (1 - (1-p)^(2^b))
+            probs.append(math.exp(offset * log_miss) * -math.expm1(2**b * log_miss))
+            for t in range(b):
+                r = math.exp(2**t * log_miss)
+                bits.append((len(starts), r / (1.0 + r)))
+                bit_weights.append(2**t)
+            starts.append(2 + offset)
+            offset += 2**b
+    tails = [sum(probs[i:]) for i in range(len(probs))]
+    adjacent = pair_prob / -math.expm1(window * log_miss)
+    conditional = (*(x / tail for x, tail in zip(probs[:-1], tails)), 1.0)
+    return _CloseGapLaw(adjacent, conditional, tuple(bits), (1, *starts, *bit_weights))
 
 
 def _draw_stretch(k: int, room: int, window: int, pair_prob: float,
@@ -194,54 +298,113 @@ def _bisect_stretch(k: int, excess: int, room: int, window: int, rng: np.random.
     return lo
 
 
-def _walk_units(close_sum: np.ndarray, long_units: np.ndarray, long_gaps: int, room: int,
-                window: int, pair_prob: float, rng: np.random.Generator) -> tuple[int, int, "int | None"]:
-    """Units of a batch wholly in range, the pairs placed in range, and the room left.
+def _walk_units(clusters: np.ndarray, members: np.ndarray, member_slots: np.ndarray, room: int,
+                opens: int, gaps: _CloseGapLaw, window: int, pair_prob: float, q: float,
+                rng: np.random.Generator) -> tuple[int, int, int, "int | None", "int | None"]:
+    """Clusters of a batch wholly in range, the pairs in range, the two-pair
+    clusters in range with a gap of 1 slot, the room left, and the room
+    left at the first pair of a crossing cluster of three or more.
 
-    ``close_sum`` and ``long_units`` are the prefix sums of the batch's
-    close gaps and of its units with long gaps; ``long_gaps`` is the
-    batch's number of long gaps.  The walk takes segments of units left
-    to right, each with its long gaps and, once drawn, their total
-    excess; a segment that passes the room is halved, its long gaps
-    beyond one per unit split by ``_split`` with the halves' counts of
-    units with long gaps as shapes, its excess by ``_split`` with the
-    halves' long gaps as shapes.  A segment whose excess is too large for
-    one draw is halved before its excess is drawn, so each half draws its
-    own.  In the unit that crosses the end, ``_bisect_stretch`` (or
-    ``_draw_stretch``) counts the pairs of its stretch in range.  The
-    room left is None once the batch crosses the end.
+    The batch's clusters are numbered in order: super-unit i holds the
+    clusters ``clusters[i]`` to ``clusters[i + 1] - 1``, its two-pair
+    clusters and then its placed cluster, whose pairs are the members
+    ``members[i]`` to ``members[i + 1] - 1``: a first pair (but in a cut
+    cluster's rest) and one per close gap.  ``member_slots`` are their
+    compressed slots, with window + 1 slots before each placed cluster but
+    super-unit 0's when ``opens``.  Every cluster follows a stretch of long
+    gaps, one plus a Geom0(q) number, except cluster 0 when ``opens`` is 1
+    (the range's first cluster: a Geom0(q) number) or 2 (the rest of a
+    cluster the last batch cut: none).
+
+    The walk takes segments of clusters left to right, each with its long
+    gaps k, their excess over window + 1 slots each, and its two-pair
+    close-gap composition; each is drawn once the segment is small enough
+    for one draw (k = its stretches' first long gaps + NegBinomial(its
+    stretches, q), the excess NegBinomial(k, p)).  A fresh segment holds
+    the clusters expected in the room, at least one.  A segment that passes the room is cut where the room's share of its
+    length falls: its long gaps beyond the first of each stretch split by
+    ``_split`` with the parts' stretches as shapes, its excess by
+    ``_split`` with the parts' long gaps, its composition by
+    ``_CloseGapLaw.split``.  In the cluster that crosses the end,
+    ``_bisect_stretch`` (or ``_draw_stretch``) counts the pairs of its
+    stretch in range.  The room left is None once the batch crosses the end.
     """
     step = window + 1
-    a, b = 0, close_sum.size - 1
-    k, excess = long_gaps, None
-    later: list[tuple[int, int, "int | None"]] = []  # (end, long gaps, excess) of segments to come
-    pairs = 0
+    q_piece, p_piece = _max_piece(q), _max_piece(pair_prob)
+    density = pair_prob * q * (1.0 - q)  # clusters per slot
+    head = 1 if opens == 2 else 0  # super-unit 0 lacks a first pair and a stretch
+    skip = 1 if opens else 0  # cluster 0 lacks the first long gap of a stretch, super-unit 0 a step
+
+    def at(c: int) -> tuple[int, int, int, int, int]:
+        """Two-pair clusters, stretches, first long gaps, placed close gaps and their slots before cluster c."""
+        i = int(clusters.searchsorted(c, "right")) - 1  # super-units before c
+        if i == 0:
+            return c, c - head * (c > 0), c - skip * (c > 0), 0, 0
+        m = int(members[i])
+        return c - i, c - head, c - skip, m - i + head, int(member_slots[m - 1]) - step * (i - skip)
+
+    total = int(clusters[-1])
+    a, at_a = 0, (0, 0, 0, 0, 0)
+    later: list[tuple] = []  # (end, its prefix, long gaps, excess, composition) of segments to come
+    pairs = adjacent = 0
+    fresh = True
     while True:
-        if excess is None and k <= _max_piece(pair_prob):
+        if fresh:
+            if a == total:
+                return a, pairs, adjacent, room, None
+            b = min(a + max(int(room * density), 1), total)
+            at_b, k, excess, comp, fresh = at(b), None, None, None, False
+        two, shapes, base = at_b[0] - at_a[0], at_b[1] - at_a[1], at_b[2] - at_a[2]
+        if k is None and shapes <= q_piece:
+            k = base + int(rng.negative_binomial(shapes, q)) if shapes else 0
+        if excess is None and k is not None and k <= p_piece:
             excess = int(rng.negative_binomial(k, pair_prob)) if k else 0
-        if excess is not None:
-            length = int(close_sum[b] - close_sum[a]) + k * step + excess
+        if comp is None and two < _HYPERGEOMETRIC_LIMIT:
+            comp = gaps.draw(two, rng)
+        length = None
+        if excess is not None and comp is not None:
+            length = k * step + excess + gaps.total(comp) + at_b[4] - at_a[4]
             if length < room:
                 room -= length
-                pairs += k + b - a  # each gap ends at a pair
-                if not later:
-                    return b, pairs, room
-                a, (b, k, excess) = b, later.pop()
+                pairs += k + two + at_b[3] - at_a[3]  # each gap ends at a pair
+                adjacent += comp[0]
+                a, at_a = b, at_b
+                if later:
+                    b, at_b, k, excess, comp = later.pop()
+                else:
+                    fresh = True
                 continue
-            if b - a == 1:
-                return a, pairs + _bisect_stretch(k, excess, room, window, rng), None
-        elif b - a == 1:
-            in_range, excess = _draw_stretch(k, room, window, pair_prob, rng)
+        if b - a == 1:
             if excess is None:
-                return a, pairs + in_range, None
-            continue
-        mid = (a + b) // 2
-        left_units = int(long_units[mid] - long_units[a])
-        right_units = int(long_units[b] - long_units[mid])
-        left_k = left_units + _split(k - left_units - right_units, left_units, right_units, rng)
-        left_excess = None if excess is None else _split(excess, left_k, k - left_k, rng)
-        later.append((b, k - left_k, None if excess is None else excess - left_excess))
-        b, k, excess = mid, left_k, left_excess
+                in_range, excess = _draw_stretch(k, room, window, pair_prob, rng)
+                if excess is None:
+                    return a, pairs + in_range, adjacent, None, None
+                continue
+            break
+        if length is None:
+            mid = (a + b) // 2
+        else:
+            mid = a + min(max((b - a) * room // length, 1), b - a - 1)
+        at_mid = at(mid)
+        left_k = left_excess = left_comp = right_k = right_excess = right_comp = None
+        if k is not None:
+            left_shapes, left_base = at_mid[1] - at_a[1], at_mid[2] - at_a[2]
+            left_k = left_base + _split(k - base, left_shapes, shapes - left_shapes, rng)
+            right_k = k - left_k
+        if excess is not None:
+            left_excess = _split(excess, left_k, right_k, rng)
+            right_excess = excess - left_excess
+        if comp is not None:
+            left_comp, right_comp = gaps.split(comp, two, at_mid[0] - at_a[0], rng)
+        later.append((b, at_b, right_k, right_excess, right_comp))
+        b, at_b, k, excess, comp = mid, at_mid, left_k, left_excess, left_comp
+    # cluster a passes the room: first its stretch, then its close gaps
+    stretch = k * step + excess
+    if stretch >= room:
+        return a, pairs + _bisect_stretch(k, excess, room, window, rng), adjacent, None, None
+    pairs += k  # the last long gap ends at the cluster's first pair
+    # a two-pair cluster's second pair is out of range
+    return a, pairs, adjacent, None, None if at_b[0] > at_a[0] else room - stretch
 
 
 def _two_pair_law(params: SourceParams) -> list[float]:
@@ -266,25 +429,29 @@ def _sample_members(params: SourceParams, n_slots: int, rng: np.random.Generator
     detector and efficiency draws, the pair count, the heralds of the
     pairs not placed, and the two-pair clusters that herald in adjacent slots.
 
-    With window = max(deadtime, 1), the range is walked in "units" of
-    gap-index space from its first pair: a stretch of k >= 0 long gaps
-    (> window) closed by one close gap (<= window).  With
-    q = 1 - (1-p)^window, k + 1 is Geom(q), so a unit has long gaps with
-    probability 1 - q, one uniform per unit; the close gap is Geom(p)
-    truncated to 1..window, drawn by inverse CDF.  A unit starts a
-    cluster if it has long gaps or holds the range's first pair, and one
-    followed by another start closes a cluster of exactly two pairs; its
-    outcome is drawn, per batch, as one multinomial per gap class (close
-    gap 1, where two heralds form a block, or 2..window) from
-    ``_two_pair_law``.  The other units are placed in compressed slots:
-    close gaps are exact and a unit's stretch, if any, takes window + 1
-    slots.  Per batch of units, the m units with long gaps hold
-    m + NegBinomial(m, q) long gaps, each window + 1 slots plus a
-    geometric excess, so the batch's real length is known after one more
-    negative-binomial draw; ``_walk_units`` places the end of the range.
-    An isolated pair heralds with probability ``herald_det_efficiency``.
-    Every draw follows the laws of drawing all pairs, while the cost
-    scales with the number of close gaps.
+    With window = max(deadtime, 1) and q = 1 - (1-p)^window, a pair gap is
+    close (<= window) with probability q.  From the range's first pair the
+    gaps are walked in "super-units": g ~ Geom0(q) clusters of exactly two
+    pairs, closed by one cluster of three or more pairs, whose close gaps
+    number 1 + j with j ~ Geom(1 - q).  Each cluster follows a stretch of
+    1 + Geom0(q) long gaps (Geom0(q) before the range's first cluster),
+    each window + 1 slots plus a Geom0(p) excess.  Only g, j and the close
+    gaps of the clusters of three or more, each Geom(p) cut to 1..window
+    and drawn by inverse CDF, are arrays: the two-pair clusters of a batch
+    are counts, with their long gaps and the ``_CloseGapLaw`` composition
+    of their close gaps, and ``_walk_units`` places the end of the range.
+    A batch holds at most a budget of members: it ends with the first
+    super-unit that passes the budget less three, whose cluster keeps at
+    most the rest of the budget, and the next batch opens with the rest of
+    that cluster, j ~ Geom(1 - q) more close gaps by memorylessness.  The
+    clusters of three or more in range are placed in compressed slots:
+    close gaps are exact and each stretch takes window + 1 slots.  The
+    two-pair clusters in range draw their outcomes, per batch, as one
+    multinomial per gap class (1 slot, where two heralds form a block, or
+    2..window) from ``_two_pair_law``, and an isolated pair heralds with
+    probability ``herald_det_efficiency``.  Every draw follows the laws of
+    drawing all pairs, while the cost scales with the number of clusters
+    of three or more.
     """
     p = params.pair_prob
     first = int(rng.geometric(p)) - 1 if p > 0.0 else n_slots  # slot of the first pair
@@ -294,77 +461,109 @@ def _sample_members(params: SourceParams, n_slots: int, rng: np.random.Generator
     step = window + 1
     eff = params.herald_det_efficiency
     law = _two_pair_law(params)
-    with np.errstate(divide="ignore"):
-        log_miss = np.log1p(-p)  # -inf at pair_prob 1: every gap is 1
-    q = -np.expm1(window * log_miss)
+    gaps = _close_gap_law(p, window)
+    log_miss = math.log1p(-p) if p < 1.0 else -math.inf  # every gap is 1 at pair_prob 1
+    log_long = window * log_miss  # log P(gap > window)
+    q = -math.expm1(log_long)
+    log_q = math.log1p(-math.exp(log_long))  # 0 when every gap is close
+    # g = floor(log(u) / log(1 - q)) and j - 1 = floor(log(u') / log(q)); when
+    # q is 1, j is the cap, put in place of log(u') and divided by -1
+    scale = np.array([[log_long], [log_q if log_q < 0.0 else -1.0]])
+    super_units = p * q * q * (1.0 - q)  # per slot
+    member_rate = p * q * q * (3.0 - 2.0 * q)  # pairs of clusters of three or more, per slot
     room = n_slots - first  # a pair is in range if it lands less than room slots on
-    last = 0  # compressed slot of the last member placed; the first pair's is 0
+    last = 0  # compressed slot of the last member placed; the first lands on 0
     pairs = 1
     counted_pairs = heralds = blocks = 0  # of the two-pair clusters
+    opens = 1  # how super-unit 0 of a batch opens; see _walk_units
     slots: list[np.ndarray] = []
     to_a: list[np.ndarray] = []
     eff_draws: list[np.ndarray] = []
     while room is not None:
-        batch = _batch_units(room * p * q, window)  # room * p * q units are left in the range
-        has_long = rng.random(batch) >= q
-        close = np.ceil(np.log1p(-q * rng.random(batch)) / log_miss).astype(np.int64)
-        np.maximum(close, 1, out=close)
-        np.minimum(close, window, out=close)
-        close_sum = np.zeros(batch + 1, dtype=np.int64)
-        np.cumsum(close, out=close_sum[1:])
-        long_units = np.zeros(batch + 1, dtype=np.int64)
-        np.cumsum(has_long, out=long_units[1:])
-        m = int(long_units[-1])
-        # a unit starts a cluster if it has long gaps or holds the range's
-        # first pair, and one followed by another start closes a cluster of
-        # exactly two pairs (two[u]); the batch's last unit is placed, since
-        # whether the next unit starts a cluster is not drawn yet
-        first_unit = not slots  # unit 0 holds the range's first pair
-        two = has_long[:-1] & has_long[1:]
-        if first_unit and batch > 1:
-            two[0] = has_long[1]
+        batch = _batch_units(room * super_units, window)
+        budget = max(_batch_units(room * member_rate, window), 3)
+        draws = rng.random((2, batch))
+        np.negative(draws, out=draws)
+        np.log1p(draws, out=draws)
+        if log_q == 0.0:
+            draws[1] = -budget
+        draws /= scale
+        # more than room // (step + 1) + 1 two-pair clusters pass the room
+        np.minimum(draws[0], room // (step + 1) + 2, out=draws[0])
+        np.minimum(draws[1], budget, out=draws[1])
+        two, count = draws.astype(np.int64)
+        count += 3  # members: a first pair and 2 + floor(...) close gaps
+        head = opens == 2  # super-unit 0 holds only the rest of a cut cluster
+        if head:
+            two[0] = 0
+            count[0] -= 2
+        members = np.zeros(batch + 1, dtype=np.int64)
+        count.cumsum(out=members[1:])
+        # the batch ends with the first super-unit that passes budget - 3
+        # members, and that one keeps at most the rest of the budget
+        cut = int(members.searchsorted(budget - 3, "right"))
+        cut_open = False
+        if cut <= batch:
+            kept = min(int(count[cut - 1]), budget - int(members[cut - 1]))
+            cut_open = kept < count[cut - 1]
+            batch = cut
+            two, members = two[:batch], members[:batch + 1]
+            members[batch] = members[batch - 1] + kept
+        n_members = int(members[-1])
+        if window == 1:
+            member_gaps = np.ones(n_members, dtype=np.uint64)
+        else:  # Geom(p) cut to 1..window by inverse CDF
+            u = rng.random(n_members)
+            u *= -q
+            np.log1p(u, out=u)
+            u /= log_miss
+            member_gaps = u.astype(np.uint64)
+            member_gaps += 1
+            np.minimum(member_gaps, window, out=member_gaps)
+        member_gaps[members[head:batch]] = step  # a placed cluster starts window + 1 slots on
+        if opens == 1:
+            member_gaps[0] = 0
+        member_slots = member_gaps.cumsum()  # after the last member placed; 2 close gaps may reach 2^63
+        two += 1
+        clusters = np.zeros(batch + 1, dtype=np.int64)
+        two.cumsum(out=clusters[1:])
         # a detector and an efficiency draw for every pair the batch's placed
-        # units can hold (two if they start a cluster, else one), so where
-        # the range ends changes none of them
-        placeable = batch + m + int(first_unit and not has_long[0]) - 2 * int(np.count_nonzero(two))
-        batch_to_a = rng.random(placeable) < params.herald_splitter_ratio
-        batch_eff = rng.random(placeable) < eff if eff < 1.0 else np.ones(placeable, dtype=bool)
-        done, in_range, room = _walk_units(close_sum, long_units, m + _negative_binomial(m, q, rng),
-                                           room, window, p, rng)
+        # clusters hold, so where the range ends changes none of them
+        batch_to_a = rng.random(n_members) < params.herald_splitter_ratio
+        batch_eff = rng.random(n_members) < eff if eff < 1.0 else np.ones(n_members, dtype=bool)
+        done, in_range, adjacent, room, tail = _walk_units(
+            clusters, members, member_slots, room, opens, gaps, window, p, q, rng)
         pairs += in_range
-        two = two[:done]  # of the units wholly in range
-        units = (~two).nonzero()[0]  # the placed units wholly in range
-        if done == batch:
-            units = np.append(units, batch - 1)
-        counted = done - units.size
-        if counted:
-            counted_pairs += 2 * counted
-            adjacent = int(np.count_nonzero(close[:two.size][two] == 1))
+        i = int(clusters.searchsorted(done, "right")) - 1  # super-units before i are wholly in range
+        two_in = done - i
+        placed = int(members[i])
+        if tail is not None:  # super-unit i's cluster crosses the end after its first pair
+            lead = 0 if head and i == 0 else 1
+            close = member_gaps[placed + lead:members[i + 1]].cumsum()
+            crossing = int(close.searchsorted(tail))
+            pairs += crossing
+            if lead and crossing == 1:  # cut to two pairs by the end of the range
+                two_in += 1
+                adjacent += int(close[0] == 1)
+            elif crossing:
+                placed += lead + crossing
+        opens = 2 if cut_open else 0
+        if two_in:
+            counted_pairs += 2 * two_in
             if adjacent:  # two heralds in adjacent slots form a block
                 _, one, both = rng.multinomial(adjacent, law)
                 heralds += int(one + 2 * both)
                 blocks += int(both)
-            if counted > adjacent:
-                _, one, both = rng.multinomial(counted - adjacent, law)
+            if two_in > adjacent:
+                _, one, both = rng.multinomial(two_in - adjacent, law)
                 heralds += int(one + 2 * both)
-        unit_close = close[units]
-        unit_long = has_long[units]
-        ends = (unit_close + step * unit_long).cumsum()
-        ends += last
-        members = np.empty(2 * units.size, dtype=np.int64)
-        members[0::2] = ends - unit_close  # the pair before each close gap
-        members[1::2] = ends
-        # a unit that starts no cluster starts at the last member placed
-        keep = np.ones(2 * units.size, dtype=bool)
-        keep[0::2] = unit_long
-        if first_unit and units.size and units[0] == 0:
-            keep[0] = True
-        members = members[keep]
-        slots.append(members)
-        to_a.append(batch_to_a[:members.size])
-        eff_draws.append(batch_eff[:members.size])
-        if units.size:
-            last = int(ends[-1])
+        placed_slots = member_slots[:placed].astype(np.int64)
+        placed_slots += last
+        slots.append(placed_slots)
+        to_a.append(batch_to_a[:placed])
+        eff_draws.append(batch_eff[:placed])
+        if placed:
+            last = int(placed_slots[-1])
     placed_slots = np.concatenate(slots)
     # an isolated pair meets a live detector: it heralds with probability eff
     heralds += int(rng.binomial(pairs - placed_slots.size - counted_pairs, eff))
@@ -380,7 +579,9 @@ def _apply_deadtime(slots: np.ndarray, to_a: np.ndarray, eff_draws: np.ndarray,
     live, i.e. more than ``deadtime`` slots have passed since that
     detector's last *fire*.  Failed draws never blind, so each detector's
     successful arrivals split into clusters at gaps of more than
-    ``deadtime``, and each cluster is resolved on its own.  Its first
+    ``deadtime``, and each cluster is resolved on its own.  The successful
+    arrivals are gathered once, detector A's and then detector B's, each in
+    slot order, with a cluster break between the two.  A cluster's first
     arrival fires.  In a cluster of two the second arrival is within the
     deadtime of the first, so it is blind: clusters of one or two, nearly
     all of them near the paper's operating point, are settled in closed
@@ -392,29 +593,38 @@ def _apply_deadtime(slots: np.ndarray, to_a: np.ndarray, eff_draws: np.ndarray,
     """
     if deadtime == 0 or slots.size == 0:
         return eff_draws.copy()
-    fired = np.zeros(slots.size, dtype=bool)
-    for detector in (to_a & eff_draws, ~to_a & eff_draws):
-        # gather and scatter through indices: boolean masks are several
-        # times slower on these irregular patterns
-        hits = np.flatnonzero(detector)
-        s = slots[hits]
-        on = np.ones(s.size, dtype=bool)  # first of its cluster
-        np.greater(s[1:] - s[:-1], deadtime, out=on[1:])
-        # three arrivals in a row with close gaps between them lie in one
-        # cluster; these triples cover the clusters of three or more
-        close = ~on[1:]
-        triple = close[1:] & close[:-1]
-        if triple.any():
-            big = np.zeros(s.size, dtype=bool)
-            big[:-2] = triple
-            big[1:-1] |= triple
-            big[2:] |= triple
-            idx = np.flatnonzero(big)
-            t = s[idx]
-            k = idx.size
-            first = np.append(on[idx], True)  # index k: "no further arrival"
+    # gather and scatter through indices: boolean masks are several times
+    # slower on these irregular patterns
+    hits = np.flatnonzero(np.concatenate((to_a & eff_draws, eff_draws > to_a)))
+    n_a = int(hits.searchsorted(slots.size))
+    hits[n_a:] -= slots.size
+    s = slots[hits]
+    on = np.empty(s.size, dtype=bool)  # first of its cluster
+    on[:1] = True
+    np.greater(s[1:] - s[:-1], deadtime, out=on[1:])
+    del s  # the orbits below gather their own slots: a smaller peak
+    if 0 < n_a < on.size:
+        on[n_a] = True  # detector B's first arrival
+    # three arrivals in a row with close gaps between them lie in one
+    # cluster; these triples cover the clusters of three or more
+    close = ~on[1:]
+    triple = close[1:] & close[:-1]
+    if triple.any():
+        big = np.zeros(on.size, dtype=bool)
+        big[:-2] = triple
+        big[1:-1] |= triple
+        big[2:] |= triple
+        idx = np.flatnonzero(big)
+        split = int(idx.searchsorted(n_a))
+        # one detector at a time, which halves the peak memory of the orbits
+        for part in (idx[:split], idx[split:]):
+            if not part.size:
+                continue
+            t = slots[hits[part]]
+            k = part.size
+            first = np.append(on[part], True)  # index k: "no further arrival"
             jump = np.empty(k + 1, dtype=np.int64)
-            jump[:k] = np.searchsorted(t, t + (deadtime + 1))
+            jump[:k] = t.searchsorted(t + deadtime, "right")  # the first arrival later than t + deadtime
             jump[k] = k
             jump[first[jump]] = k  # orbits stop at their cluster's end
             orbit = first.copy()
@@ -423,8 +633,9 @@ def _apply_deadtime(slots: np.ndarray, to_a: np.ndarray, eff_draws: np.ndarray,
             while (jump[starts] != k).any():
                 orbit[jump[orbit]] = True
                 jump = jump[jump]
-            on[idx] = orbit[:k]
-        fired[hits] = on
+            on[part] = orbit[:k]
+    fired = np.zeros(slots.size, dtype=bool)
+    fired[hits] = on
     return fired
 
 

@@ -72,6 +72,22 @@ class TestEstimateS:
     def test_no_counts_means_unknown_error(self):
         assert estimate_s(2.62, 785.0, 0.079, 2).std_error == 0.0
 
+    @pytest.mark.parametrize("triggers", [1, 170, 10**6])
+    def test_no_coincidence_reports_wilson_upper_bound(self, triggers):
+        # Wilson score interval at z = 1 for 0 successes in T trials:
+        # (z^2 / 2T + z sqrt(z^2 / 4T^2)) / (1 + z^2 / T) = 1 / (T + 1)
+        est = estimate_s(0.0, 785.0, 0.079, 2, coincidence_count=0, trigger_count=triggers)
+        z, t = 1.0, float(triggers)
+        wilson = (z * z / (2 * t) + z * math.sqrt(z * z / (4 * t * t))) / (1 + z * z / t)
+        assert est.value == 0.0
+        assert est.std_error == pytest.approx(wilson / 0.079**2, rel=1e-12)
+        assert est.std_error == pytest.approx(1.0 / (triggers + 1) / 0.079**2, rel=1e-12)
+
+    def test_wilson_bound_shrinks_with_triggers(self):
+        few = estimate_s(0.0, 785.0, 0.3, 2, coincidence_count=0, trigger_count=100)
+        many = estimate_s(0.0, 785.0, 0.3, 2, coincidence_count=0, trigger_count=10_000)
+        assert 0.0 < many.std_error < few.std_error
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             estimate_s(1.0, 0.0, 0.1, 2)

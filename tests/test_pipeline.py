@@ -408,6 +408,17 @@ class TestFailureModes:
         with pytest.raises(ValueError, match="deadtime"):
             execute_scenario(scenario_from_mapping(raw))
 
+    def test_no_coincidence_reports_an_upper_bound(self):
+        # a converter that transmits nothing: triggers but no coincidence
+        raw = raw_scenario(slots_per_trial=200_000)
+        raw["converter"]["transmittance"] = 0.0
+        report = execute_scenario(scenario_from_mapping(raw))
+        triggers = report["trigger_count"]
+        assert triggers > 0 and report["coincidence_count"] == 0
+        est = report["s_estimate"]
+        assert est["value"] == 0.0
+        assert est["std_error"] == pytest.approx(1.0 / (triggers + 1) / report["p_h1_eta_d"] ** 2)
+
     def test_empty_stream_reports_no_runs(self):
         raw = raw_scenario()
         raw["source"]["pair_prob"] = 0.0
