@@ -111,18 +111,18 @@ def compensate_transmittance(
 ) -> EfficiencyEstimate:
     """Divide out the converter transmittance: value / t**n.
 
-    Isolates the routing quality from passive optical loss.  Relative
-    errors of the estimate and of t (weight n) combine in quadrature.
+    Isolates the routing quality from passive optical loss.  The errors
+    of the estimate, divided by t**n, and of t, through the derivative
+    n value / t, combine in quadrature; so an estimate of 0 keeps its
+    error bar.
     """
     if not 0 < t <= 1:
         raise ValueError(f"transmittance must lie in (0, 1] (got {t})")
     if n < 1:
         raise ValueError(f"n must be >= 1 (got {n})")
     value = s.value / t**n
-    rel_sq = (n * t_std_error / t) ** 2
-    if s.value > 0:
-        rel_sq += (s.std_error / s.value) ** 2
-    return EfficiencyEstimate(value=value, std_error=value * math.sqrt(rel_sq))
+    error = math.hypot(s.std_error / t**n, value * n * t_std_error / t)
+    return EfficiencyEstimate(value=value, std_error=error)
 
 
 def estimate_routing_efficiencies(

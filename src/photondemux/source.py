@@ -41,7 +41,7 @@ import operator
 
 import numpy as np
 
-from .model import SourceParams
+from .model import MAX_SLOTS, SourceParams
 
 
 @dataclass(frozen=True)
@@ -103,8 +103,9 @@ class HeraldStream:
 # holds the sampler to this bound; the measured peaks are in
 # TestMemoryFigure).  A member keeps its slot and two flags and, within
 # its round, its gap, slot and uniform draws; the deadtime resolver then
-# gathers the members whose efficiency draw succeeded.  A super-unit's
-# round holds two uniform draws, their integer casts and two prefix sums.
+# gathers, one detector at a time, the members whose efficiency draw
+# succeeded.  A super-unit's round holds two uniform draws, their integer
+# casts and two prefix sums.
 _BYTES_PER_MEMBER = 80
 _BYTES_PER_UNIT = 64
 # super-units, and members, drawn per vector round; bounds the working arrays
@@ -300,10 +301,9 @@ def _bisect_stretch(k: int, excess: int, room: int, window: int, rng: np.random.
 
 def _walk_units(clusters: np.ndarray, members: np.ndarray, member_slots: np.ndarray, room: int,
                 opens: int, gaps: _CloseGapLaw, window: int, pair_prob: float, q: float,
-                rng: np.random.Generator) -> tuple[int, int, int, "int | None", "int | None"]:
-    """Clusters of a batch wholly in range, the pairs in range, the two-pair
-    clusters in range with a gap of 1 slot, the room left, and the room
-    left at the first pair of a crossing cluster of three or more.
+                rng: np.random.Generator) -> tuple[int, int, int, int, "int | None"]:
+    """In-range tallies of a batch: its two-pair clusters, those of them
+    with a gap of 1 slot, its members placed, its pairs, and the room left.
 
     The batch's clusters are numbered in order: super-unit i holds the
     clusters ``clusters[i]`` to ``clusters[i + 1] - 1``, its two-pair
@@ -311,29 +311,34 @@ def _walk_units(clusters: np.ndarray, members: np.ndarray, member_slots: np.ndar
     ``members[i]`` to ``members[i + 1] - 1``: a first pair (but in a cut
     cluster's rest) and one per close gap.  ``member_slots`` are their
     compressed slots, with window + 1 slots before each placed cluster but
-    super-unit 0's when ``opens``.  Every cluster follows a stretch of long
-    gaps, one plus a Geom0(q) number, except cluster 0 when ``opens`` is 1
-    (the range's first cluster: a Geom0(q) number) or 2 (the rest of a
-    cluster the last batch cut: none).
+    a cut cluster's rest.  Every cluster follows a stretch of long gaps,
+    one plus a Geom0(q) number, except cluster 0 when ``opens`` is 1 (the
+    range's first cluster: a Geom0(q) number) or 2 (the rest of a cluster
+    the last batch cut: none).
 
     The walk takes segments of clusters left to right, each with its long
-    gaps k, their excess over window + 1 slots each, and its two-pair
-    close-gap composition; each is drawn once the segment is small enough
-    for one draw (k = its stretches' first long gaps + NegBinomial(its
-    stretches, q), the excess NegBinomial(k, p)).  A fresh segment holds
-    the clusters expected in the room, at least one.  A segment that passes the room is cut where the room's share of its
-    length falls: its long gaps beyond the first of each stretch split by
-    ``_split`` with the parts' stretches as shapes, its excess by
+    gaps k = its stretches' first long gaps + NegBinomial(its stretches,
+    q), their excess over window + 1 slots each, NegBinomial(k, p), and its
+    two-pair close-gap composition; the excess and the composition are
+    drawn once the segment is small enough for one draw.  A fresh segment
+    holds the clusters expected in the room, at least one, so its
+    stretches stay within ``_max_piece(q)`` for any range of at most 2^62
+    slots.  A segment that passes the room is cut where the room's share
+    of its length falls: its long gaps beyond the first of each stretch
+    split by ``_split`` with the parts' stretches as shapes, its excess by
     ``_split`` with the parts' long gaps, its composition by
     ``_CloseGapLaw.split``.  In the cluster that crosses the end,
     ``_bisect_stretch`` (or ``_draw_stretch``) counts the pairs of its
-    stretch in range.  The room left is None once the batch crosses the end.
+    stretch in range, and the close pairs in range are those less than the
+    room left slots after the cluster's first pair.  A placed cluster cut
+    to two pairs counts as a two-pair cluster, and one cut to one pair as
+    an isolated pair.  The room left is None once the batch crosses the end.
     """
     step = window + 1
-    q_piece, p_piece = _max_piece(q), _max_piece(pair_prob)
+    p_piece = _max_piece(pair_prob)
     density = pair_prob * q * (1.0 - q)  # clusters per slot
-    head = 1 if opens == 2 else 0  # super-unit 0 lacks a first pair and a stretch
-    skip = 1 if opens else 0  # cluster 0 lacks the first long gap of a stretch, super-unit 0 a step
+    head = 1 if opens == 2 else 0  # super-unit 0 lacks a first pair, a stretch and a step
+    skip = 1 if opens else 0  # cluster 0 lacks the first long gap of a stretch
 
     def at(c: int) -> tuple[int, int, int, int, int]:
         """Two-pair clusters, stretches, first long gaps, placed close gaps and their slots before cluster c."""
@@ -341,7 +346,7 @@ def _walk_units(clusters: np.ndarray, members: np.ndarray, member_slots: np.ndar
         if i == 0:
             return c, c - head * (c > 0), c - skip * (c > 0), 0, 0
         m = int(members[i])
-        return c - i, c - head, c - skip, m - i + head, int(member_slots[m - 1]) - step * (i - skip)
+        return c - i, c - head, c - skip, m - i + head, int(member_slots[m - 1]) - step * (i - head)
 
     total = int(clusters[-1])
     a, at_a = 0, (0, 0, 0, 0, 0)
@@ -351,16 +356,20 @@ def _walk_units(clusters: np.ndarray, members: np.ndarray, member_slots: np.ndar
     while True:
         if fresh:
             if a == total:
-                return a, pairs, adjacent, room, None
+                return at_a[0], adjacent, int(members[-1]), pairs, room
             b = min(a + max(int(room * density), 1), total)
-            at_b, k, excess, comp, fresh = at(b), None, None, None, False
+            at_b, excess, comp = at(b), None, None
         two, shapes, base = at_b[0] - at_a[0], at_b[1] - at_a[1], at_b[2] - at_a[2]
-        if k is None and shapes <= q_piece:
-            k = base + int(rng.negative_binomial(shapes, q)) if shapes else 0
-        if excess is None and k is not None and k <= p_piece:
+        if fresh:
+            k, fresh = base + int(rng.negative_binomial(shapes, q)) if shapes else 0, False
+        if excess is None and k <= p_piece:
             excess = int(rng.negative_binomial(k, pair_prob)) if k else 0
         if comp is None and two < _HYPERGEOMETRIC_LIMIT:
             comp = gaps.draw(two, rng)
+        if excess is None and b - a == 1:  # one stretch, drawn in pieces
+            in_range, excess = _draw_stretch(k, room, window, pair_prob, rng)
+            if excess is None:
+                return at_a[0], adjacent, int(members[a - at_a[0]]), pairs + in_range, None
         length = None
         if excess is not None and comp is not None:
             length = k * step + excess + gaps.total(comp) + at_b[4] - at_a[4]
@@ -374,37 +383,44 @@ def _walk_units(clusters: np.ndarray, members: np.ndarray, member_slots: np.ndar
                 else:
                     fresh = True
                 continue
-        if b - a == 1:
-            if excess is None:
-                in_range, excess = _draw_stretch(k, room, window, pair_prob, rng)
-                if excess is None:
-                    return a, pairs + in_range, adjacent, None, None
-                continue
-            break
+            if b - a == 1:
+                break
         if length is None:
             mid = (a + b) // 2
         else:
             mid = a + min(max((b - a) * room // length, 1), b - a - 1)
         at_mid = at(mid)
-        left_k = left_excess = left_comp = right_k = right_excess = right_comp = None
-        if k is not None:
-            left_shapes, left_base = at_mid[1] - at_a[1], at_mid[2] - at_a[2]
-            left_k = left_base + _split(k - base, left_shapes, shapes - left_shapes, rng)
-            right_k = k - left_k
+        left_k = at_mid[2] - at_a[2] + _split(k - base, at_mid[1] - at_a[1], at_b[1] - at_mid[1], rng)
+        left_excess = left_comp = right_excess = right_comp = None
         if excess is not None:
-            left_excess = _split(excess, left_k, right_k, rng)
+            left_excess = _split(excess, left_k, k - left_k, rng)
             right_excess = excess - left_excess
         if comp is not None:
             left_comp, right_comp = gaps.split(comp, two, at_mid[0] - at_a[0], rng)
-        later.append((b, at_b, right_k, right_excess, right_comp))
+        later.append((b, at_b, k - left_k, right_excess, right_comp))
         b, at_b, k, excess, comp = mid, at_mid, left_k, left_excess, left_comp
     # cluster a passes the room: first its stretch, then its close gaps
+    i = a - at_a[0]  # super-units before cluster a
+    two_in, placed = at_a[0], int(members[i])
     stretch = k * step + excess
     if stretch >= room:
-        return a, pairs + _bisect_stretch(k, excess, room, window, rng), adjacent, None, None
-    pairs += k  # the last long gap ends at the cluster's first pair
-    # a two-pair cluster's second pair is out of range
-    return a, pairs, adjacent, None, None if at_b[0] > at_a[0] else room - stretch
+        return two_in, adjacent, placed, pairs + _bisect_stretch(k, excess, room, window, rng), None
+    pairs += k  # the last long gap ends at the cluster's first pair; a two-pair cluster's second is out
+    if at_b[0] == at_a[0]:
+        # a placed cluster: its close pairs in range lie less than room - stretch
+        # slots after ref, the slot of its first pair or, in the rest of a cut
+        # cluster, of the last member placed (0 in member_slots)
+        lead = 0 if head and i == 0 else 1
+        first = placed + lead  # its first close pair
+        ref = int(member_slots[first - 1]) if first else 0
+        close = member_slots[first:members[i + 1]]
+        crossing = int(close.searchsorted(ref + room - stretch))
+        pairs += crossing
+        if lead and crossing == 1:  # cut to two pairs
+            return two_in + 1, adjacent + (int(close[0]) - ref == 1), placed, pairs, None
+        if crossing:
+            placed = first + crossing
+    return two_in, adjacent, placed, pairs, None
 
 
 def _two_pair_law(params: SourceParams) -> list[float]:
@@ -439,13 +455,16 @@ def _sample_members(params: SourceParams, n_slots: int, rng: np.random.Generator
     gaps of the clusters of three or more, each Geom(p) cut to 1..window
     and drawn by inverse CDF, are arrays: the two-pair clusters of a batch
     are counts, with their long gaps and the ``_CloseGapLaw`` composition
-    of their close gaps, and ``_walk_units`` places the end of the range.
+    of their close gaps.  ``_walk_units`` walks a batch up to the end of
+    the range and returns what of it lies in range: the two-pair clusters,
+    those with a gap of 1 slot, the members to place and the pairs.
     A batch holds at most a budget of members: it ends with the first
     super-unit that passes the budget less three, whose cluster keeps at
     most the rest of the budget, and the next batch opens with the rest of
     that cluster, j ~ Geom(1 - q) more close gaps by memorylessness.  The
     clusters of three or more in range are placed in compressed slots:
-    close gaps are exact and each stretch takes window + 1 slots.  The
+    close gaps are exact and each stretch takes window + 1 slots, the
+    first one from slot -(window + 1), so the first member lands on 0.  The
     two-pair clusters in range draw their outcomes, per batch, as one
     multinomial per gap class (1 slot, where two heralds form a block, or
     2..window) from ``_two_pair_law``, and an isolated pair heralds with
@@ -472,7 +491,7 @@ def _sample_members(params: SourceParams, n_slots: int, rng: np.random.Generator
     super_units = p * q * q * (1.0 - q)  # per slot
     member_rate = p * q * q * (3.0 - 2.0 * q)  # pairs of clusters of three or more, per slot
     room = n_slots - first  # a pair is in range if it lands less than room slots on
-    last = 0  # compressed slot of the last member placed; the first lands on 0
+    last = -step  # compressed slot of the last member placed; the first lands on 0
     pairs = 1
     counted_pairs = heralds = blocks = 0  # of the two-pair clusters
     opens = 1  # how super-unit 0 of a batch opens; see _walk_units
@@ -521,8 +540,6 @@ def _sample_members(params: SourceParams, n_slots: int, rng: np.random.Generator
             member_gaps += 1
             np.minimum(member_gaps, window, out=member_gaps)
         member_gaps[members[head:batch]] = step  # a placed cluster starts window + 1 slots on
-        if opens == 1:
-            member_gaps[0] = 0
         member_slots = member_gaps.cumsum()  # after the last member placed; 2 close gaps may reach 2^63
         two += 1
         clusters = np.zeros(batch + 1, dtype=np.int64)
@@ -531,22 +548,9 @@ def _sample_members(params: SourceParams, n_slots: int, rng: np.random.Generator
         # clusters hold, so where the range ends changes none of them
         batch_to_a = rng.random(n_members) < params.herald_splitter_ratio
         batch_eff = rng.random(n_members) < eff if eff < 1.0 else np.ones(n_members, dtype=bool)
-        done, in_range, adjacent, room, tail = _walk_units(
+        two_in, adjacent, placed, in_range, room = _walk_units(
             clusters, members, member_slots, room, opens, gaps, window, p, q, rng)
         pairs += in_range
-        i = int(clusters.searchsorted(done, "right")) - 1  # super-units before i are wholly in range
-        two_in = done - i
-        placed = int(members[i])
-        if tail is not None:  # super-unit i's cluster crosses the end after its first pair
-            lead = 0 if head and i == 0 else 1
-            close = member_gaps[placed + lead:members[i + 1]].cumsum()
-            crossing = int(close.searchsorted(tail))
-            pairs += crossing
-            if lead and crossing == 1:  # cut to two pairs by the end of the range
-                two_in += 1
-                adjacent += int(close[0] == 1)
-            elif crossing:
-                placed += lead + crossing
         opens = 2 if cut_open else 0
         if two_in:
             counted_pairs += 2 * two_in
@@ -579,50 +583,40 @@ def _apply_deadtime(slots: np.ndarray, to_a: np.ndarray, eff_draws: np.ndarray,
     live, i.e. more than ``deadtime`` slots have passed since that
     detector's last *fire*.  Failed draws never blind, so each detector's
     successful arrivals split into clusters at gaps of more than
-    ``deadtime``, and each cluster is resolved on its own.  The successful
-    arrivals are gathered once, detector A's and then detector B's, each in
-    slot order, with a cluster break between the two.  A cluster's first
-    arrival fires.  In a cluster of two the second arrival is within the
-    deadtime of the first, so it is blind: clusters of one or two, nearly
-    all of them near the paper's operating point, are settled in closed
-    form.  In a cluster of three or more the fired arrivals are the orbit
-    of next(i) = the first arrival later than slot i + deadtime, started
-    at the cluster's first arrival.  Only these clusters' arrivals are
-    gathered, and their orbits are marked by pointer doubling, in
-    log2(longest orbit) vector rounds.
+    ``deadtime``, and each cluster is resolved on its own, one detector at
+    a time.  A cluster's first arrival fires.  In a cluster of two the
+    second arrival is within the deadtime of the first, so it is blind:
+    clusters of one or two, nearly all of them near the paper's operating
+    point, are settled in closed form.  In a cluster of three or more the
+    fired arrivals are the orbit of next(i) = the first arrival later than
+    slot i + deadtime, started at the cluster's first arrival.  Only these
+    clusters' arrivals are gathered, and their orbits are marked by
+    pointer doubling, in log2(longest orbit) vector rounds.
     """
     if deadtime == 0 or slots.size == 0:
         return eff_draws.copy()
-    # gather and scatter through indices: boolean masks are several times
-    # slower on these irregular patterns
-    hits = np.flatnonzero(np.concatenate((to_a & eff_draws, eff_draws > to_a)))
-    n_a = int(hits.searchsorted(slots.size))
-    hits[n_a:] -= slots.size
-    s = slots[hits]
-    on = np.empty(s.size, dtype=bool)  # first of its cluster
-    on[:1] = True
-    np.greater(s[1:] - s[:-1], deadtime, out=on[1:])
-    del s  # the orbits below gather their own slots: a smaller peak
-    if 0 < n_a < on.size:
-        on[n_a] = True  # detector B's first arrival
-    # three arrivals in a row with close gaps between them lie in one
-    # cluster; these triples cover the clusters of three or more
-    close = ~on[1:]
-    triple = close[1:] & close[:-1]
-    if triple.any():
-        big = np.zeros(on.size, dtype=bool)
-        big[:-2] = triple
-        big[1:-1] |= triple
-        big[2:] |= triple
-        idx = np.flatnonzero(big)
-        split = int(idx.searchsorted(n_a))
-        # one detector at a time, which halves the peak memory of the orbits
-        for part in (idx[:split], idx[split:]):
-            if not part.size:
-                continue
-            t = slots[hits[part]]
-            k = part.size
-            first = np.append(on[part], True)  # index k: "no further arrival"
+    fired = np.zeros(slots.size, dtype=bool)
+    for detector in (to_a, ~to_a):
+        # gather and scatter through indices: boolean masks are several
+        # times slower on these irregular patterns
+        hits = np.flatnonzero(detector & eff_draws)
+        s = slots[hits]
+        on = np.ones(s.size, dtype=bool)  # first of its cluster
+        np.greater(s[1:] - s[:-1], deadtime, out=on[1:])
+        del s  # the orbits below gather their own slots: a smaller peak
+        # three arrivals in a row with close gaps between them lie in one
+        # cluster; these triples cover the clusters of three or more
+        close = ~on[1:]
+        triple = close[1:] & close[:-1]
+        if triple.any():
+            big = np.zeros(on.size, dtype=bool)
+            big[:-2] = triple
+            big[1:-1] |= triple
+            big[2:] |= triple
+            idx = np.flatnonzero(big)
+            t = slots[hits[idx]]
+            k = idx.size
+            first = np.append(on[idx], True)  # index k: "no further arrival"
             jump = np.empty(k + 1, dtype=np.int64)
             jump[:k] = t.searchsorted(t + deadtime, "right")  # the first arrival later than t + deadtime
             jump[k] = k
@@ -633,16 +627,15 @@ def _apply_deadtime(slots: np.ndarray, to_a: np.ndarray, eff_draws: np.ndarray,
             while (jump[starts] != k).any():
                 orbit[jump[orbit]] = True
                 jump = jump[jump]
-            on[part] = orbit[:k]
-    fired = np.zeros(slots.size, dtype=bool)
-    fired[hits] = on
+            on[idx] = orbit[:k]
+        fired[hits] = on
     return fired
 
 
 def generate_herald_stream(params: SourceParams, n_slots: int, rng: np.random.Generator) -> HeraldStream:
     """Run the source and heralding arm over ``n_slots`` pulse slots."""
-    if n_slots < 1:
-        raise ValueError(f"n_slots must be >= 1 (got {n_slots})")
+    if not 1 <= n_slots <= MAX_SLOTS:
+        raise ValueError(f"n_slots must lie in 1..2**62 (got {n_slots})")
     pair_slots, to_a, eff_draws, pair_count, counted_heralds, two_pair_blocks = _sample_members(
         params, n_slots, rng)
     fired = _apply_deadtime(pair_slots, to_a, eff_draws, params.herald_deadtime_slots)

@@ -123,6 +123,12 @@ class TestCompensateTransmittance:
         rel = math.sqrt((0.003 / 0.533) ** 2 + (2 * 0.003 / 0.731) ** 2)
         assert out.std_error == pytest.approx(out.value * rel)
 
+    def test_zero_estimate_keeps_its_error_bar(self):
+        # a run without coincidences reports 0 with a Wilson bound as its error
+        out = compensate_transmittance(EfficiencyEstimate(0.0, 0.032), 0.731, 2, t_std_error=0.003)
+        assert out.value == 0.0
+        assert out.std_error == pytest.approx(0.032 / 0.731**2)
+
     def test_zero_transmittance_rejected(self):
         with pytest.raises(ValueError):
             compensate_transmittance(EfficiencyEstimate(0.5, 0.0), 0.0, 2)

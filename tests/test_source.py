@@ -9,6 +9,7 @@ error for any parameter set.
 """
 
 import itertools
+import math
 import tracemalloc
 import warnings
 
@@ -20,7 +21,7 @@ from scipy import stats
 
 from photondemux.controller import run_starts_from_heralds
 from photondemux import source
-from photondemux.model import SourceParams
+from photondemux.model import MAX_SLOTS, SourceParams
 from photondemux.source import (
     HeraldStream,
     RngStream,
@@ -706,9 +707,9 @@ class TestWalkSplits:
 
 class TestMemoryFigure:
     # tracemalloc peaks over 2e6 pairs at seed 53, against the estimate:
-    # 70.3 of 160 MB at pair_prob 1 (efficiency 0.7, every pair a member),
-    # 62.0 of 154 MB at pair_prob 0.3, 0.13 of 0.19 MB at the two-mode
-    # point (1875 members, one round of 760 super-units), and 126 of
+    # 61.7 of 160 MB at pair_prob 1 (efficiency 0.7, every pair a member),
+    # 57.6 of 154 MB at pair_prob 0.3, 0.13 of 0.19 MB at the two-mode
+    # point (1875 members, one round of 760 super-units), and 130 of
     # 160 MB with one detector, where every arrival lies in one deadtime
     # orbit
     @pytest.mark.parametrize("overrides", [
@@ -819,8 +820,22 @@ class TestEdgeCases:
             assert abs(stream.pair_count - expected) < 6 * np.sqrt(expected)
 
     def test_rejects_empty_range(self):
-        with pytest.raises(ValueError):
-            generate_herald_stream(make_params(), 0, RngStream(0).generator())
+        # and ranges past the 2^62 slots that the sampler's integer sums
+        # allow; at the smallest rate a missed refusal samples few pairs
+        for n_slots in (0, MAX_SLOTS + 1):
+            with pytest.raises(ValueError):
+                generate_herald_stream(make_params(pair_prob=1e-16), n_slots, RngStream(0).generator())
+
+    @pytest.mark.parametrize("pair_prob", [1e-16, 1e-9, 0.0043882, 0.3, 1.0])
+    def test_fresh_segment_takes_one_long_gap_draw(self, pair_prob):
+        # the walk sizes a fresh segment at max(room p q (1 - q), 1) clusters,
+        # so for any range of at most 2^62 slots the long gaps of its
+        # stretches are one negative-binomial draw at q, never drawn in pieces
+        log_miss = math.log1p(-pair_prob) if pair_prob < 1.0 else -math.inf
+        for window in (1, 4, MAX_SLOTS):
+            q = -math.expm1(window * log_miss)
+            for room in (1, MAX_SLOTS):
+                assert max(int(room * pair_prob * q * (1.0 - q)), 1) <= source._max_piece(q)
 
 
 class TestStreamConsistency:
