@@ -28,6 +28,11 @@ undetected.  Given those rows, the runs where photon i was detected on
 port i are a uniform subset of size M_ii, so the success count is the
 hypergeometric chain K_1 = M_11, K_{i+1} = Hypergeom(K_i, T - K_i, M_{i+1,i+1}).
 The cost does not grow with T.
+
+The laws pi_i are small, so each router builds them as rows of plain
+floats and makes one array of them; a clocked phase rotates the aligned
+rows.  Only the arrival probability of a row is a numpy row sum, whose
+pairwise order the laws keep bit for bit.
 """
 
 from __future__ import annotations
@@ -89,28 +94,33 @@ def _batch(n: int, counts: np.ndarray, successes: int) -> RoutingBatch:
     return RoutingBatch(n_modes=n, success_count=successes, port_counts=counts[:, :n])
 
 
-def _landing_law(on_port: np.ndarray, eta_d: float) -> np.ndarray:
-    """(n, n + 2) per-photon law from where photons land.
+def _landing_law(on_port: "list[list[float]]", eta_d: float) -> "list[list[float]]":
+    """Rows of the (n, n + 2) per-photon law from where photons land.
 
-    ``on_port[i, j]`` is the probability photon i reaches port j; the rest
+    ``on_port[i][j]`` is the probability photon i reaches port j; the rest
     of its row is lost in the optics.  Each arrival is then detected with
-    probability ``eta_d``.
+    probability ``eta_d``.  Rows are plain floats: one ``np.array`` call
+    makes a law, or a stack of laws, of them.
     """
-    arrived = on_port.sum(axis=1)
-    lost = np.maximum(1.0 - arrived, 0.0)  # rounding may leave -1e-16
-    return np.column_stack([on_port * eta_d, lost, arrived * (1.0 - eta_d)])
+    # numpy's pairwise row sum: a left-to-right float sum rounds differently from n = 8 on
+    arrived = np.add.reduce(on_port, axis=1).tolist()
+    missed = 1.0 - eta_d
+    return [[p * eta_d for p in row] + [max(1.0 - a, 0.0), a * missed]  # rounding may leave -1e-16
+            for row, a in zip(on_port, arrived)]
 
 
-def _aimed(n: int, hit: "float | Sequence[float]") -> np.ndarray:
-    """(n, n) landing law of photons aimed at port i, each on it with ``hit[i]``.
+def _aimed(n: int, hits: "Sequence[float]", scale: float = 1.0) -> "list[list[float]]":
+    """Rows of photons aimed at port i, each on it with ``scale * hits[i]``.
 
     A strayed photon takes a uniform other port; with a single port there
     is none, so it leaves the designated mode and counts as lost.
     """
-    hit = np.broadcast_to(np.asarray(hit, dtype=float), (n,))
-    on_port = np.repeat(((1.0 - hit) / max(n - 1, 1))[:, None], n, axis=1)
-    np.fill_diagonal(on_port, hit)
-    return on_port
+    rows = []
+    for i, hit in enumerate(hits):
+        row = [scale * ((1.0 - hit) / max(n - 1, 1))] * n
+        row[i] = scale * hit
+        rows.append(row)
+    return rows
 
 
 def route_heralded_batch(
@@ -123,8 +133,8 @@ def route_heralded_batch(
     if params.strategy is not RoutingStrategy.ACTIVE_HERALDED:
         raise ValueError(f"heralded routing called with strategy {params.strategy.value!r}")
     n = params.n_modes
-    on_port = params.transmittance * _aimed(n, params.port_efficiencies)
-    laws = [_landing_law(on_port, signal_det_efficiency)]
+    on_port = _aimed(n, params.port_efficiencies, params.transmittance)
+    laws = [np.array(_landing_law(on_port, signal_det_efficiency))]
     return _batch(n, *_count_runs([runs], laws, rng))
 
 
@@ -139,14 +149,16 @@ def route_clocked_batch(
     Each run's clock phase is uniform (the divided clock free-runs
     relative to photon arrivals): the runs split into phase groups by a
     Multinomial(runs, 1/n, ...) draw, and each group is routed with
-    photon j aimed at port (j + phase) mod n.
+    photon j aimed at port (j + phase) mod n.  Every photon shares one
+    switching efficiency, so photon j's row at a phase is photon
+    (j + phase) mod n's aligned row: a phase's law rotates the aligned rows.
     """
     if params.strategy is not RoutingStrategy.ACTIVE_CLOCKED:
         raise ValueError(f"clocked routing called with strategy {params.strategy.value!r}")
     n = params.n_modes
-    aligned = _aimed(n, params.switching_efficiency)
-    laws = [_landing_law(np.roll(aligned, phase, axis=1), signal_det_efficiency) for phase in range(n)]
-    return _batch(n, *_count_runs(rng.multinomial(runs, np.full(n, 1.0 / n)), laws, rng))
+    rows = _landing_law(_aimed(n, [params.switching_efficiency] * n), signal_det_efficiency)
+    laws = np.array([rows[phase:] + rows[:phase] for phase in range(n)])
+    return _batch(n, *_count_runs(rng.multinomial(runs, [1.0 / n] * n), laws, rng))
 
 
 def route_passive_batch(
@@ -159,7 +171,7 @@ def route_passive_batch(
     if params.strategy is not RoutingStrategy.PASSIVE_BEAMSPLITTER:
         raise ValueError(f"passive routing called with strategy {params.strategy.value!r}")
     n = params.n_modes
-    laws = [_landing_law(np.full((n, n), 1.0 / n), signal_det_efficiency)]
+    laws = [np.array(_landing_law([[1.0 / n] * n] * n, signal_det_efficiency))]
     return _batch(n, *_count_runs([runs], laws, rng))
 
 

@@ -1,9 +1,11 @@
 """Scenario execution: full simulation runs, sweeps, and their JSON and CSV writers.
 
 A run walks the whole chain at pulse-slot resolution: generate the
-heralded photon stream, detect runs of n consecutive heralds, route each
-run's photons through the converter, count trigger and coincidence
-rates, and invert the counting estimator for the conversion efficiency.
+heralded photon stream, count its runs of n consecutive heralds from
+the lengths of its herald blocks (floor(L/n) runs per block of L), route
+the runs' photons through the converter as counts, count trigger and
+coincidence rates, and invert the counting estimator for the conversion
+efficiency.
 ``execute_scenario`` turns the merged counts straight into the report
 mapping.  The entry points take a validated ``Scenario`` and return a
 value, a report mapping or a list of CSV rows; they write nothing.
@@ -42,9 +44,11 @@ from .config import (
     override_controls,
     scenario_to_mapping,
 )
-from .controller import run_starts_from_heralds
-# perfbench/spans.py looks the three route_*_batch names up on this module;
-# routing itself goes through route_runs, which calls the converter's own names
+# perfbench/spans.py (its TARGETS) looks run_starts_from_heralds and the three
+# route_*_batch names up on this module; triggers are counted from
+# herald_block_histogram, and routing goes through route_runs, which calls the
+# converter's own names
+from .controller import herald_block_histogram, run_starts_from_heralds  # noqa: F401
 from .converter import route_clocked_batch, route_heralded_batch, route_passive_batch, route_runs  # noqa: F401
 from .measurement import count_rates, estimate_s
 from .model import ConfigError, RoutingStrategy
@@ -75,12 +79,8 @@ def _simulate_trial(scenario: Scenario, grid_index: int, trial: int) -> _TrialCo
     n = conv.n_modes
     gen = RngStream(ctl.seed, (grid_index, trial)).generator()
     stream = generate_herald_stream(src, ctl.slots_per_trial, gen)
-    if n == 1:  # every herald is a run of one
-        triggers = stream.herald_count
-    else:
-        # a two-pair block is one run of two heralds, and no run of more
-        triggers = (int(run_starts_from_heralds(stream.herald_slots, n).size)
-                    + stream.two_pair_blocks * (2 // n))
+    hist = herald_block_histogram(stream)
+    triggers = int(hist @ (np.arange(hist.size) // n))  # floor(L/n) runs per block of L heralds
     batch = route_runs(triggers, conv, gen, src.signal_det_efficiency)
     counts = _TrialCounts(batch.port_counts, heralds=stream.herald_count, triggers=triggers,
                           coincidences=batch.success_count)

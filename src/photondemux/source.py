@@ -618,7 +618,11 @@ def _apply_deadtime(slots: np.ndarray, to_a: np.ndarray, eff_draws: np.ndarray,
             k = idx.size
             first = np.append(on[idx], True)  # index k: "no further arrival"
             jump = np.empty(k + 1, dtype=np.int64)
-            jump[:k] = t.searchsorted(t + deadtime, "right")  # the first arrival later than t + deadtime
+            # the first arrival later than t + deadtime, which jump holds meanwhile:
+            # three orbit-length arrays at once, the search result the third
+            np.add(t, deadtime, out=jump[:k])
+            jump[:k] = t.searchsorted(jump[:k], "right")
+            del t  # the doubling reads only indices
             jump[k] = k
             jump[first[jump]] = k  # orbits stop at their cluster's end
             orbit = first.copy()

@@ -1,4 +1,4 @@
-"""Reference router that draws every photon of every run: the oracle for ``photondemux.converter``.
+"""Reference routers: the oracles for ``photondemux.converter``.
 
 ``route_heralded_runs``, ``route_clocked_runs`` and ``route_passive_runs``
 draw, per run and per photon, the port it leaves on and whether its
@@ -6,14 +6,21 @@ detector fired, and return a :class:`RunBatch` of (runs, n) arrays.
 They are slow (linear in runs) but follow the physical description
 photon by photon.  The package's count-level routers must agree with
 them in law: the same landing table and the same success count.
+
+``reference_laws`` builds the per-photon landing laws of the count-level
+routers with whole-array numpy operations, one ``np.roll`` per clocked
+phase; ``reference_count_route`` draws from them through the converter's
+own ``_count_runs``.  The package's routers must match these bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
+from photondemux.converter import _count_runs
 from photondemux.model import ConverterParams, RoutingStrategy
 
 LOST = -1
@@ -145,3 +152,51 @@ def route_passive_runs(runs: int, params: ConverterParams, rng: np.random.Genera
     detected = _detect(np.ones((runs, n_modes), dtype=bool), signal_det_efficiency, rng)
     scheduled = np.broadcast_to(np.arange(n_modes, dtype=np.int16), (runs, n_modes))
     return RunBatch(n_modes=n_modes, scheduled=scheduled, ports=ports, detected=detected)
+
+
+def landing_law(on_port: np.ndarray, eta_d: float) -> np.ndarray:
+    """(n, n + 2) per-photon law from where photons land.
+
+    ``on_port[i, j]`` is the probability photon i reaches port j; the rest
+    of its row is lost in the optics.  Each arrival is then detected with
+    probability ``eta_d``.
+    """
+    arrived = on_port.sum(axis=1)
+    lost = np.maximum(1.0 - arrived, 0.0)  # rounding may leave -1e-16
+    return np.column_stack([on_port * eta_d, lost, arrived * (1.0 - eta_d)])
+
+
+def aimed(n: int, hit: "float | Sequence[float]") -> np.ndarray:
+    """(n, n) landing law of photons aimed at port i, each on it with ``hit[i]``.
+
+    A strayed photon takes a uniform other port; with a single port there
+    is none, so it leaves the designated mode and counts as lost.
+    """
+    hit = np.broadcast_to(np.asarray(hit, dtype=float), (n,))
+    on_port = np.repeat(((1.0 - hit) / max(n - 1, 1))[:, None], n, axis=1)
+    np.fill_diagonal(on_port, hit)
+    return on_port
+
+
+def reference_laws(params: ConverterParams, signal_det_efficiency: float = 1.0) -> list[np.ndarray]:
+    """The per-photon laws a count router routes with, one per clock phase when clocked."""
+    n = params.n_modes
+    if params.strategy is RoutingStrategy.ACTIVE_HERALDED:
+        return [landing_law(params.transmittance * aimed(n, params.port_efficiencies), signal_det_efficiency)]
+    if params.strategy is RoutingStrategy.ACTIVE_CLOCKED:
+        aligned = aimed(n, params.switching_efficiency)
+        return [landing_law(np.roll(aligned, phase, axis=1), signal_det_efficiency) for phase in range(n)]
+    return [landing_law(np.full((n, n), 1.0 / n), signal_det_efficiency)]
+
+
+def reference_count_route(runs: int, params: ConverterParams, rng: np.random.Generator,
+                          signal_det_efficiency: float = 1.0) -> tuple[np.ndarray, int]:
+    """Landing counts and success count of ``runs`` runs, drawn from ``reference_laws``.
+
+    Clocked runs first split into phase groups by a Multinomial(runs, 1/n, ...) draw.
+    """
+    laws = reference_laws(params, signal_det_efficiency)
+    n = params.n_modes
+    clocked = params.strategy is RoutingStrategy.ACTIVE_CLOCKED
+    groups = rng.multinomial(runs, np.full(n, 1.0 / n)) if clocked else [runs]
+    return _count_runs(groups, laws, rng)

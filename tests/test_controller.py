@@ -1,14 +1,17 @@
 """Run detection against a brute-force window-scan oracle."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photondemux.controller import run_starts_from_heralds
+from photondemux import source
+from photondemux.controller import herald_block_histogram, run_starts_from_heralds
 from photondemux.converter import route_heralded_batch
 from photondemux.model import ConverterParams, SourceParams
-from photondemux.source import RngStream, generate_herald_stream
+from photondemux.source import HeraldStream, RngStream, generate_herald_stream
 from routing_oracle import route_heralded_runs
 
 
@@ -28,6 +31,26 @@ def greedy_scan_oracle(effective, n):
 def run_starts(flags, n):
     """Run starts over a dense per-slot herald flag list."""
     return run_starts_from_heralds(np.flatnonzero(np.asarray(flags, dtype=bool)), n).tolist()
+
+
+def flag_stream(flags, singles=0, two_pair_blocks=0):
+    """A stream whose members herald at the flagged slots, plus heralds only counted:
+    ``singles`` lone ones and ``two_pair_blocks`` blocks of two."""
+    slots = np.flatnonzero(np.asarray(flags, dtype=bool))
+    return HeraldStream(n_slots=len(flags), pair_slots=slots, to_detector_a=slots % 2 == 0,
+                        fired=np.ones(slots.size, dtype=bool), pair_count=slots.size,
+                        herald_count=slots.size + singles + 2 * two_pair_blocks,
+                        two_pair_blocks=two_pair_blocks)
+
+
+def histogram(flags, **counted):
+    return herald_block_histogram(flag_stream(flags, **counted)).tolist()
+
+
+def block_triggers(stream, n):
+    """Runs of n claimed from a stream, as the pipeline counts them."""
+    hist = herald_block_histogram(stream)
+    return int(hist @ (np.arange(hist.size) // n))
 
 
 class TestKnownPatterns:
@@ -60,6 +83,28 @@ class TestKnownPatterns:
         with pytest.raises(ValueError):
             run_starts([True], 0)
 
+    def test_histogram_of_one_block(self):
+        flags = [False] * 12
+        for i in (3, 4, 5, 6):
+            flags[i] = True
+        assert histogram(flags) == [0, 0, 0, 0, 1]
+        assert [block_triggers(flag_stream(flags), n) for n in (1, 2, 3, 4, 5)] == [4, 2, 1, 1, 0]
+
+    def test_histogram_of_mixed_blocks(self):
+        # blocks of 1, 2, 1 and 3 heralds
+        flags = [True, False, True, True, False, False, True, False, True, True, True]
+        assert histogram(flags) == [0, 2, 1, 1]
+
+    def test_histogram_without_heralds(self):
+        assert histogram([False] * 8) == [0, 0, 0]
+        assert histogram([False] * 8, singles=2, two_pair_blocks=1) == [0, 2, 1]
+
+    def test_counted_heralds_are_added_at_one_and_two(self):
+        flags = [False, True, True, True, False, True]
+        assert histogram(flags, singles=3, two_pair_blocks=2) == [0, 4, 2, 1]
+        stream = flag_stream(flags, singles=3, two_pair_blocks=2)
+        assert [block_triggers(stream, n) for n in (1, 2, 3)] == [stream.herald_count, 3, 1]
+
 
 @settings(max_examples=150, deadline=None)
 @given(
@@ -70,6 +115,17 @@ def test_matches_window_scan_oracle(flags, n):
     herald_slots = np.flatnonzero(np.asarray(flags, dtype=bool))
     starts = run_starts_from_heralds(herald_slots, n).tolist()
     assert starts == greedy_scan_oracle(flags, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    flags=st.lists(st.booleans(), min_size=0, max_size=120),
+    n=st.integers(min_value=1, max_value=5),
+)
+def test_block_triggers_match_window_scan_oracle(flags, n):
+    hist = herald_block_histogram(flag_stream(flags))
+    assert int(hist @ np.arange(hist.size)) == sum(flags)
+    assert block_triggers(flag_stream(flags), n) == len(greedy_scan_oracle(flags, n))
 
 
 @settings(max_examples=50, deadline=None)
@@ -102,6 +158,55 @@ class TestOnGeneratedStreams:
         starts = run_starts_from_heralds(stream.herald_slots, 2)
         rate = starts.size * 82e6 / 30_000
         assert rate > 0
+
+
+# (pair_prob, deadtime, efficiency, splitter ratio) x n_slots x seeds, by
+# default and in vector rounds of 3 units; every point makes members,
+# two-pair blocks or lone counted heralds
+STREAM_GRID = list(itertools.product(
+    [(0.0043882, 3), (0.05, 0), (0.05, 4), (0.3, 0), (0.3, 1), (0.3, 4), (1.0, 4)],
+    [(1.0, 0.5), (0.7, 0.3)],
+    [10, 300, 4_000],
+    range(3),
+))
+
+
+@pytest.fixture(params=["default_rounds", "three_unit_rounds"])
+def round_size(request, monkeypatch):
+    if request.param == "three_unit_rounds":
+        monkeypatch.setattr(source, "_BATCH_UNITS", 3)
+
+
+@pytest.mark.usefixtures("round_size")
+class TestBlockHistogramOnGeneratedStreams:
+    """The block histogram holds every herald, and its triggers equal the start-slot count."""
+
+    @staticmethod
+    def streams():
+        for (pair_prob, deadtime), (eff, ratio), n_slots, seed in STREAM_GRID:
+            params = SourceParams(pair_prob=pair_prob, rep_rate_hz=82e6, herald_deadtime_slots=deadtime,
+                                  herald_det_efficiency=eff, herald_splitter_ratio=ratio)
+            yield generate_herald_stream(params, n_slots, RngStream(71, (seed,)).generator())
+
+    def test_lengths_add_up_to_the_herald_count(self):
+        seen = np.zeros(3, dtype=np.int64)
+        for stream in self.streams():
+            hist = herald_block_histogram(stream)
+            assert (hist >= 0).all() and hist[0] == 0
+            assert int(hist @ np.arange(hist.size)) == stream.herald_count
+            seen += [stream.herald_slots.size > 0, stream.two_pair_blocks > 0, hist[1] > 0]
+        assert (seen > 0).all()  # members, two-pair blocks and lone counted heralds all occur
+
+    def test_triggers_equal_the_start_slot_count(self):
+        longest = 0
+        for stream in self.streams():
+            hist = herald_block_histogram(stream)
+            longest = max(longest, hist.size - 1)
+            assert block_triggers(stream, 1) == stream.herald_count
+            for n in (2, 3, 4):
+                starts = run_starts_from_heralds(stream.herald_slots, n).size
+                assert block_triggers(stream, n) == starts + stream.two_pair_blocks * (2 // n)
+        assert longest >= 5
 
 
 class TestDriveSchedule:

@@ -17,7 +17,13 @@ from photondemux.converter import (
 from photondemux.model import ConverterParams, RoutingStrategy
 from photondemux.pipeline import execute_scenario
 from photondemux.source import RngStream
-from routing_oracle import route_clocked_runs, route_heralded_runs, route_passive_runs
+from routing_oracle import (
+    reference_count_route,
+    reference_laws,
+    route_clocked_runs,
+    route_heralded_runs,
+    route_passive_runs,
+)
 
 ALPHA = 1e-4  # per comparison; about 50 of them run
 ETA_D = 0.7  # signal detection efficiency of the oracle comparisons
@@ -408,3 +414,65 @@ class TestBatchContainer:
         full = landings()
         assert np.array_equal(table.sum(axis=1), 50_000 - full[:, 2] - full[:, 3])
         assert batch.n_modes == 2 and batch.success_count <= table.diagonal().min()
+
+
+def unequal_ports(n):
+    return tuple(0.4 + 0.59 * i / max(n - 1, 1) for i in range(n))
+
+
+class TestLawsAgainstReference:
+    """The routers' per-photon laws equal the whole-array reference bit for bit.
+
+    From n = 8 on, numpy's pairwise row sum and a left-to-right float sum
+    differ, so n runs to 10.
+    """
+
+    T_VALUES = (1.0, 0.731, 0.3)
+    ETA_D_VALUES = (1.0, 0.7, 0.079)
+
+    @staticmethod
+    def routed_laws(monkeypatch, params, eta_d):
+        seen = []
+        count_runs = converter._count_runs
+
+        def spy(groups, laws, rng):
+            seen.append([np.array(law) for law in laws])
+            return count_runs(groups, laws, rng)
+
+        monkeypatch.setattr(converter, "_count_runs", spy)
+        route_runs(1_000, params, RngStream(30).generator(), eta_d)
+        monkeypatch.undo()
+        (laws,) = seen
+        return laws
+
+    @pytest.mark.parametrize("strategy,n", [
+        (strategy, n) for strategy in ("heralded", "heralded-unequal", "clocked", "passive")
+        for n in range(1, 11) if strategy != "clocked" or n >= 2  # clocked needs two modes
+    ])
+    def test_laws_are_bit_equal(self, monkeypatch, strategy, n):
+        for t in self.T_VALUES:
+            if strategy == "heralded":
+                params = heralded_params(n=n, t=t)
+            elif strategy == "heralded-unequal":
+                params = heralded_params(n=n, t=t, ports=unequal_ports(n))
+            elif strategy == "clocked":
+                params = clocked_params(n=n, eta=t)
+            else:
+                params = passive_params(n=n)
+            for eta_d in self.ETA_D_VALUES:
+                laws = self.routed_laws(monkeypatch, params, eta_d)
+                expected = reference_laws(params, eta_d)
+                assert len(laws) == len(expected)
+                for law, ref in zip(laws, expected):
+                    assert law.dtype == ref.dtype and law.shape == ref.shape
+                    assert law.tobytes() == ref.tobytes(), (t, eta_d, law - ref)
+
+    @pytest.mark.parametrize("params", [heralded_params(n=3, t=0.731, ports=(0.9, 0.6, 0.75)),
+                                        clocked_params(n=4, eta=0.72), passive_params(n=3)],
+                             ids=["heralded", "clocked", "passive"])
+    def test_fixed_seed_batch_matches_reference(self, params, landings):
+        batch = route_runs(123_457, params, RngStream(31).generator(), 0.7)
+        counts, successes = reference_count_route(123_457, params, RngStream(31).generator(), 0.7)
+        assert np.array_equal(landings(), counts)
+        assert np.array_equal(batch.port_counts, counts[:, :params.n_modes])
+        assert batch.success_count == successes

@@ -147,7 +147,8 @@ def same_detector_refire_gaps(stream: HeraldStream, deadtime: int) -> int:
 
 
 def stream_triggers(stream: HeraldStream, n: int) -> int:
-    """Runs of n >= 2 heralds in a stream, counted as the pipeline counts them."""
+    """Runs of n >= 2 heralds in a stream, from the start slots; the pipeline's
+    block-histogram count equals it (test_controller)."""
     return int(run_starts_from_heralds(stream.herald_slots, n).size) + stream.two_pair_blocks * (2 // n)
 
 
@@ -707,9 +708,9 @@ class TestWalkSplits:
 
 class TestMemoryFigure:
     # tracemalloc peaks over 2e6 pairs at seed 53, against the estimate:
-    # 61.7 of 160 MB at pair_prob 1 (efficiency 0.7, every pair a member),
-    # 57.6 of 154 MB at pair_prob 0.3, 0.13 of 0.19 MB at the two-mode
-    # point (1875 members, one round of 760 super-units), and 130 of
+    # 56.6 of 160 MB at pair_prob 1 (efficiency 0.7, every pair a member),
+    # 53.9 of 154 MB at pair_prob 0.3, 0.13 of 0.19 MB at the two-mode
+    # point (1875 members, one round of 760 super-units), and 114 of
     # 160 MB with one detector, where every arrival lies in one deadtime
     # orbit
     @pytest.mark.parametrize("overrides", [
