@@ -24,13 +24,9 @@ from .config import (
     scenario_from_mapping,
     scenario_to_mapping,
 )
-from .controller import run_starts_from_heralds
 from .converter import (
     RoutingBatch,
     monte_carlo_efficiency,
-    route_clocked_batch,
-    route_heralded_batch,
-    route_passive_batch,
     route_runs,
 )
 from .measurement import (
@@ -63,6 +59,7 @@ from .source import (
     HeraldStream,
     RngStream,
     generate_herald_stream,
+    herald_block_histogram,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

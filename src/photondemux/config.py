@@ -190,6 +190,8 @@ _SECTIONS = {
 
 def scenario_from_mapping(raw: Mapping) -> Scenario:
     """Validate a parsed config document, listing every violation of every section."""
+    if not isinstance(raw, Mapping):
+        raise ConfigError([f"top level: expected a mapping (got {type(raw).__name__})"])
     violations = [f"{key}: unknown section" for key in raw if key not in _SECTIONS]
     built = {}
     for name, build in _SECTIONS.items():
@@ -223,13 +225,12 @@ def override_controls(scenario: Scenario, **overrides: object) -> Scenario:
 
 def load_scenario(path: "str | Path") -> Scenario:
     """Load and validate a scenario file, with parse-position diagnostics."""
-    text = Path(path).read_text()
     try:
-        raw = json.loads(text)
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as err:
         raise ConfigError([f"{path}: parse error at line {err.lineno} column {err.colno}: {err.msg}"]) from None
-    if not isinstance(raw, Mapping):
-        raise ConfigError([f"{path}: top level must be a mapping"])
+    except UnicodeDecodeError as err:
+        raise ConfigError([f"{path}: parse error at byte {err.start}: not UTF-8 ({err.reason})"]) from None
     return scenario_from_mapping(raw)
 
 

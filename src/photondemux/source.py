@@ -1,4 +1,4 @@
-"""Slot-indexed photon stream of a heralded pair source.
+"""Slot-indexed photon stream of a heralded pair source, and its herald blocks.
 
 The pump emits one pulse per slot; a slot carries a photon pair with
 probability ``pair_prob``.  Each idler is split 50:50 (configurable) onto
@@ -30,6 +30,13 @@ and herald blocks are those of the real slots; real lengths are kept
 only to find where the range ends.  The law of every count and of the
 member gaps equals that of drawing all pairs, while the cost scales with
 the number of members.
+
+A delayed copy of each herald is AND-ed with the next, so a run of n
+consecutive heralds starts a conversion.  Runs are claimed greedily left
+to right without overlap, since the router is busy for the n slots of a
+conversion: a maximal block of L consecutive heralds yields floor(L/n)
+runs.  ``herald_block_histogram`` counts a stream's blocks by length,
+and ``run_starts_from_heralds`` lays the claimed runs out as start slots.
 """
 
 from __future__ import annotations
@@ -80,8 +87,9 @@ class HeraldStream:
     cluster with exactly two pairs in range, one cut short by the end of
     the range included, is only counted: ``two_pair_blocks`` is the number
     of them that herald in two adjacent slots, each one block of two
-    heralds.  So the runs of n >= 2 consecutive heralds are those in
-    ``herald_slots`` plus, at n = 2, the ``two_pair_blocks``.
+    heralds.  So the blocks of consecutive heralds, which
+    ``herald_block_histogram`` counts, are those in ``herald_slots``, the
+    ``two_pair_blocks`` and the lone heralds that are only counted.
     ``pair_count`` and ``herald_count`` cover all pairs of the range.
     """
 
@@ -151,8 +159,6 @@ def _split(total: int, left: int, right: int, rng: np.random.Generator) -> int:
     """
     if left == 0 or total == 0:
         return 0
-    if right == 0:
-        return total
     return int(rng.binomial(total, rng.beta(left, right)))
 
 
@@ -652,3 +658,58 @@ def generate_herald_stream(params: SourceParams, n_slots: int, rng: np.random.Ge
         herald_count=int(fired.sum()) + counted_heralds,
         two_pair_blocks=two_pair_blocks,
     )
+
+
+def herald_block_histogram(stream: HeraldStream) -> np.ndarray:
+    """Blocks of consecutive heralds in a stream, counted by length.
+
+    ``hist[L]`` is the number of maximal blocks of L consecutive heralds,
+    so a greedy controller claims sum_L floor(L/n) * hist[L] runs of n,
+    and sum_L L * hist[L] equals ``stream.herald_count``.  The blocks of
+    the placed members are read from ``stream.herald_slots``; clusters lie
+    at least two compressed slots apart, so no block spans two of them.
+    Two additions cover the heralds that are only counted: each of the
+    ``two_pair_blocks`` is one block at L = 2, and every other counted
+    herald (``herald_count`` less the placed heralds and twice
+    ``two_pair_blocks``) is a block of its own at L = 1, since it comes
+    from an isolated pair or a two-pair cluster that did not herald in
+    two adjacent slots.  ``hist`` has at least three entries; ``hist[0]``
+    is 0.
+    """
+    placed = stream.herald_slots
+    if placed.size:
+        # where each block starts, then one past the last herald
+        starts = np.flatnonzero(np.concatenate(([2], placed[1:] - placed[:-1], [2])) > 1)
+        hist = np.bincount(starts[1:] - starts[:-1], minlength=3)
+    else:
+        hist = np.zeros(3, dtype=np.int64)
+    hist[1] += stream.herald_count - placed.size - 2 * stream.two_pair_blocks
+    hist[2] += stream.two_pair_blocks
+    return hist
+
+
+def run_starts_from_heralds(herald_slots: np.ndarray, n: int) -> np.ndarray:
+    """Start slots of greedily claimed n-herald runs.
+
+    ``herald_slots`` must be sorted strictly increasing slot indices.
+    Within a maximal block of consecutive heralds of length L the greedy
+    scan claims floor(L/n) runs, at offsets 0, n, 2n, ... into the block.
+    """
+    if n < 1:
+        raise ValueError(f"run length must be >= 1 (got {n})")
+    h = np.asarray(herald_slots, dtype=np.int64)
+    if h.size == 0:
+        return np.empty(0, dtype=np.int64)
+    block_first = np.flatnonzero(np.concatenate(([True], np.diff(h) > 1)))
+    block_len = np.append(block_first[1:], h.size) - block_first
+    counts = block_len // n
+    hold = counts > 0
+    starts = h[block_first[hold]]
+    counts = counts[hold]
+    total = int(counts.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    base = np.repeat(starts, counts)
+    before = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    within = np.arange(total, dtype=np.int64) - np.repeat(before, counts)
+    return base + within * n

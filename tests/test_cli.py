@@ -156,6 +156,17 @@ class TestSimulateVerb:
             " 4-slot deadtime the two alternating detectors herald at most 2 in a row; use a"
             " deadtime of 0 or 1 slots\n")
 
+    @pytest.mark.parametrize("content,message", [
+        (b"\xff{}", "parse error at byte 0: not UTF-8 (invalid start byte)"),
+        (b"[1, 2]", "top level: expected a mapping (got list)"),
+    ], ids=["not_utf8", "list"])
+    def test_malformed_document_exit_2(self, tmp_path, capsys, content, message):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert main(["simulate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: ") and err.rstrip("\n").endswith(message)
+
     def test_missing_file_exit_3(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 3
         assert "error: io:" in capsys.readouterr().err
@@ -216,6 +227,19 @@ class TestCalibrateVerb:
         assert report["config"]["run"]["calibration_mode"] is True
         assert abs(report["p_h1_eta_d"] - 0.3) < 0.02
         assert report["p_h1_eta_d_rel_error"] > 0
+
+    def test_zero_delivered_photons_exit_1(self, tmp_path, capsys):
+        doc = {
+            "source": {"pair_prob": 0.05, "rep_rate_hz": 82e6,
+                       "herald_deadtime_slots": 4, "signal_det_efficiency": 0},
+            "converter": {"n_modes": 2, "strategy": "heralded"},
+            "run": {"seed": 5, "slots_per_trial": 100_000, "trials": 1},
+        }
+        path = tmp_path / "cal.json"
+        path.write_text(json.dumps(doc))
+        assert main(["calibrate", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: run: calibration measured zero delivered photons; cannot form the estimator")
 
 
 @pytest.mark.parametrize("verb", ["analytic", "simulate", "sweep", "calibrate"])

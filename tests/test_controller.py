@@ -8,10 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photondemux import source
-from photondemux.controller import herald_block_histogram, run_starts_from_heralds
 from photondemux.converter import route_heralded_batch
 from photondemux.model import ConverterParams, SourceParams
-from photondemux.source import HeraldStream, RngStream, generate_herald_stream
+from photondemux.source import (
+    HeraldStream,
+    RngStream,
+    generate_herald_stream,
+    herald_block_histogram,
+    run_starts_from_heralds,
+)
 from routing_oracle import route_heralded_runs
 
 

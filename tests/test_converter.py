@@ -268,6 +268,10 @@ class TestClockedRouting:
         with pytest.raises(ValueError):
             route_clocked_runs(10, clocked_params(), RngStream(0).generator(), clock_offsets=2)
 
+    def test_strategy_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="^clocked routing called with strategy 'heralded'$"):
+            route_clocked_batch(10, heralded_params(), RngStream(0).generator())
+
     def test_single_mode_rejected(self):
         with pytest.raises(ValueError):
             route_clocked_batch(10, ConverterParams(n_modes=1, strategy="clocked"),

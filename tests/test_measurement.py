@@ -133,6 +133,10 @@ class TestCompensateTransmittance:
         with pytest.raises(ValueError):
             compensate_transmittance(EfficiencyEstimate(0.5, 0.0), 0.0, 2)
 
+    def test_zero_modes_rejected(self):
+        with pytest.raises(ValueError, match=r"^n must be >= 1 \(got 0\)$"):
+            compensate_transmittance(EfficiencyEstimate(0.5, 0.0), 0.731, 0)
+
 
 class TestPropagation:
     def test_single_count(self):
@@ -208,6 +212,10 @@ class TestRoutingEfficiencies:
         # a report's nested lists and the array give the same estimates
         as_lists = estimate_routing_efficiencies(table.tolist())
         assert as_lists == estimate_routing_efficiencies(np.asarray(table))
+
+    def test_non_square_table_rejected(self):
+        with pytest.raises(ValueError, match=r"^count table must be square \(got \(2, 3\)\)$"):
+            estimate_routing_efficiencies(np.ones((2, 3), dtype=np.int64))
 
     def test_zero_conditioning_counts_rejected(self):
         with pytest.raises(ValueError):

@@ -258,6 +258,29 @@ class TestConfigHandling:
             scenario_from_mapping(raw)
         assert exc.value.violations == [f"converter.port_efficiencies: expected a list (got {value!r})"]
 
+    @pytest.mark.parametrize("raw", [[1, 2], "abc", None], ids=["list", "str", "none"])
+    def test_top_level_must_be_a_mapping(self, raw):
+        with pytest.raises(ConfigError) as exc:
+            scenario_from_mapping(raw)
+        assert exc.value.violations == [f"top level: expected a mapping (got {type(raw).__name__})"]
+
+    @pytest.mark.parametrize("section,value,message", [
+        ("sweep", {"bogus": [1]}, "sweep.bogus: unknown key"),
+        ("sweep", {"strategy": ["nope"]},
+         "sweep.strategy: unknown value 'nope' (expected one of heralded, clocked, passive)"),
+        ("converter", None, "converter: missing section"),
+        ("source", 5, "source: expected a mapping"),
+    ])
+    def test_malformed_section_is_named(self, section, value, message):
+        raw = raw_scenario()
+        if value is None:
+            del raw[section]
+        else:
+            raw[section] = value
+        with pytest.raises(ConfigError) as exc:
+            scenario_from_mapping(raw)
+        assert exc.value.violations == [message]
+
     def test_deadtime_with_a_bad_rate_reports_the_rate_once(self):
         raw = raw_scenario()
         del raw["source"]["herald_deadtime_slots"]

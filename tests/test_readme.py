@@ -1,4 +1,4 @@
-"""The README's scenario file and library example stay runnable."""
+"""The README's scenario file and library example stay runnable, and its module list current."""
 
 import json
 import re
@@ -6,7 +6,8 @@ from pathlib import Path
 
 from photondemux.config import scenario_from_mapping, scenario_to_mapping
 
-README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text()
 
 
 def code_block(language: str) -> str:
@@ -28,3 +29,10 @@ def test_scenario_example_is_valid_and_complete():
 def test_library_example_runs(capsys):
     exec(compile(code_block("python"), "README.md", "exec"), {})
     assert capsys.readouterr().out.count("\n") == 3
+
+
+def test_module_list_names_every_module():
+    listing = README.split("Modules, bottom up:", 1)[1].split("\n## ", 1)[0]
+    named = re.findall(r"^- `(\w+)`:", listing, flags=re.MULTILINE)
+    files = {path.stem for path in (ROOT / "src" / "photondemux").glob("*.py")} - {"__init__"}
+    assert sorted(named) == sorted(files)

@@ -19,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from photondemux.controller import run_starts_from_heralds
 from photondemux import source
 from photondemux.model import MAX_SLOTS, SourceParams
 from photondemux.source import (
@@ -30,6 +29,7 @@ from photondemux.source import (
     _two_pair_law,
     expected_peak_bytes,
     generate_herald_stream,
+    run_starts_from_heralds,
 )
 from source_oracle import absolute_members, dense_herald_stream, loop_two_detectors
 
