@@ -90,6 +90,11 @@ def _count_runs(groups: "Sequence[int]", laws: "Sequence[np.ndarray]",
     return counts, successes
 
 
+def _is_count(value: object) -> bool:
+    """A nonnegative integer, numpy's included; ``bool`` is an ``int`` subclass but not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 0
+
+
 def _batch(n: int, counts: np.ndarray, successes: int) -> RoutingBatch:
     return RoutingBatch(n_modes=n, success_count=successes, port_counts=counts[:, :n])
 
@@ -181,7 +186,13 @@ def route_runs(
     rng: np.random.Generator,
     signal_det_efficiency: float = 1.0,
 ) -> RoutingBatch:
-    """Route ``runs`` runs with the router ``params.strategy`` picks."""
+    """Route ``runs`` runs with the router ``params.strategy`` picks.
+
+    ``runs`` must be an integer >= 0; a float, a bool or a negative count
+    is refused.
+    """
+    if not _is_count(runs):
+        raise ValueError(f"runs must be an integer >= 0 (got {runs!r})")
     # the routers are looked up by module name at each call, so a wrapper
     # set on this module (the benchmark's spans) sees every routed run
     if params.strategy is RoutingStrategy.ACTIVE_HERALDED:
@@ -200,15 +211,19 @@ def monte_carlo_efficiency(
 ) -> tuple[float, float]:
     """Empirical conversion efficiency over ``trials`` independent runs.
 
-    Returns (success frequency, binomial standard error).  ``eta_sw`` is
-    realized as the converter transmittance with ideal ports, as a sweep
-    point realizes it; passive ignores it, but it must still lie in 0..1.
-    An ``RngStream`` is turned into its generator once.
+    Returns (success frequency, binomial standard error).  With no
+    success the error is instead the Wilson score upper bound (z = 1) on
+    the frequency, 1 / (trials + 1), as ``estimate_s`` reports for a run
+    without coincidences.  ``trials`` must be an integer >= 1.
+    ``eta_sw`` is realized as the converter transmittance with ideal
+    ports, as a sweep point realizes it; passive ignores it, but it must
+    still lie in 0..1.  An ``RngStream`` is turned into its generator once.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1 (got {trials})")
+    if not (_is_count(trials) and trials >= 1):
+        raise ValueError(f"trials must be an integer >= 1 (got {trials!r})")
     params = ConverterParams(n_modes=n_modes, strategy=strategy, transmittance=eta_sw)
     gen = rng.generator() if isinstance(rng, RngStream) else rng
-    freq = route_runs(trials, params, gen).success_count / trials
-    std_error = float(np.sqrt(freq * (1.0 - freq) / trials))
+    successes = route_runs(trials, params, gen).success_count
+    freq = successes / trials
+    std_error = float(np.sqrt(freq * (1.0 - freq) / trials)) if successes else 1.0 / (trials + 1)
     return freq, std_error

@@ -136,7 +136,7 @@ def estimate_routing_efficiencies(
     report's ``port_counts``.  For each photon index i, the efficiency is
     the fraction of its detected landings that fell on its own port i,
     divided by the supplied correction factor (residual optics and
-    detector imbalance; 1.0 when none).
+    detector imbalance; 1.0 when none), which must be finite and > 0.
     Detection thinning cancels in the fraction as long as all ports
     share a detector efficiency.
     """
@@ -147,8 +147,8 @@ def estimate_routing_efficiencies(
     corr = [1.0] * n if corrections is None else [float(c) for c in corrections]
     if len(corr) != n:
         raise ValueError(f"expected {n} correction factors, got {len(corr)}")
-    if any(c <= 0 for c in corr):
-        raise ValueError("correction factors must be positive")
+    if not all(math.isfinite(c) and c > 0 for c in corr):
+        raise ValueError(f"correction factors must be finite and > 0 (got {corr})")
     estimates: list[tuple[float, float]] = []
     for i in range(n):
         total = int(counts[i].sum())

@@ -6,19 +6,23 @@ the lengths of its herald blocks (floor(L/n) runs per block of L), route
 the runs' photons through the converter as counts, count trigger and
 coincidence rates, and invert the counting estimator for the conversion
 efficiency.
-``execute_scenario`` turns the merged counts straight into the report
-mapping.  The entry points take a validated ``Scenario`` and return a
-value, a report mapping or a list of CSV rows; they write nothing.
+``execute_scenario`` turns the merged counts into the report mapping and
+adds the config echo and its digest; ``run_sweep`` reads its rows from
+the counts alone.  The entry points take a validated ``Scenario`` and
+return a value, a report mapping or a list of CSV rows; they write
+nothing.
 ``write_report`` and ``write_rows`` serialize those values to a path or
 an open text stream.
 
-Trials execute on disjoint random substreams keyed by (grid index,
-trial), and each trial builds its generator from that key where it
-runs.  Partial counts merge additively in trial order, so results are
-byte-for-byte reproducible for a given (config, seed) regardless of
-worker scheduling, and a sweep containing a single grid point reproduces
-a plain run exactly.  Wall-clock time is kept out of written reports for
-the same reason.
+A trial draws only its source stream, on the random substream keyed by
+(grid index, trial); it builds its generator from that key where it
+runs and returns the stream's herald-block histogram.  The histograms
+add in trial order, and the grid point's routing and calibration draws
+then come from the substream keyed by (grid index,), which no trial key
+equals.  So results are byte-for-byte reproducible for a given (config,
+seed) regardless of worker scheduling, and a sweep containing a single
+grid point reproduces a plain run exactly.  Wall-clock time is kept out
+of written reports for the same reason.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
 from typing import Callable, Mapping, TextIO
@@ -58,36 +61,11 @@ from .source import run_starts_from_heralds  # noqa: F401
 Progress = Callable[[str], None]
 
 
-@dataclass
-class _TrialCounts:
-    """Additive per-trial tallies; merging is order-independent."""
-
-    port_counts: np.ndarray  # (n, n) int64: photon i detected at port j
-    heralds: int = 0
-    triggers: int = 0
-    coincidences: int = 0
-    calib_detected: int = 0
-
-    def merge(self, other: "_TrialCounts") -> None:
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-
-
-def _simulate_trial(scenario: Scenario, grid_index: int, trial: int) -> _TrialCounts:
-    src = scenario.config.source
-    conv = scenario.config.converter
+def _simulate_trial(scenario: Scenario, grid_index: int, trial: int) -> np.ndarray:
+    """Herald-block histogram of one trial's stream, drawn on key (grid index, trial)."""
     ctl = scenario.controls
-    n = conv.n_modes
     gen = RngStream(ctl.seed, (grid_index, trial)).generator()
-    stream = generate_herald_stream(src, ctl.slots_per_trial, gen)
-    hist = herald_block_histogram(stream)
-    triggers = int(hist @ (np.arange(hist.size) // n))  # floor(L/n) runs per block of L heralds
-    batch = route_runs(triggers, conv, gen, src.signal_det_efficiency)
-    counts = _TrialCounts(batch.port_counts, heralds=stream.herald_count, triggers=triggers,
-                          coincidences=batch.success_count)
-    if ctl.calibration_mode:
-        counts.calib_detected = int(gen.binomial(stream.herald_count, src.signal_det_efficiency))
-    return counts
+    return herald_block_histogram(generate_herald_stream(scenario.config.source, ctl.slots_per_trial, gen))
 
 
 def _check_memory(scenario: Scenario) -> None:
@@ -104,42 +82,54 @@ def _check_memory(scenario: Scenario) -> None:
         ])
 
 
-def execute_scenario(scenario: Scenario, grid_index: int = 0, progress: "Progress | None" = None) -> dict:
-    """Run all trials of a scenario and build its report mapping.
+def _count_scenario(scenario: Scenario, grid_index: int, progress: "Progress | None" = None) -> dict:
+    """Run all trials of a scenario and return the counted part of its report.
 
-    The report holds every counted quantity and the config echo.  Wall
-    time is deliberately absent so identical (config, seed) runs produce
-    identical bytes.
+    The trials' herald-block histograms add up; the runs they hold are
+    then routed, and the calibration draw made, once for the grid point.
+    That has the law of doing both trial by trial: independent
+    multinomial rows of one law add to one row, the success count over a
+    union of iid runs is the hypergeometric chain over that union, and a
+    sum of Binomial(H_t, p) draws is Binomial(sum H_t, p).
     """
     _check_memory(scenario)
     ctl = scenario.controls
     src = scenario.config.source
-    n = scenario.config.converter.n_modes
-    total = _TrialCounts(np.zeros((n, n), dtype=np.int64))
+    conv = scenario.config.converter
+    n = conv.n_modes
+    hist = np.zeros(0, dtype=np.int64)
     run = partial(_simulate_trial, scenario, grid_index)
     chunk = 4 * ctl.workers  # trials queued at once
     with (ThreadPoolExecutor(max_workers=ctl.workers) if ctl.workers > 1 else nullcontext()) as pool:
         trial_map = map if pool is None else pool.map
         for first in range(0, ctl.trials, chunk):
             # both maps yield in trial order, not completion order
-            for t, counts in enumerate(trial_map(run, range(first, min(first + chunk, ctl.trials))), first):
-                total.merge(counts)
+            for t, trial_hist in enumerate(trial_map(run, range(first, min(first + chunk, ctl.trials))), first):
+                if trial_hist.size > hist.size:  # pad to the longer histogram
+                    hist, trial_hist = trial_hist, hist
+                hist[:trial_hist.size] += trial_hist
                 if progress is not None:
                     progress(f"trial {t + 1}/{ctl.trials}")
-    if total.triggers == 0:
+    lengths = np.arange(hist.size)
+    heralds = int(hist @ lengths)
+    triggers = int(hist @ (lengths // n))  # floor(L/n) runs per block of L heralds
+    if triggers == 0:
         raise ValueError(
             f"no runs of {n} consecutive heralds occurred; increase slots_per_trial,"
             " trials, or pair_prob"
         )
+    gen = RngStream(ctl.seed, (grid_index,)).generator()
+    batch = route_runs(triggers, conv, gen, src.signal_det_efficiency)
     slots = ctl.trials * ctl.slots_per_trial
-    c_n_rate, c_h_rate = count_rates(total.coincidences, total.triggers, slots, src.rep_rate_hz)
+    c_n_rate, c_h_rate = count_rates(batch.success_count, triggers, slots, src.rep_rate_hz)
     if ctl.calibration_mode:
-        if total.calib_detected == 0:
+        detected = int(gen.binomial(heralds, src.signal_det_efficiency))
+        if detected == 0:
             raise ValueError(
                 "calibration measured zero delivered photons; cannot form the estimator"
             )
-        p_used = total.calib_detected / total.heralds
-        p_rel = float(np.sqrt((1.0 - p_used) / total.calib_detected)) if p_used < 1.0 else 0.0
+        p_used = detected / heralds
+        p_rel = float(np.sqrt((1.0 - p_used) / detected)) if p_used < 1.0 else 0.0
     else:
         p_used = src.signal_det_efficiency
         p_rel = 0.0
@@ -148,11 +138,10 @@ def execute_scenario(scenario: Scenario, grid_index: int = 0, progress: "Progres
         c_h_rate,
         p_used,
         n,
-        coincidence_count=total.coincidences,
-        trigger_count=total.triggers,
+        coincidence_count=batch.success_count,
+        trigger_count=triggers,
         p_rel_error=p_rel,
     )
-    echo = scenario_to_mapping(scenario)
     return {
         "c_n_rate": c_n_rate,
         "c_h_rate": c_h_rate,
@@ -160,14 +149,24 @@ def execute_scenario(scenario: Scenario, grid_index: int = 0, progress: "Progres
         "p_h1_eta_d_rel_error": p_rel,
         "s_estimate": {"value": s_est.value, "std_error": s_est.std_error, "method": "counting_pipeline"},
         "seed": ctl.seed,
-        "config_digest": config_digest(echo),
         "slots_simulated": slots,
-        "coincidence_count": total.coincidences,
-        "trigger_count": total.triggers,
-        "herald_count": total.heralds,
-        "port_counts": total.port_counts.tolist(),
-        "config": echo,
+        "coincidence_count": batch.success_count,
+        "trigger_count": triggers,
+        "herald_count": heralds,
+        "port_counts": batch.port_counts.tolist(),
     }
+
+
+def execute_scenario(scenario: Scenario, grid_index: int = 0, progress: "Progress | None" = None) -> dict:
+    """Run all trials of a scenario and build its report mapping.
+
+    The report holds every counted quantity and the config echo.  Wall
+    time is deliberately absent so identical (config, seed) runs produce
+    identical bytes.
+    """
+    report = _count_scenario(scenario, grid_index, progress)
+    echo = scenario_to_mapping(scenario)
+    return {**report, "config_digest": config_digest(echo), "config": echo}
 
 
 def _sink(out: "str | Path | TextIO"):
@@ -218,11 +217,12 @@ def run_sweep(
     """Run every grid point of a scenario's sweep section.
 
     Each point is a full simulation, keyed by its grid index so that a
-    single-point sweep equals a plain run of the same scenario.  Every
-    point is applied before the first one runs, so a point the converter
-    or the heralding arm cannot serve fails the sweep before any
-    simulation.  Returns one row per
-    point, with keys strategy, n, eta_sw, s_estimate, std_error.
+    single-point sweep equals a plain run of the same scenario; a row is
+    read from the point's counts, with no config echo or digest built.
+    Every point is applied before the first one runs, so a point the
+    converter or the heralding arm cannot serve fails the sweep before
+    any simulation.  Returns one row per point, with keys strategy, n,
+    eta_sw, s_estimate, std_error.
     """
     sweep = scenario.sweep
     if strategy is not None:
@@ -236,7 +236,7 @@ def run_sweep(
     for index, applied in enumerate(scenarios):
         if progress is not None:
             progress(f"grid point {index + 1}/{len(scenarios)}")
-        estimate = execute_scenario(applied, grid_index=index)["s_estimate"]
+        estimate = _count_scenario(applied, index)["s_estimate"]
         conv = applied.config.converter
         rows.append({
             "strategy": conv.strategy.value,

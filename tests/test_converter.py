@@ -402,9 +402,26 @@ class TestMonteCarloGrid:
             by_generator = monte_carlo_efficiency(strategy, n, eta, 10_000, RngStream(29, (i,)).generator())
             assert by_stream == by_generator
 
-    def test_rejects_zero_trials(self):
-        with pytest.raises(ValueError):
-            monte_carlo_efficiency("passive", 2, 0.5, 0, RngStream(0).generator())
+    @pytest.mark.parametrize("trials", [0, 2.5, True])
+    def test_rejects_zero_trials(self, trials):
+        # 2.5 and True are not trial counts, though 2.5 >= 1 and True == 1
+        with pytest.raises(ValueError, match="trials must be an integer >= 1"):
+            monte_carlo_efficiency("heralded", 3, 0.5, trials, RngStream(0).generator())
+
+    @pytest.mark.parametrize("runs", [5.5, -5, True])
+    def test_route_runs_rejects_non_counts(self, runs):
+        with pytest.raises(ValueError, match="runs must be an integer >= 0"):
+            route_runs(runs, heralded_params(), RngStream(0).generator())
+
+    def test_route_runs_takes_numpy_counts(self):
+        by_numpy = route_runs(np.int64(97), clocked_params(), RngStream(2).generator())
+        by_int = route_runs(97, clocked_params(), RngStream(2).generator())
+        assert by_numpy.success_count == by_int.success_count
+        assert np.array_equal(by_numpy.port_counts, by_int.port_counts)
+
+    def test_no_success_reports_an_upper_bound(self):
+        # a converter that transmits nothing: the error is the Wilson bound 1/(T + 1), not 0
+        assert monte_carlo_efficiency("heralded", 2, 0.0, 100, RngStream(0).generator()) == (0.0, 1.0 / 101)
 
 
 class TestBatchContainer:

@@ -227,3 +227,7 @@ class TestRoutingEfficiencies:
             estimate_routing_efficiencies(counts, corrections=[1.0])
         with pytest.raises(ValueError):
             estimate_routing_efficiencies(counts, corrections=[1.0, 0.0])
+        with pytest.raises(ValueError, match="finite"):
+            estimate_routing_efficiencies(counts, corrections=[math.nan, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            estimate_routing_efficiencies(counts, corrections=[math.inf, 1.0])

@@ -4,9 +4,8 @@ The benchmark's trace probes read ``HeraldStream`` and ``RoutingBatch``
 fields and wrap the converter's ``route_*_batch`` names, and its
 workloads call the public entry points, so a change to either shows here
 as a non-zero exit, failed operations or a wrong count.  A traced run
-also checks that no detector heralds twice within its deadtime, that the
-controller claims at most heralds // n runs, and that the report bytes
-are the same at one and two workers.
+also checks that no detector heralds twice within its deadtime and that
+the report bytes are the same at one and two workers.
 """
 
 import json

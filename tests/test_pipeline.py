@@ -22,6 +22,7 @@ from photondemux.config import (
     scenario_to_mapping,
 )
 from photondemux.cli import main
+from photondemux.converter import route_runs
 from photondemux.model import ConfigError, RoutingStrategy
 from photondemux.pipeline import (
     _check_memory,
@@ -34,6 +35,7 @@ from photondemux.pipeline import (
     write_report,
     write_rows,
 )
+from photondemux.source import RngStream, generate_herald_stream, herald_block_histogram
 
 
 def raw_scenario(**run_overrides):
@@ -657,6 +659,51 @@ class TestStreamTallies:
         p = rep["p_h1_eta_d"]
         detected = (1.0 - p) / rep["p_h1_eta_d_rel_error"] ** 2
         assert detected / p == pytest.approx(rep["herald_count"], rel=1e-9)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("trials", [1, 3, 8])
+    def test_one_route_call_per_grid_point(self, monkeypatch, trials, workers):
+        routed = []
+        real = pipeline.route_runs
+
+        def spy(runs, *args, **kwargs):
+            routed.append(runs)
+            return real(runs, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "route_runs", spy)
+        rep = execute_scenario(scenario(trials=trials, workers=workers))
+        assert routed == [rep["trigger_count"]]
+
+    def test_counts_are_sums_of_trial_histograms(self):
+        # a trial draws only its stream, on key (grid index, trial); at deadtime 0
+        # the longest blocks differ by trial, so the merge pads both ways
+        raw = raw_scenario(trials=3, slots_per_trial=100_000)
+        raw["source"].update(pair_prob=0.3, herald_deadtime_slots=0)
+        sc = scenario_from_mapping(raw)
+        rep = execute_scenario(sc)
+        heralds = triggers = 0
+        sizes = []
+        for t in range(3):
+            stream = generate_herald_stream(sc.config.source, 100_000, RngStream(7, (0, t)).generator())
+            hist = herald_block_histogram(stream)
+            lengths = np.arange(hist.size)
+            heralds += int(hist @ lengths)
+            triggers += int(hist @ (lengths // 2))
+            sizes.append(hist.size)
+        assert sizes[0] < sizes[1] > sizes[2]
+        assert (rep["herald_count"], rep["trigger_count"]) == (heralds, triggers)
+
+    def test_point_routes_and_calibrates_once_on_its_own_key(self):
+        raw = raw_scenario(calibration_mode=True, trials=8)
+        raw["source"]["signal_det_efficiency"] = 0.5
+        sc = scenario_from_mapping(raw)
+        rep = execute_scenario(sc)
+        gen = RngStream(7, (0,)).generator()
+        batch = route_runs(rep["trigger_count"], sc.config.converter, gen, 0.5)
+        detected = int(gen.binomial(rep["herald_count"], 0.5))
+        assert rep["port_counts"] == batch.port_counts.tolist()
+        assert rep["coincidence_count"] == batch.success_count
+        assert rep["p_h1_eta_d"] == detected / rep["herald_count"]
 
 
 class TestMemoryGuard:
