@@ -8,6 +8,7 @@ The simulation's empirical herald fraction must agree within sampling
 error for any parameter set.
 """
 
+from collections import Counter
 import itertools
 import math
 import tracemalloc
@@ -29,6 +30,7 @@ from photondemux.source import (
     _two_pair_law,
     expected_peak_bytes,
     generate_herald_stream,
+    herald_block_histogram,
     run_starts_from_heralds,
 )
 from source_oracle import absolute_members, dense_herald_stream, loop_two_detectors
@@ -228,6 +230,8 @@ TRIGGER_POINTS = (
         (0.0043882, 1.0, 0.5, 4, 2, 100_000_000),  # the two-mode fixture point
         (0.3, 1.0, 0.5, 4, 2, 300),  # the dense point, where the range's ends matter
     ]
+    # a lossy, unbalanced deadtime of one slot, where blocks of every length occur
+    + [(0.4, 0.7, 0.3, 1, n, 40_000) for n in (3, 4)]
 )
 
 
@@ -379,12 +383,17 @@ def composition_of(gaps, law):
 
 
 def same_law_pvalue(a, b):
-    """Chi-square p-value that two samples of hashable outcomes share one law.
+    """Chi-square p-value that two samples of hashable outcomes share one law."""
+    return same_counts_pvalue(Counter(a), Counter(b))
 
-    Outcomes seen fewer than 10 times in both samples together are pooled.
+
+def same_counts_pvalue(a, b):
+    """Chi-square p-value that two tallies of outcomes share one law.
+
+    Outcomes seen fewer than 10 times in both tallies together are pooled.
     """
     keys = sorted(set(a) | set(b))
-    table = np.array([[a.count(k) for k in keys], [b.count(k) for k in keys]])
+    table = np.array([[a.get(k, 0) for k in keys], [b.get(k, 0) for k in keys]])
     rare = table.sum(axis=0) < 10
     table = np.column_stack([table[:, ~rare], table[:, rare].sum(axis=1)])
     table = table[:, table.sum(axis=0) > 0]
@@ -496,9 +505,23 @@ LAW_POINTS = {
     "lossy_unbalanced": (dict(pair_prob=0.2, herald_deadtime_slots=3, herald_det_efficiency=0.6,
                               herald_splitter_ratio=0.3), 20_000),
     "saturated": (dict(pair_prob=1.0, herald_deadtime_slots=4, herald_det_efficiency=0.7), 2_000),
+    "lossy_unbalanced_d1": (dict(pair_prob=0.4, herald_deadtime_slots=1, herald_det_efficiency=0.7,
+                                 herald_splitter_ratio=0.3), 20_000),
 }
 LAW_SEEDS = range(40)
 ALPHA = 1e-3  # per comparison; about 60 of them run
+
+
+def block_lengths(herald_slots: np.ndarray) -> np.ndarray:
+    """Blocks of consecutive heralds counted by length, from every herald's slot."""
+    starts = np.flatnonzero(np.concatenate(([2], np.diff(herald_slots), [2])) > 1)
+    return np.bincount(np.diff(starts), minlength=1)
+
+
+def add_blocks(counts: dict, hist: np.ndarray) -> None:
+    """Add a block histogram's nonzero lengths into ``counts``."""
+    for length in np.flatnonzero(hist[1:]) + 1:
+        counts[int(length)] = counts.get(int(length), 0) + int(hist[length])
 
 
 class TestAgainstDenseOracle:
@@ -518,13 +541,16 @@ class TestAgainstDenseOracle:
         params = make_params(**overrides)
         window = max(params.herald_deadtime_slots, 1)
         fast, dense = [], []
+        fast_blocks, dense_blocks = {}, {}
         for seed in LAW_SEEDS:
             stream = generate_herald_stream(params, n_slots, RngStream(seed, (0,)).generator())
             fast.append((stream.herald_count, stream_triggers(stream, 2),
                          _member_cluster_sizes(stream, window)))
+            add_blocks(fast_blocks, herald_block_histogram(stream))
             ref = dense_herald_stream(params, n_slots, RngStream(seed, (1,)).generator())
             dense.append((int(ref.fired.sum()), run_starts_from_heralds(ref.herald_slots, 2).size,
                           _member_cluster_sizes(ref, window)))
+            add_blocks(dense_blocks, block_lengths(ref.herald_slots))
         for column in (0, 1):  # herald count, n = 2 trigger count
             a = [row[column] for row in fast]
             b = [row[column] for row in dense]
@@ -533,6 +559,8 @@ class TestAgainstDenseOracle:
         table = table[:, table.sum(axis=0) > 0]
         assert table.shape[1] >= 2
         assert stats.chi2_contingency(table).pvalue > ALPHA, table
+        # blocks of consecutive heralds by length, the pipeline's input
+        assert same_counts_pvalue(fast_blocks, dense_blocks) > ALPHA, (fast_blocks, dense_blocks)
 
     def test_no_emission(self):
         params = make_params(pair_prob=0.0)
