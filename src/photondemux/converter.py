@@ -30,9 +30,9 @@ hypergeometric chain K_1 = M_11, K_{i+1} = Hypergeom(K_i, T - K_i, M_{i+1,i+1}).
 The cost does not grow with T.
 
 The laws pi_i are small, so each router builds them as rows of plain
-floats and makes one array of them; a clocked phase rotates the aligned
-rows.  Only the arrival probability of a row is a numpy row sum, whose
-pairwise order the laws keep bit for bit.
+floats, and each photon's row is one 1-D multinomial draw; a clocked
+phase rotates the aligned rows.  Only the arrival probability of a row is
+a numpy row sum, whose pairwise order the laws keep bit for bit.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from .model import ConverterParams, RoutingStrategy
-from .source import RngStream
+from .source import RngStream, _is_int
 
 # numpy's hypergeometric takes ngood, nbad < 1e9: longer batches are
 # routed in iid pieces of at most this many runs
@@ -64,26 +64,26 @@ class RoutingBatch:
     port_counts: np.ndarray  # (n, n) int64
 
 
-def _count_runs(groups: "Sequence[int]", laws: "Sequence[np.ndarray]",
+def _count_runs(groups: "Sequence[int]", laws: "Sequence[Sequence[Sequence[float]]]",
                 rng: np.random.Generator) -> tuple[np.ndarray, int]:
     """Landing counts and success count of groups of iid runs.
 
-    ``groups[g]`` runs have per-photon law ``laws[g]``, an (n, n + 2)
-    array over the categories detected on port 0..n-1, lost in the
-    optics, arrived undetected.  Returns the summed (n, n + 2) table of
-    counts and the number of runs where every photon i was detected on
-    port i.
+    ``groups[g]`` runs have per-photon law ``laws[g]``: n rows, photon
+    i's over the n + 2 categories detected on port 0..n-1, lost in the
+    optics, arrived undetected (plain floats or an array).  Returns the
+    summed (n, n + 2) table of counts and the number of runs where every
+    photon i was detected on port i.
     """
-    n = laws[0].shape[0]
+    n = len(laws[0])
     counts = np.zeros((n, n + 2), dtype=np.int64)
     successes = 0
-    for runs, probs in zip(groups, laws):
+    for runs, law in zip(groups, laws):
         while runs > 0:
             m = min(runs, _PIECE)
-            rows = rng.multinomial(m, probs)
-            k = int(rows[0, 0])
+            rows = [rng.multinomial(m, row) for row in law]
+            k = int(rows[0][0])
             for i in range(1, n):
-                k = int(rng.hypergeometric(k, m - k, rows[i, i]))
+                k = int(rng.hypergeometric(k, m - k, rows[i][i]))
             counts += rows
             successes += k
             runs -= m
@@ -91,8 +91,8 @@ def _count_runs(groups: "Sequence[int]", laws: "Sequence[np.ndarray]",
 
 
 def _is_count(value: object) -> bool:
-    """A nonnegative integer, numpy's included; ``bool`` is an ``int`` subclass but not one."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 0
+    """A nonnegative integer, numpy's included, but not a ``bool``."""
+    return _is_int(value) and value >= 0
 
 
 def _batch(n: int, counts: np.ndarray, successes: int) -> RoutingBatch:
@@ -104,8 +104,7 @@ def _landing_law(on_port: "list[list[float]]", eta_d: float) -> "list[list[float
 
     ``on_port[i][j]`` is the probability photon i reaches port j; the rest
     of its row is lost in the optics.  Each arrival is then detected with
-    probability ``eta_d``.  Rows are plain floats: one ``np.array`` call
-    makes a law, or a stack of laws, of them.
+    probability ``eta_d``.  Rows are plain floats, each drawn from as is.
     """
     # numpy's pairwise row sum: a left-to-right float sum rounds differently from n = 8 on
     arrived = np.add.reduce(on_port, axis=1).tolist()
@@ -139,7 +138,7 @@ def route_heralded_batch(
         raise ValueError(f"heralded routing called with strategy {params.strategy.value!r}")
     n = params.n_modes
     on_port = _aimed(n, params.port_efficiencies, params.transmittance)
-    laws = [np.array(_landing_law(on_port, signal_det_efficiency))]
+    laws = [_landing_law(on_port, signal_det_efficiency)]
     return _batch(n, *_count_runs([runs], laws, rng))
 
 
@@ -162,7 +161,7 @@ def route_clocked_batch(
         raise ValueError(f"clocked routing called with strategy {params.strategy.value!r}")
     n = params.n_modes
     rows = _landing_law(_aimed(n, [params.switching_efficiency] * n), signal_det_efficiency)
-    laws = np.array([rows[phase:] + rows[:phase] for phase in range(n)])
+    laws = [rows[phase:] + rows[:phase] for phase in range(n)]
     return _batch(n, *_count_runs(rng.multinomial(runs, [1.0 / n] * n), laws, rng))
 
 
@@ -176,7 +175,7 @@ def route_passive_batch(
     if params.strategy is not RoutingStrategy.PASSIVE_BEAMSPLITTER:
         raise ValueError(f"passive routing called with strategy {params.strategy.value!r}")
     n = params.n_modes
-    laws = [np.array(_landing_law([[1.0 / n] * n] * n, signal_det_efficiency))]
+    laws = [_landing_law([[1.0 / n] * n] * n, signal_det_efficiency)]
     return _batch(n, *_count_runs([runs], laws, rng))
 
 
@@ -212,8 +211,9 @@ def monte_carlo_efficiency(
     """Empirical conversion efficiency over ``trials`` independent runs.
 
     Returns (success frequency, binomial standard error).  With no
-    success the error is instead the Wilson score upper bound (z = 1) on
-    the frequency, 1 / (trials + 1), as ``estimate_s`` reports for a run
+    success, or with every trial a success, the binomial error is 0, so
+    the error is instead the one-sided Wilson score bound (z = 1) on the
+    frequency, 1 / (trials + 1), as ``estimate_s`` reports for a run
     without coincidences.  ``trials`` must be an integer >= 1.
     ``eta_sw`` is realized as the converter transmittance with ideal
     ports, as a sweep point realizes it; passive ignores it, but it must
@@ -225,5 +225,8 @@ def monte_carlo_efficiency(
     gen = rng.generator() if isinstance(rng, RngStream) else rng
     successes = route_runs(trials, params, gen).success_count
     freq = successes / trials
-    std_error = float(np.sqrt(freq * (1.0 - freq) / trials)) if successes else 1.0 / (trials + 1)
+    if 0 < successes < trials:
+        std_error = float(np.sqrt(freq * (1.0 - freq) / trials))
+    else:
+        std_error = 1.0 / (trials + 1)
     return freq, std_error

@@ -15,21 +15,25 @@ heralds.  The sampler therefore draws only those pairs' clusters and
 counts every other pair: pair gaps are iid geometric, so the gaps of
 length <= w ("close" gaps) sit at Bernoulli positions in gap-index
 space, each has a truncated-geometric length, and a stretch of k longer
-gaps has a negative-binomial total.  A cluster of exactly two pairs
-(nearly every cluster at the paper's operating point) heralds 0, 1 or 2
-times by a closed-form law, so those clusters enter only as counts, as
-does an isolated pair, which heralds with probability
-``herald_det_efficiency``: between two clusters of three or more pairs,
-the two-pair clusters are one geometric count, and their close gaps one
-composition of counts that carries their exact sum.  The pairs of
-clusters of three or more, the "members", are placed in compressed
-slots: gaps inside a cluster are exact, and each stretch between
-clusters takes w + 1 slots.  Deadtime and run detection read only gaps,
-and to both a gap of w + 1 acts as any longer one, so detector clusters
-and herald blocks are those of the real slots; real lengths are kept
-only to find where the range ends.  The law of every count and of the
-member gaps equals that of drawing all pairs, while the cost scales with
-the number of members.
+gaps has a negative-binomial total.  Both detectors are live at a
+cluster's first pair and its blocks of heralds end inside it, so a
+cluster of at most K pairs heralds by a law of its own: at w > 1, K is 2
+and a two-pair cluster heralds 0, 1 or 2 times by a closed form; at
+w = 1 every close gap is one slot, and a table per source gives the
+herald blocks of a cluster of each size up to K, which the source's
+close-gap probability sets (13 at pair_prob 0.3).  Those clusters enter
+only as counts, as does an isolated pair, which heralds with probability
+``herald_det_efficiency``: between two clusters of more than K pairs, the
+counted clusters are one geometric count, and their close gaps (w > 1)
+or their sizes (w = 1) one composition of counts that carries their
+exact sum.  The pairs of clusters of more than K pairs, the "members",
+are placed in compressed slots: gaps inside a cluster are exact, and
+each stretch between clusters takes w + 1 slots.  Deadtime and run
+detection read only gaps, and to both a gap of w + 1 acts as any longer
+one, so detector clusters and herald blocks are those of the real
+slots; real lengths are kept only to find where the range ends.  The law
+of every count and of the member gaps equals that of drawing all pairs,
+while the cost scales with the number of members.
 
 A delayed copy of each herald is AND-ed with the next, so a run of n
 consecutive heralds starts a conversion.  Runs are claimed greedily left
@@ -41,14 +45,21 @@ and ``run_starts_from_heralds`` lays the claimed runs out as start slots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import bisect
+from dataclasses import dataclass, replace
 from functools import lru_cache
 import math
 import operator
+from typing import ClassVar
 
 import numpy as np
 
 from .model import MAX_SLOTS, SourceParams
+
+
+def _is_int(value: object) -> bool:
+    """A Python or numpy integer; ``bool`` is an ``int`` subclass but not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -65,9 +76,13 @@ class RngStream:
     stream_index: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if not 0 <= self.master_seed < 2**64:
+        if not (_is_int(self.master_seed) and 0 <= self.master_seed < 2**64):
             raise ValueError(f"master_seed must be a 64-bit unsigned integer (got {self.master_seed!r})")
-        object.__setattr__(self, "stream_index", tuple(int(i) for i in self.stream_index))
+        index = tuple(self.stream_index)
+        for i in index:
+            if not _is_int(i):
+                raise ValueError(f"stream_index entries must be integers (got {i!r} in {index!r})")
+        object.__setattr__(self, "stream_index", tuple(map(int, index)))
 
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(entropy=self.master_seed, spawn_key=self.stream_index)
@@ -79,18 +94,19 @@ class HeraldStream:
     """Cluster members of a generated slot range, plus whole-range counts.
 
     ``pair_slots`` holds, sorted and unique, the compressed slots of the
-    members: the pairs of clusters of three or more pairs, where a
-    cluster chains pairs within w = ``max(deadtime, 1)`` slots of each
-    other.  Gaps inside a cluster are exact, and gaps between clusters
-    are w + 1, so the slots lie in [0, n_slots) but are not the pairs'
-    absolute slots.  ``to_detector_a`` and ``fired`` are per member.  A
-    cluster with exactly two pairs in range, one cut short by the end of
-    the range included, is only counted: ``two_pair_blocks`` is the number
-    of them that herald in two adjacent slots, each one block of two
-    heralds.  So the blocks of consecutive heralds, which
-    ``herald_block_histogram`` counts, are those in ``herald_slots``, the
-    ``two_pair_blocks`` and the lone heralds that are only counted.
-    ``pair_count`` and ``herald_count`` cover all pairs of the range.
+    members: the pairs of clusters of more than K pairs, where a cluster
+    chains pairs within w = ``max(deadtime, 1)`` slots of each other and K
+    is 2 at w > 1 and set by the source's close-gap probability at w = 1
+    (13 at pair_prob 0.3).  Gaps inside a cluster are exact, and gaps
+    between clusters are w + 1, so the slots lie in [0, n_slots) but are
+    not the pairs' absolute slots.  ``to_detector_a`` and ``fired`` are
+    per member.  Every other pair of the range, in a cluster of at most K
+    pairs in range (one cut short by the end of the range included) or
+    isolated, is only counted: ``counted_blocks[L]`` is the number of
+    blocks of L consecutive heralds that those pairs form.  So the blocks
+    that ``herald_block_histogram`` counts are those in ``herald_slots``
+    and the ``counted_blocks``.  ``pair_count`` and ``herald_count`` cover
+    all pairs of the range.
     """
 
     n_slots: int
@@ -99,7 +115,7 @@ class HeraldStream:
     fired: np.ndarray  # bool, per member
     pair_count: int
     herald_count: int
-    two_pair_blocks: int  # two-pair clusters that herald in adjacent slots
+    counted_blocks: np.ndarray  # int64, 3+ entries: blocks of L heralds of the pairs not placed, at L
 
     @property
     def herald_slots(self) -> np.ndarray:
@@ -116,6 +132,9 @@ class HeraldStream:
 # casts and two prefix sums.
 _BYTES_PER_MEMBER = 80
 _BYTES_PER_UNIT = 64
+# and a call's fixed arrays, lists and draws (5 to 8 kB measured), which
+# alone set the peak where nearly every cluster is counted
+_BYTES_PER_CALL = 1 << 14
 # super-units, and members, drawn per vector round; bounds the working arrays
 _BATCH_UNITS = 1 << 18
 _HYPERGEOMETRIC_LIMIT = 10**9  # numpy draws hypergeometric counts below this
@@ -131,18 +150,22 @@ def expected_peak_bytes(params: SourceParams, n_slots: int) -> float:
     """Expected peak bytes of one ``generate_herald_stream`` call.
 
     With q = 1 - (1-p)^max(deadtime, 1), each pair is followed by a close
-    gap with probability q, and a cluster has 2 + Geom pairs, three or
-    more with probability q.  The members, the pairs of clusters of three
-    or more, number n_slots p q^2 (3 - 2q) in expectation, and the
-    clusters of three or more, each closing a super-unit, n_slots p (1-q)
-    q^2.  One vector round of super-unit arrays is alive at a time.
+    gap with probability q, and a cluster has 2 + Geom pairs, more than K
+    with probability q^(K-1) (K as ``_sample_members`` takes it).  The
+    members, the pairs of clusters of more than K, number
+    n_slots p q^K (K + 1 - K q) in expectation, and those clusters, each
+    closing a super-unit, n_slots p (1-q) q^K.  One vector round of
+    super-unit arrays is alive at a time.  The table of outcomes that a
+    window of one slot counts clusters by is built once per source and
+    kept, so it is not a per-call cost.
     """
     p = params.pair_prob
     window = max(params.herald_deadtime_slots, 1)
+    largest = _counted_law(params).largest if p > 0.0 else 2
     q = 1.0 - (1.0 - p) ** window
-    members = n_slots * p * q * q * (3.0 - 2.0 * q)
-    super_units = _batch_units(n_slots * p * (1.0 - q) * q * q, window)
-    return members * _BYTES_PER_MEMBER + super_units * _BYTES_PER_UNIT
+    members = n_slots * p * q * q ** (largest - 1) * (largest + 1.0 - largest * q)
+    super_units = _batch_units(n_slots * p * (1.0 - q) * q * q ** (largest - 1), window)
+    return members * _BYTES_PER_MEMBER + super_units * _BYTES_PER_UNIT + _BYTES_PER_CALL
 
 
 def _max_piece(pair_prob: float) -> int:
@@ -186,12 +209,22 @@ class _CloseGapLaw:
     with probability r / (1 + r) at r = (1-p)^(2^t).  The sum of the gaps is
     then a weighted sum of counts, drawn in O(log^2 window) draws, and the
     counts of any subset of the gaps are hypergeometric given the whole.
+
+    At a window of two or more slots the sampler counts its two-pair
+    clusters by their close gap's composition (``_counted_law``), through
+    the interface that ``_SizeLaw`` shares: draw, split, the slots and the
+    pairs of a composition, a cut cluster's composition, and the herald
+    blocks.
     """
 
     adjacent: float  # P(gap = 1 | gap <= window)
     block_probs: tuple[float, ...]  # P(block i | block >= i, gap >= 2)
     bits: tuple[tuple[int, float], ...]  # (block, P(bit t set)) for each bit t of each block
     weights: tuple[int, ...]  # slots per count: 1, each block's first value, each bit's 2^t
+    # as the counted clusters of a window of two or more slots (_counted_law):
+    log_counted: float = 0.0  # log P(a cluster holds two pairs, not three or more)
+    outcomes: tuple[float, ...] = ()  # _two_pair_law
+    largest: ClassVar[int] = 2  # the pairs of the largest cluster counted
 
     def draw(self, gaps: int, rng: np.random.Generator) -> list[int]:
         """Composition of ``gaps`` fresh close gaps."""
@@ -237,6 +270,45 @@ class _CloseGapLaw:
         """Sum of the gaps of a composition."""
         return sum(map(operator.mul, self.weights, comp))
 
+    def pairs(self, comp: list[int]) -> int:
+        """Gaps of a composition: each is the close pair of one two-pair cluster."""
+        return sum(comp[:1 + len(self.block_probs)])
+
+    def one(self, close: int, gap: int) -> list[int]:
+        """Composition of one gap of ``gap`` slots: a cluster cut to ``close`` = 1 close pair."""
+        comp = [0] * len(self.weights)
+        n_blocks = len(self.block_probs)
+        starts = self.weights[1:1 + n_blocks]
+        block = bisect.bisect_right(starts, gap)  # 0 for a gap of 1, else 1 + its block
+        comp[block] = 1
+        if block:
+            offset = gap - starts[block - 1]
+            for j, ((i, _), weight) in enumerate(zip(self.bits, self.weights[1 + n_blocks:])):
+                comp[1 + n_blocks + j] = int(i == block - 1 and offset & weight > 0)
+        return comp
+
+    def cut(self, comp: list[int], slots: int) -> list[int]:
+        """Composition of what lies less than ``slots`` slots after the first pair
+        of the one two-pair cluster ``comp``: empty unless its close pair does."""
+        return comp if self.total(comp) < slots else [0] * len(comp)
+
+    def blocks(self, comp: list[int], rng: np.random.Generator) -> np.ndarray:
+        """Herald blocks by length of the two-pair clusters of a composition.
+
+        One multinomial over ``outcomes`` per gap class: two heralds form
+        a block where the gap is 1 slot, and two blocks of one elsewhere.
+        """
+        hist = np.zeros(3, dtype=np.int64)
+        if comp[0]:
+            _, one, both = rng.multinomial(comp[0], self.outcomes)
+            hist[1] += one
+            hist[2] += both
+        apart = self.pairs(comp) - comp[0]
+        if apart:
+            _, one, both = rng.multinomial(apart, self.outcomes)
+            hist[1] += one + 2 * both
+        return hist
+
 
 @lru_cache(maxsize=64)
 def _close_gap_law(pair_prob: float, window: int) -> _CloseGapLaw:
@@ -261,6 +333,157 @@ def _close_gap_law(pair_prob: float, window: int) -> _CloseGapLaw:
     adjacent = pair_prob / -math.expm1(window * log_miss)
     conditional = (*(x / tail for x, tail in zip(probs[:-1], tails)), 1.0)
     return _CloseGapLaw(adjacent, conditional, tuple(bits), (1, *starts, *bit_weights))
+
+
+@dataclass(frozen=True, eq=False)
+class _SizeLaw:
+    """Counted clusters at a window of one slot: their sizes and herald blocks.
+
+    At a window of one slot every close gap is one slot, so a cluster of
+    s pairs fills s consecutive slots, and the slot before it and the slot
+    after it are empty.  Its first pair meets two live detectors, and its
+    blocks of consecutive heralds end inside it.  So a cluster's
+    contribution to the herald-block histogram has a law that depends on
+    s and the source alone: row s - 2 of ``rows`` holds the probabilities
+    of its outcomes, each a multiset of block lengths, and each outcome's
+    blocks counted by length.  A composition is a list: the clusters of
+    2, 3, ..., ``largest`` pairs.
+    """
+
+    largest: int  # the pairs of the largest cluster counted
+    log_counted: float  # log P(a cluster holds at most ``largest`` pairs)
+    sizes: np.ndarray  # P(s pairs | 2 <= s <= largest), s = 2..largest
+    rows: tuple[tuple[np.ndarray, np.ndarray], ...]  # per size: P(outcome), blocks by length per outcome
+
+    def draw(self, clusters: int, rng: np.random.Generator) -> list[int]:
+        """Composition of ``clusters`` fresh counted clusters."""
+        if clusters == 0 or self.sizes.size == 1:
+            return [clusters] + [0] * (self.sizes.size - 1)
+        return rng.multinomial(clusters, self.sizes).tolist()
+
+    def split(self, comp: list[int], clusters: int, left: int,
+              rng: np.random.Generator) -> tuple[list[int], list[int]]:
+        """Compositions of the first ``left`` of ``clusters`` clusters of ``comp``, and of the rest.
+
+        Given the counts, the clusters are exchangeable, so each count of
+        the left part is hypergeometric given those before it.
+        """
+        left_comp = []
+        for count in comp[:-1]:
+            in_left = _hypergeometric(count, clusters - count, left, rng)
+            left_comp.append(in_left)
+            clusters -= count
+            left -= in_left
+        left_comp.append(left)
+        return left_comp, [x - y for x, y in zip(comp, left_comp)]
+
+    def total(self, comp: list[int]) -> int:
+        """Close slots of a composition: s - 1 per cluster of s pairs."""
+        return sum(map(operator.mul, range(1, self.largest), comp))
+
+    pairs = total  # pairs after each cluster's first: one per close slot
+
+    def one(self, close: int, gap: int) -> list[int]:
+        """Composition of one cluster cut to ``close`` close pairs (its first ``gap`` is 1 slot)."""
+        comp = [0] * (self.largest - 1)
+        comp[close - 1] = 1
+        return comp
+
+    def cut(self, comp: list[int], slots: int) -> list[int]:
+        """Composition of the pairs less than ``slots`` slots after the first of
+        the one cluster ``comp``: empty when only its first pair is."""
+        close = min(self.pairs(comp), slots - 1)
+        return self.one(close, 1) if close else [0] * len(comp)
+
+    def blocks(self, comp: list[int], rng: np.random.Generator) -> np.ndarray:
+        """Herald blocks by length of the clusters of a composition: one
+        multinomial over each size's outcomes, none for a single outcome."""
+        hist = np.zeros(self.largest + 1, dtype=np.int64)
+        for count, (probs, lengths) in zip(comp, self.rows):
+            if count:
+                hist += count * lengths[0] if probs.size == 1 else rng.multinomial(count, probs) @ lengths
+        return hist
+
+
+def _largest_counted(q: float) -> int:
+    """K at a window of one slot: clusters of at most K pairs are counted by size.
+
+    The smallest K >= 2 with q^(K - 1) <= 1e-6, so that at most one cluster
+    in a million holds more pairs and is placed, but at most 16: the
+    outcomes of a cluster grow about as the partitions of its size, and
+    16 keeps ``_size_law``'s table within a few milliseconds.
+    """
+    largest = 2
+    while largest < 16 and q ** (largest - 1) > 1e-6:
+        largest += 1
+    return largest
+
+
+def _size_law(params: SourceParams, q: float, largest: int) -> _SizeLaw:
+    """``_SizeLaw`` of a window of one slot (deadtime 0 or 1), with pairs close with probability q.
+
+    A cluster's outcome is built from its first block and what follows:
+    either its s pairs all herald, one block of s, or its first L pairs
+    herald and pair L + 1 does not, and then the rest, s - L - 1 pairs,
+    starts afresh, since the slot after a pair that does not herald finds
+    both detectors live.  The first L pairs herald with a probability
+    that a two-state recursion over the detector of the last herald gives
+    (the other one, under a deadtime of one slot).
+    """
+    eff = params.herald_det_efficiency
+    on_a = params.herald_splitter_ratio * eff
+    on_b = eff - on_a
+    run = [(1.0, 0.0, 0.0)]  # P(the first L pairs herald), and the L-th on A, on B
+    for length in range(1, largest + 1):
+        _, a, b = run[-1]
+        if length == 1:
+            a, b = on_a, on_b
+        elif params.herald_deadtime_slots:  # the next herald takes the other detector
+            a, b = b * on_a, a * on_b
+        else:
+            a, b = (a + b) * on_a, (a + b) * on_b
+        run.append((a + b, a, b))
+    # P(the first L pairs herald, and pair L + 1 does not)
+    stop = [run[length][0] - run[length + 1][0] for length in range(largest)]
+    laws: list[dict[tuple[int, ...], float]] = [{(): 1.0}]
+    for size in range(1, largest + 1):
+        law = {(size,): run[size][0]} if run[size][0] > 0.0 else {}
+        for length in range(size):
+            if stop[length] > 0.0:
+                for rest, prob in laws[size - length - 1].items():
+                    key = tuple(sorted((*rest, length))) if length else rest
+                    law[key] = law.get(key, 0.0) + stop[length] * prob
+        laws.append(law)
+    rows = []
+    for law in laws[2:]:
+        # likeliest first: a multinomial draw stops once its count is spent
+        outcomes = sorted(law.items(), key=lambda item: (-item[1], item[0]))
+        lengths = np.zeros((len(outcomes), largest + 1), dtype=np.int64)
+        for row, (blocks, _) in zip(lengths, outcomes):
+            for length in blocks:
+                row[length] += 1
+        rows.append((np.array([prob for _, prob in outcomes]), lengths))
+    # sizes 2..largest: P(s) proportional to q^(s - 2)
+    sizes = np.array([q ** s for s in range(largest - 1)])
+    log_counted = math.log1p(-q ** (largest - 1)) if q < 1.0 else -math.inf
+    return _SizeLaw(largest, log_counted, sizes / sizes.sum(), tuple(rows))
+
+
+@lru_cache(maxsize=64)
+def _counted_law(params: SourceParams) -> "_CloseGapLaw | _SizeLaw":
+    """What counts the clusters of at most K pairs for this source; see ``_sample_members``.
+
+    A window of two or more slots counts clusters of two pairs by their
+    ``_close_gap_law`` composition; a window of one slot counts clusters
+    of 2..K pairs by ``_size_law``.  Needs pair_prob > 0.
+    """
+    p = params.pair_prob
+    window = max(params.herald_deadtime_slots, 1)
+    log_long = window * math.log1p(-p) if p < 1.0 else -math.inf
+    if window > 1:
+        return replace(_close_gap_law(p, window), log_counted=log_long, outcomes=tuple(_two_pair_law(params)))
+    q = -math.expm1(log_long)
+    return _size_law(params, q, _largest_counted(q))
 
 
 def _draw_stretch(k: int, room: int, window: int, pair_prob: float,
@@ -306,13 +529,13 @@ def _bisect_stretch(k: int, excess: int, room: int, window: int, rng: np.random.
 
 
 def _walk_units(clusters: np.ndarray, members: np.ndarray, member_slots: np.ndarray, room: int,
-                opens: int, gaps: _CloseGapLaw, window: int, pair_prob: float, q: float,
-                rng: np.random.Generator) -> tuple[int, int, int, int, "int | None"]:
-    """In-range tallies of a batch: its two-pair clusters, those of them
-    with a gap of 1 slot, its members placed, its pairs, and the room left.
+                opens: int, counted: "_CloseGapLaw | _SizeLaw", window: int, pair_prob: float, q: float,
+                rng: np.random.Generator) -> tuple[int, list[int], int, int, "int | None"]:
+    """In-range tallies of a batch: its counted clusters and their summed
+    composition, its members placed, its pairs, and the room left.
 
     The batch's clusters are numbered in order: super-unit i holds the
-    clusters ``clusters[i]`` to ``clusters[i + 1] - 1``, its two-pair
+    clusters ``clusters[i]`` to ``clusters[i + 1] - 1``, its counted
     clusters and then its placed cluster, whose pairs are the members
     ``members[i]`` to ``members[i + 1] - 1``: a first pair (but in a cut
     cluster's rest) and one per close gap.  ``member_slots`` are their
@@ -324,21 +547,22 @@ def _walk_units(clusters: np.ndarray, members: np.ndarray, member_slots: np.ndar
 
     The walk takes segments of clusters left to right, each with its long
     gaps k = its stretches' first long gaps + NegBinomial(its stretches,
-    q), their excess over window + 1 slots each, NegBinomial(k, p), and its
-    two-pair close-gap composition; the excess and the composition are
-    drawn once the segment is small enough for one draw.  A fresh segment
-    holds the clusters expected in the room, at least one, so its
-    stretches stay within ``_max_piece(q)`` for any range of at most 2^62
-    slots.  A segment that passes the room is cut where the room's share
-    of its length falls: its long gaps beyond the first of each stretch
-    split by ``_split`` with the parts' stretches as shapes, its excess by
-    ``_split`` with the parts' long gaps, its composition by
-    ``_CloseGapLaw.split``.  In the cluster that crosses the end,
+    q), their excess over window + 1 slots each, NegBinomial(k, p), and the
+    ``counted`` composition of its counted clusters; the excess and the
+    composition are drawn once the segment is small enough for one draw.
+    A fresh segment holds the clusters expected in the room, at least one,
+    so its stretches stay within ``_max_piece(q)`` for any range of at
+    most 2^62 slots.  A segment that passes the room is cut where the
+    room's share of its length falls: its long gaps beyond the first of
+    each stretch split by ``_split`` with the parts' stretches as shapes,
+    its excess by ``_split`` with the parts' long gaps, its composition by
+    ``counted.split``.  In the cluster that crosses the end,
     ``_bisect_stretch`` (or ``_draw_stretch``) counts the pairs of its
     stretch in range, and the close pairs in range are those less than the
-    room left slots after the cluster's first pair.  A placed cluster cut
-    to two pairs counts as a two-pair cluster, and one cut to one pair as
-    an isolated pair.  The room left is None once the batch crosses the end.
+    room left slots after the cluster's first pair.  A cluster cut to two
+    to K pairs (K = ``counted.largest``) is counted at its size, and one
+    cut to one pair is an isolated pair.  The room left is None once the
+    batch crosses the end.
     """
     step = window + 1
     p_piece = _max_piece(pair_prob)
@@ -347,7 +571,7 @@ def _walk_units(clusters: np.ndarray, members: np.ndarray, member_slots: np.ndar
     skip = 1 if opens else 0  # cluster 0 lacks the first long gap of a stretch
 
     def at(c: int) -> tuple[int, int, int, int, int]:
-        """Two-pair clusters, stretches, first long gaps, placed close gaps and their slots before cluster c."""
+        """Counted clusters, stretches, first long gaps, placed close gaps and their slots before c."""
         i = int(clusters.searchsorted(c, "right")) - 1  # super-units before c
         if i == 0:
             return c, c - head * (c > 0), c - skip * (c > 0), 0, 0
@@ -357,32 +581,33 @@ def _walk_units(clusters: np.ndarray, members: np.ndarray, member_slots: np.ndar
     total = int(clusters[-1])
     a, at_a = 0, (0, 0, 0, 0, 0)
     later: list[tuple] = []  # (end, its prefix, long gaps, excess, composition) of segments to come
-    pairs = adjacent = 0
+    pairs = 0
+    tally = counted.draw(0, rng)  # an empty composition: no draw
     fresh = True
     while True:
         if fresh:
             if a == total:
-                return at_a[0], adjacent, int(members[-1]), pairs, room
+                return at_a[0], tally, int(members[-1]), pairs, room
             b = min(a + max(int(room * density), 1), total)
             at_b, excess, comp = at(b), None, None
-        two, shapes, base = at_b[0] - at_a[0], at_b[1] - at_a[1], at_b[2] - at_a[2]
+        n_counted, shapes, base = at_b[0] - at_a[0], at_b[1] - at_a[1], at_b[2] - at_a[2]
         if fresh:
             k, fresh = base + int(rng.negative_binomial(shapes, q)) if shapes else 0, False
         if excess is None and k <= p_piece:
             excess = int(rng.negative_binomial(k, pair_prob)) if k else 0
-        if comp is None and two < _HYPERGEOMETRIC_LIMIT:
-            comp = gaps.draw(two, rng)
+        if comp is None and n_counted < _HYPERGEOMETRIC_LIMIT:
+            comp = counted.draw(n_counted, rng)
         if excess is None and b - a == 1:  # one stretch, drawn in pieces
             in_range, excess = _draw_stretch(k, room, window, pair_prob, rng)
             if excess is None:
-                return at_a[0], adjacent, int(members[a - at_a[0]]), pairs + in_range, None
+                return at_a[0], tally, int(members[a - at_a[0]]), pairs + in_range, None
         length = None
         if excess is not None and comp is not None:
-            length = k * step + excess + gaps.total(comp) + at_b[4] - at_a[4]
+            length = k * step + excess + counted.total(comp) + at_b[4] - at_a[4]
             if length < room:
                 room -= length
-                pairs += k + two + at_b[3] - at_a[3]  # each gap ends at a pair
-                adjacent += comp[0]
+                pairs += k + counted.pairs(comp) + at_b[3] - at_a[3]  # each gap ends at a pair
+                tally = list(map(operator.add, tally, comp))
                 a, at_a = b, at_b
                 if later:
                     b, at_b, k, excess, comp = later.pop()
@@ -402,31 +627,38 @@ def _walk_units(clusters: np.ndarray, members: np.ndarray, member_slots: np.ndar
             left_excess = _split(excess, left_k, k - left_k, rng)
             right_excess = excess - left_excess
         if comp is not None:
-            left_comp, right_comp = gaps.split(comp, two, at_mid[0] - at_a[0], rng)
+            left_comp, right_comp = counted.split(comp, n_counted, at_mid[0] - at_a[0], rng)
         later.append((b, at_b, k - left_k, right_excess, right_comp))
         b, at_b, k, excess, comp = mid, at_mid, left_k, left_excess, left_comp
     # cluster a passes the room: first its stretch, then its close gaps
     i = a - at_a[0]  # super-units before cluster a
-    two_in, placed = at_a[0], int(members[i])
+    n_counted, placed = at_a[0], int(members[i])
     stretch = k * step + excess
     if stretch >= room:
-        return two_in, adjacent, placed, pairs + _bisect_stretch(k, excess, room, window, rng), None
-    pairs += k  # the last long gap ends at the cluster's first pair; a two-pair cluster's second is out
-    if at_b[0] == at_a[0]:
-        # a placed cluster: its close pairs in range lie less than room - stretch
-        # slots after ref, the slot of its first pair or, in the rest of a cut
-        # cluster, of the last member placed (0 in member_slots)
-        lead = 0 if head and i == 0 else 1
-        first = placed + lead  # its first close pair
-        ref = int(member_slots[first - 1]) if first else 0
-        close = member_slots[first:members[i + 1]]
-        crossing = int(close.searchsorted(ref + room - stretch))
-        pairs += crossing
-        if lead and crossing == 1:  # cut to two pairs
-            return two_in + 1, adjacent + (int(close[0]) - ref == 1), placed, pairs, None
-        if crossing:
-            placed = first + crossing
-    return two_in, adjacent, placed, pairs, None
+        return n_counted, tally, placed, pairs + _bisect_stretch(k, excess, room, window, rng), None
+    pairs += k  # the last long gap ends at the cluster's first pair
+    if at_b[0] > at_a[0]:  # a counted cluster, alone in comp
+        part = counted.cut(comp, room - stretch)
+        close = counted.pairs(part)
+        if close:
+            tally = list(map(operator.add, tally, part))
+            n_counted += 1
+        return n_counted, tally, placed, pairs + close, None
+    # a placed cluster: its close pairs in range lie less than room - stretch
+    # slots after ref, the slot of its first pair or, in the rest of a cut
+    # cluster, of the last member placed (0 in member_slots)
+    lead = 0 if head and i == 0 else 1
+    first = placed + lead  # its first close pair
+    ref = int(member_slots[first - 1]) if first else 0
+    close = member_slots[first:members[i + 1]]
+    crossing = int(close.searchsorted(ref + room - stretch))
+    pairs += crossing
+    if lead and 0 < crossing < counted.largest:  # cut to 2..K pairs
+        tally = list(map(operator.add, tally, counted.one(crossing, int(close[0]) - ref)))
+        return n_counted + 1, tally, placed, pairs, None
+    if crossing:
+        placed = first + crossing
+    return n_counted, tally, placed, pairs, None
 
 
 def _two_pair_law(params: SourceParams) -> list[float]:
@@ -446,93 +678,99 @@ def _two_pair_law(params: SourceParams) -> list[float]:
 
 
 def _sample_members(params: SourceParams, n_slots: int, rng: np.random.Generator
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int, int]:
-    """Compressed slots of the pairs of clusters of three or more, their
-    detector and efficiency draws, the pair count, the heralds of the
-    pairs not placed, and the two-pair clusters that herald in adjacent slots.
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray]:
+    """Compressed slots of the pairs of clusters of more than K pairs, their
+    detector and efficiency draws, the pair count, and the herald blocks,
+    by length, of the pairs not placed.
 
     With window = max(deadtime, 1) and q = 1 - (1-p)^window, a pair gap is
-    close (<= window) with probability q.  From the range's first pair the
-    gaps are walked in "super-units": g ~ Geom0(q) clusters of exactly two
-    pairs, closed by one cluster of three or more pairs, whose close gaps
-    number 1 + j with j ~ Geom(1 - q).  Each cluster follows a stretch of
-    1 + Geom0(q) long gaps (Geom0(q) before the range's first cluster),
-    each window + 1 slots plus a Geom0(p) excess.  Only g, j and the close
-    gaps of the clusters of three or more, each Geom(p) cut to 1..window
-    and drawn by inverse CDF, are arrays: the two-pair clusters of a batch
-    are counts, with their long gaps and the ``_CloseGapLaw`` composition
-    of their close gaps.  ``_walk_units`` walks a batch up to the end of
-    the range and returns what of it lies in range: the two-pair clusters,
-    those with a gap of 1 slot, the members to place and the pairs.
-    A batch holds at most a budget of members: it ends with the first
-    super-unit that passes the budget less three, whose cluster keeps at
-    most the rest of the budget, and the next batch opens with the rest of
-    that cluster, j ~ Geom(1 - q) more close gaps by memorylessness.  The
-    clusters of three or more in range are placed in compressed slots:
-    close gaps are exact and each stretch takes window + 1 slots, the
-    first one from slot -(window + 1), so the first member lands on 0.  The
-    two-pair clusters in range draw their outcomes, per batch, as one
-    multinomial per gap class (1 slot, where two heralds form a block, or
-    2..window) from ``_two_pair_law``, and an isolated pair heralds with
-    probability ``herald_det_efficiency``.  Every draw follows the laws of
-    drawing all pairs, while the cost scales with the number of clusters
-    of three or more.
+    close (<= window) with probability q.  ``_counted_law`` sets K: 2 at a
+    window of two or more slots, ``_largest_counted(q)`` at a window of
+    one.  From the range's first pair the gaps are walked in
+    "super-units": g counted clusters of 2..K pairs, g ~ Geom0(q^(K-1)),
+    closed by one placed cluster of more than K pairs, whose close gaps
+    number K - 1 + j with j ~ Geom(1 - q).  Each cluster follows a stretch
+    of 1 + Geom0(q) long gaps (Geom0(q) before the range's first
+    cluster), each window + 1 slots plus a Geom0(p) excess.  Only g, j and
+    the close gaps of the placed clusters, each Geom(p) cut to 1..window
+    and drawn by inverse CDF, are arrays: the counted clusters of a batch
+    are counts, with their long gaps and the ``_counted_law`` composition
+    of their close gaps (a window of two or more slots) or their sizes (a
+    window of one).  ``_walk_units`` walks a batch up to the end of the
+    range and returns what of it lies in range: the counted clusters and
+    their composition, the members to place and the pairs.  A batch holds
+    at most a budget of members: it ends with the first super-unit that
+    passes the budget less K + 1, whose cluster keeps at most the rest of
+    the budget, and the next batch opens with the rest of that cluster,
+    j ~ Geom(1 - q) more close gaps by memorylessness.  The placed
+    clusters in range are placed in compressed slots: close gaps are exact
+    and each stretch takes window + 1 slots, the first one from slot
+    -(window + 1), so the first member lands on 0.  The counted clusters
+    in range draw their herald blocks per batch, by their composition
+    (``blocks``), and an isolated pair heralds with probability
+    ``herald_det_efficiency``, a block of one.  Every draw follows the laws
+    of drawing all pairs, while the cost scales with the number of placed
+    clusters.
     """
     p = params.pair_prob
     first = int(rng.geometric(p)) - 1 if p > 0.0 else n_slots  # slot of the first pair
     if first >= n_slots:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool), np.empty(0, dtype=bool), 0, 0, 0
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty.astype(bool), empty.astype(bool), 0, np.zeros(3, dtype=np.int64)
     window = max(params.herald_deadtime_slots, 1)
     step = window + 1
     eff = params.herald_det_efficiency
-    law = _two_pair_law(params)
-    gaps = _close_gap_law(p, window)
+    counted = _counted_law(params)
+    largest = counted.largest
     log_miss = math.log1p(-p) if p < 1.0 else -math.inf  # every gap is 1 at pair_prob 1
     log_long = window * log_miss  # log P(gap > window)
     q = -math.expm1(log_long)
     log_q = math.log1p(-math.exp(log_long))  # 0 when every gap is close
-    # g = floor(log(u) / log(1 - q)) and j - 1 = floor(log(u') / log(q)); when
+    # g = floor(log(u) / log P(counted)) and j - 1 = floor(log(u') / log(q)); when
     # q is 1, j is the cap, put in place of log(u') and divided by -1
-    scale = np.array([[log_long], [log_q if log_q < 0.0 else -1.0]])
-    super_units = p * q * q * (1.0 - q)  # per slot
-    member_rate = p * q * q * (3.0 - 2.0 * q)  # pairs of clusters of three or more, per slot
+    scale = np.array([[counted.log_counted], [log_q if log_q < 0.0 else -1.0]])
+    # clusters of more than K pairs (a pair, then K close gaps, then a long
+    # one), and their pairs, per slot
+    super_units = p * q * q ** (largest - 1) * (1.0 - q)
+    member_rate = p * q * q ** (largest - 1) * (largest + 1.0 - largest * q)
     room = n_slots - first  # a pair is in range if it lands less than room slots on
     last = -step  # compressed slot of the last member placed; the first lands on 0
     pairs = 1
-    counted_pairs = heralds = blocks = 0  # of the two-pair clusters
+    counted_pairs = 0
+    blocks = np.zeros(largest + 1, dtype=np.int64)  # of the pairs not placed
     opens = 1  # how super-unit 0 of a batch opens; see _walk_units
     slots: list[np.ndarray] = []
     to_a: list[np.ndarray] = []
     eff_draws: list[np.ndarray] = []
     while room is not None:
         batch = _batch_units(room * super_units, window)
-        budget = max(_batch_units(room * member_rate, window), 3)
+        budget = max(_batch_units(room * member_rate, window), largest + 1)
         draws = rng.random((2, batch))
         np.negative(draws, out=draws)
         np.log1p(draws, out=draws)
         if log_q == 0.0:
             draws[1] = -budget
         draws /= scale
-        # more than room // (step + 1) + 1 two-pair clusters pass the room
+        # more than room // (step + 1) + 1 counted clusters pass the room
         np.minimum(draws[0], room // (step + 1) + 2, out=draws[0])
         np.minimum(draws[1], budget, out=draws[1])
-        two, count = draws.astype(np.int64)
-        count += 3  # members: a first pair and 2 + floor(...) close gaps
+        n_counted, count = draws.astype(np.int64)
+        count += largest + 1  # members: a first pair and K + floor(...) close gaps
         head = opens == 2  # super-unit 0 holds only the rest of a cut cluster
         if head:
-            two[0] = 0
-            count[0] -= 2
+            n_counted[0] = 0
+            count[0] -= largest
         members = np.zeros(batch + 1, dtype=np.int64)
         count.cumsum(out=members[1:])
-        # the batch ends with the first super-unit that passes budget - 3
+        # the batch ends with the first super-unit that passes budget - K - 1
         # members, and that one keeps at most the rest of the budget
-        cut = int(members.searchsorted(budget - 3, "right"))
+        cut = int(members.searchsorted(budget - largest - 1, "right"))
         cut_open = False
         if cut <= batch:
             kept = min(int(count[cut - 1]), budget - int(members[cut - 1]))
             cut_open = kept < count[cut - 1]
             batch = cut
-            two, members = two[:batch], members[:batch + 1]
+            n_counted, members = n_counted[:batch], members[:batch + 1]
             members[batch] = members[batch - 1] + kept
         n_members = int(members[-1])
         if window == 1:
@@ -547,26 +785,20 @@ def _sample_members(params: SourceParams, n_slots: int, rng: np.random.Generator
             np.minimum(member_gaps, window, out=member_gaps)
         member_gaps[members[head:batch]] = step  # a placed cluster starts window + 1 slots on
         member_slots = member_gaps.cumsum()  # after the last member placed; 2 close gaps may reach 2^63
-        two += 1
+        n_counted += 1  # clusters per super-unit: the counted ones and the placed one
         clusters = np.zeros(batch + 1, dtype=np.int64)
-        two.cumsum(out=clusters[1:])
+        n_counted.cumsum(out=clusters[1:])
         # a detector and an efficiency draw for every pair the batch's placed
         # clusters hold, so where the range ends changes none of them
         batch_to_a = rng.random(n_members) < params.herald_splitter_ratio
         batch_eff = rng.random(n_members) < eff if eff < 1.0 else np.ones(n_members, dtype=bool)
-        two_in, adjacent, placed, in_range, room = _walk_units(
-            clusters, members, member_slots, room, opens, gaps, window, p, q, rng)
+        counted_in, tally, placed, in_range, room = _walk_units(
+            clusters, members, member_slots, room, opens, counted, window, p, q, rng)
         pairs += in_range
         opens = 2 if cut_open else 0
-        if two_in:
-            counted_pairs += 2 * two_in
-            if adjacent:  # two heralds in adjacent slots form a block
-                _, one, both = rng.multinomial(adjacent, law)
-                heralds += int(one + 2 * both)
-                blocks += int(both)
-            if two_in > adjacent:
-                _, one, both = rng.multinomial(two_in - adjacent, law)
-                heralds += int(one + 2 * both)
+        if counted_in:
+            counted_pairs += counted_in + counted.pairs(tally)
+            blocks += counted.blocks(tally, rng)
         placed_slots = member_slots[:placed].astype(np.int64)
         placed_slots += last
         slots.append(placed_slots)
@@ -575,9 +807,9 @@ def _sample_members(params: SourceParams, n_slots: int, rng: np.random.Generator
         if placed:
             last = int(placed_slots[-1])
     placed_slots = np.concatenate(slots)
-    # an isolated pair meets a live detector: it heralds with probability eff
-    heralds += int(rng.binomial(pairs - placed_slots.size - counted_pairs, eff))
-    return placed_slots, np.concatenate(to_a), np.concatenate(eff_draws), pairs, heralds, blocks
+    # an isolated pair meets a live detector: it heralds with probability eff, a block of one
+    blocks[1] += int(rng.binomial(pairs - placed_slots.size - counted_pairs, eff))
+    return placed_slots, np.concatenate(to_a), np.concatenate(eff_draws), pairs, blocks
 
 
 def _apply_deadtime(slots: np.ndarray, to_a: np.ndarray, eff_draws: np.ndarray,
@@ -646,8 +878,7 @@ def generate_herald_stream(params: SourceParams, n_slots: int, rng: np.random.Ge
     """Run the source and heralding arm over ``n_slots`` pulse slots."""
     if not 1 <= n_slots <= MAX_SLOTS:
         raise ValueError(f"n_slots must lie in 1..2**62 (got {n_slots})")
-    pair_slots, to_a, eff_draws, pair_count, counted_heralds, two_pair_blocks = _sample_members(
-        params, n_slots, rng)
+    pair_slots, to_a, eff_draws, pair_count, counted_blocks = _sample_members(params, n_slots, rng)
     fired = _apply_deadtime(pair_slots, to_a, eff_draws, params.herald_deadtime_slots)
     return HeraldStream(
         n_slots=n_slots,
@@ -655,8 +886,8 @@ def generate_herald_stream(params: SourceParams, n_slots: int, rng: np.random.Ge
         to_detector_a=to_a,
         fired=fired,
         pair_count=pair_count,
-        herald_count=int(fired.sum()) + counted_heralds,
-        two_pair_blocks=two_pair_blocks,
+        herald_count=int(fired.sum()) + int(counted_blocks @ np.arange(counted_blocks.size)),
+        counted_blocks=counted_blocks,
     )
 
 
@@ -668,23 +899,18 @@ def herald_block_histogram(stream: HeraldStream) -> np.ndarray:
     and sum_L L * hist[L] equals ``stream.herald_count``.  The blocks of
     the placed members are read from ``stream.herald_slots``; clusters lie
     at least two compressed slots apart, so no block spans two of them.
-    Two additions cover the heralds that are only counted: each of the
-    ``two_pair_blocks`` is one block at L = 2, and every other counted
-    herald (``herald_count`` less the placed heralds and twice
-    ``two_pair_blocks``) is a block of its own at L = 1, since it comes
-    from an isolated pair or a two-pair cluster that did not herald in
-    two adjacent slots.  ``hist`` has at least three entries; ``hist[0]``
-    is 0.
+    The heralds that are only counted add their own blocks,
+    ``stream.counted_blocks``.  ``hist`` has at least three entries;
+    ``hist[0]`` is 0.
     """
     placed = stream.herald_slots
-    if placed.size:
-        # where each block starts, then one past the last herald
-        starts = np.flatnonzero(np.concatenate(([2], placed[1:] - placed[:-1], [2])) > 1)
-        hist = np.bincount(starts[1:] - starts[:-1], minlength=3)
-    else:
-        hist = np.zeros(3, dtype=np.int64)
-    hist[1] += stream.herald_count - placed.size - 2 * stream.two_pair_blocks
-    hist[2] += stream.two_pair_blocks
+    counted = stream.counted_blocks
+    if not placed.size:
+        return counted.copy()
+    # where each block starts, then one past the last herald
+    starts = np.flatnonzero(np.concatenate(([2], placed[1:] - placed[:-1], [2])) > 1)
+    hist = np.bincount(starts[1:] - starts[:-1], minlength=counted.size)
+    hist[:counted.size] += counted
     return hist
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from photondemux import converter
+from photondemux import converter, source
 
 
 @pytest.fixture
@@ -31,3 +31,17 @@ def landings(monkeypatch):
         return total
 
     return read
+
+
+@pytest.fixture
+def largest_three(monkeypatch):
+    """Count clusters of at most three pairs at a window of one slot (K = 3).
+
+    The source's own K (13 at pair_prob 0.3) places almost no cluster in a
+    short range; the laws the tests check hold for any K, and at K = 3
+    counted, placed and cut clusters all occur.
+    """
+    monkeypatch.setattr(source, "_largest_counted", lambda q: 3)
+    source._counted_law.cache_clear()
+    yield
+    source._counted_law.cache_clear()

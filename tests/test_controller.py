@@ -38,14 +38,14 @@ def run_starts(flags, n):
     return run_starts_from_heralds(np.flatnonzero(np.asarray(flags, dtype=bool)), n).tolist()
 
 
-def flag_stream(flags, singles=0, two_pair_blocks=0):
+def flag_stream(flags, singles=0, doubles=0):
     """A stream whose members herald at the flagged slots, plus heralds only counted:
-    ``singles`` lone ones and ``two_pair_blocks`` blocks of two."""
+    ``singles`` lone ones and ``doubles`` blocks of two."""
     slots = np.flatnonzero(np.asarray(flags, dtype=bool))
     return HeraldStream(n_slots=len(flags), pair_slots=slots, to_detector_a=slots % 2 == 0,
                         fired=np.ones(slots.size, dtype=bool), pair_count=slots.size,
-                        herald_count=slots.size + singles + 2 * two_pair_blocks,
-                        two_pair_blocks=two_pair_blocks)
+                        herald_count=slots.size + singles + 2 * doubles,
+                        counted_blocks=np.array([0, singles, doubles], dtype=np.int64))
 
 
 def histogram(flags, **counted):
@@ -102,12 +102,12 @@ class TestKnownPatterns:
 
     def test_histogram_without_heralds(self):
         assert histogram([False] * 8) == [0, 0, 0]
-        assert histogram([False] * 8, singles=2, two_pair_blocks=1) == [0, 2, 1]
+        assert histogram([False] * 8, singles=2, doubles=1) == [0, 2, 1]
 
     def test_counted_heralds_are_added_at_one_and_two(self):
         flags = [False, True, True, True, False, True]
-        assert histogram(flags, singles=3, two_pair_blocks=2) == [0, 4, 2, 1]
-        stream = flag_stream(flags, singles=3, two_pair_blocks=2)
+        assert histogram(flags, singles=3, doubles=2) == [0, 4, 2, 1]
+        stream = flag_stream(flags, singles=3, doubles=2)
         assert [block_triggers(stream, n) for n in (1, 2, 3)] == [stream.herald_count, 3, 1]
 
 
@@ -166,23 +166,39 @@ class TestOnGeneratedStreams:
 
 
 # (pair_prob, deadtime, efficiency, splitter ratio) x n_slots x seeds, by
-# default and in vector rounds of 3 units; every point makes members,
-# two-pair blocks or lone counted heralds
+# default and in vector rounds of 3 units, each with the source's K and with
+# K = 3 at a window of one slot; every point makes members, counted blocks
+# of two or more or lone counted heralds
 STREAM_GRID = list(itertools.product(
-    [(0.0043882, 3), (0.05, 0), (0.05, 4), (0.3, 0), (0.3, 1), (0.3, 4), (1.0, 4)],
+    [(0.0043882, 3), (0.05, 0), (0.05, 4), (0.3, 0), (0.3, 1), (0.3, 4), (0.6, 1), (1.0, 4)],
     [(1.0, 0.5), (0.7, 0.3)],
     [10, 300, 4_000],
     range(3),
 ))
 
 
-@pytest.fixture(params=["default_rounds", "three_unit_rounds"])
+@pytest.fixture(params=["default_rounds", "three_unit_rounds",
+                        "largest_three", "largest_three_in_three_unit_rounds"])
 def round_size(request, monkeypatch):
-    if request.param == "three_unit_rounds":
+    """The vector rounds and the K of a run; at K = 3 it returns the list of
+    the clusters of 2..K pairs that the end of a range cut from a placed
+    cluster, as (close pairs, first gap)."""
+    if request.param.endswith("three_unit_rounds"):
         monkeypatch.setattr(source, "_BATCH_UNITS", 3)
+    if not request.param.startswith("largest_three"):
+        return None
+    request.getfixturevalue("largest_three")
+    cuts = []
+    one = source._SizeLaw.one
+
+    def spy(law, close, gap):
+        cuts.append((close, gap))
+        return one(law, close, gap)
+
+    monkeypatch.setattr(source._SizeLaw, "one", spy)
+    return cuts
 
 
-@pytest.mark.usefixtures("round_size")
 class TestBlockHistogramOnGeneratedStreams:
     """The block histogram holds every herald, and its triggers equal the start-slot count."""
 
@@ -191,26 +207,35 @@ class TestBlockHistogramOnGeneratedStreams:
         for (pair_prob, deadtime), (eff, ratio), n_slots, seed in STREAM_GRID:
             params = SourceParams(pair_prob=pair_prob, rep_rate_hz=82e6, herald_deadtime_slots=deadtime,
                                   herald_det_efficiency=eff, herald_splitter_ratio=ratio)
-            yield generate_herald_stream(params, n_slots, RngStream(71, (seed,)).generator())
+            yield params, generate_herald_stream(params, n_slots, RngStream(71, (seed,)).generator())
 
-    def test_lengths_add_up_to_the_herald_count(self):
-        seen = np.zeros(3, dtype=np.int64)
-        for stream in self.streams():
+    def test_lengths_add_up_to_the_herald_count(self, round_size):
+        seen = np.zeros(4, dtype=np.int64)
+        for params, stream in self.streams():
             hist = herald_block_histogram(stream)
             assert (hist >= 0).all() and hist[0] == 0
             assert int(hist @ np.arange(hist.size)) == stream.herald_count
-            seen += [stream.herald_slots.size > 0, stream.two_pair_blocks > 0, hist[1] > 0]
-        assert (seen > 0).all()  # members, two-pair blocks and lone counted heralds all occur
+            window_one = params.herald_deadtime_slots <= 1
+            seen += [stream.herald_slots.size > 0, stream.counted_blocks[2:].sum() > 0, hist[1] > 0,
+                     window_one and stream.pair_slots.size > 0]
+        # members, counted blocks of two or more and lone counted heralds all
+        # occur, and at K = 3 placed clusters at a window of one slot too,
+        # and clusters cut by the end of the range to 2 and to 3 pairs
+        assert (seen[:3] > 0).all()
+        if round_size is not None:
+            assert seen[3] > 0
+            assert {close for close, _ in round_size} == {1, 2}
 
-    def test_triggers_equal_the_start_slot_count(self):
+    def test_triggers_equal_the_start_slot_count(self, round_size):
         longest = 0
-        for stream in self.streams():
+        for _, stream in self.streams():
             hist = herald_block_histogram(stream)
-            longest = max(longest, hist.size - 1)
+            longest = max(longest, np.flatnonzero(hist).max(initial=0))
             assert block_triggers(stream, 1) == stream.herald_count
             for n in (2, 3, 4):
                 starts = run_starts_from_heralds(stream.herald_slots, n).size
-                assert block_triggers(stream, n) == starts + stream.two_pair_blocks * (2 // n)
+                counted = int(stream.counted_blocks @ (np.arange(stream.counted_blocks.size) // n))
+                assert block_triggers(stream, n) == starts + counted
         assert longest >= 5
 
 

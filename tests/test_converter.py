@@ -423,6 +423,12 @@ class TestMonteCarloGrid:
         # a converter that transmits nothing: the error is the Wilson bound 1/(T + 1), not 0
         assert monte_carlo_efficiency("heralded", 2, 0.0, 100, RngStream(0).generator()) == (0.0, 1.0 / 101)
 
+    def test_all_success_reports_an_upper_bound(self):
+        # an ideal heralded converter: every run succeeds, and the error is the
+        # one-sided Wilson bound 1/(T + 1) on the missing failures, not 0
+        cell = monte_carlo_efficiency("heralded", 3, 1.0, 500_000, RngStream(0).generator())
+        assert cell == (1.0, 1.0 / 500_001)
+
 
 class TestBatchContainer:
     def test_port_counts_table(self, landings):

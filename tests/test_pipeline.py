@@ -676,9 +676,10 @@ class TestStreamTallies:
 
     def test_counts_are_sums_of_trial_histograms(self):
         # a trial draws only its stream, on key (grid index, trial); at deadtime 0
-        # the longest blocks differ by trial, so the merge pads both ways
+        # and pair_prob 0.7 (K = 16) the longest blocks of the placed clusters
+        # differ by trial, so the merge pads both ways
         raw = raw_scenario(trials=3, slots_per_trial=100_000)
-        raw["source"].update(pair_prob=0.3, herald_deadtime_slots=0)
+        raw["source"].update(pair_prob=0.7, herald_deadtime_slots=0)
         sc = scenario_from_mapping(raw)
         rep = execute_scenario(sc)
         heralds = triggers = 0
