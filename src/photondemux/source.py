@@ -292,22 +292,21 @@ class _CloseGapLaw:
         of the one two-pair cluster ``comp``: empty unless its close pair does."""
         return comp if self.total(comp) < slots else [0] * len(comp)
 
-    def blocks(self, comp: list[int], rng: np.random.Generator) -> np.ndarray:
+    def blocks(self, comp: list[int], rng: np.random.Generator) -> list[int]:
         """Herald blocks by length of the two-pair clusters of a composition.
 
         One multinomial over ``outcomes`` per gap class: two heralds form
         a block where the gap is 1 slot, and two blocks of one elsewhere.
         """
-        hist = np.zeros(3, dtype=np.int64)
+        ones = twos = 0
         if comp[0]:
-            _, one, both = rng.multinomial(comp[0], self.outcomes)
-            hist[1] += one
-            hist[2] += both
+            _, one, both = rng.multinomial(comp[0], self.outcomes).tolist()
+            ones, twos = one, both
         apart = self.pairs(comp) - comp[0]
         if apart:
-            _, one, both = rng.multinomial(apart, self.outcomes)
-            hist[1] += one + 2 * both
-        return hist
+            _, one, both = rng.multinomial(apart, self.outcomes).tolist()
+            ones += one + 2 * both
+        return [0, ones, twos]
 
 
 @lru_cache(maxsize=64)
@@ -344,16 +343,18 @@ class _SizeLaw:
     after it are empty.  Its first pair meets two live detectors, and its
     blocks of consecutive heralds end inside it.  So a cluster's
     contribution to the herald-block histogram has a law that depends on
-    s and the source alone: row s - 2 of ``rows`` holds the probabilities
-    of its outcomes, each a multiset of block lengths, and each outcome's
-    blocks counted by length.  A composition is a list: the clusters of
-    2, 3, ..., ``largest`` pairs.
+    s and the source alone: ``probs[s - 2]`` holds the probabilities of
+    its outcomes, each a multiset of block lengths, and rows ``starts[s -
+    2]`` on of ``lengths`` count each outcome's blocks by length.  A
+    composition is a list: the clusters of 2, 3, ..., ``largest`` pairs.
     """
 
     largest: int  # the pairs of the largest cluster counted
     log_counted: float  # log P(a cluster holds at most ``largest`` pairs)
     sizes: np.ndarray  # P(s pairs | 2 <= s <= largest), s = 2..largest
-    rows: tuple[tuple[np.ndarray, np.ndarray], ...]  # per size: P(outcome), blocks by length per outcome
+    probs: tuple[np.ndarray, ...]  # per size: P(outcome), likeliest first
+    starts: tuple[int, ...]  # per size: the row of ``lengths`` of its first outcome
+    lengths: np.ndarray  # int64, per outcome of every size: its blocks of L heralds at L
 
     def draw(self, clusters: int, rng: np.random.Generator) -> list[int]:
         """Composition of ``clusters`` fresh counted clusters."""
@@ -368,13 +369,17 @@ class _SizeLaw:
         Given the counts, the clusters are exchangeable, so each count of
         the left part is hypergeometric given those before it.
         """
-        left_comp = []
-        for count in comp[:-1]:
-            in_left = _hypergeometric(count, clusters - count, left, rng)
-            left_comp.append(in_left)
-            clusters -= count
-            left -= in_left
-        left_comp.append(left)
+        left_comp = [0] * len(comp)
+        for i, count in enumerate(comp):
+            if left == 0 or left == clusters:  # the rest go right, or all go left
+                if left:
+                    left_comp[i:] = comp[i:]
+                break
+            if count:
+                in_left = _hypergeometric(count, clusters - count, left, rng)
+                left_comp[i] = in_left
+                clusters -= count
+                left -= in_left
         return left_comp, [x - y for x, y in zip(comp, left_comp)]
 
     def total(self, comp: list[int]) -> int:
@@ -395,14 +400,14 @@ class _SizeLaw:
         close = min(self.pairs(comp), slots - 1)
         return self.one(close, 1) if close else [0] * len(comp)
 
-    def blocks(self, comp: list[int], rng: np.random.Generator) -> np.ndarray:
+    def blocks(self, comp: list[int], rng: np.random.Generator) -> list[int]:
         """Herald blocks by length of the clusters of a composition: one
         multinomial over each size's outcomes, none for a single outcome."""
-        hist = np.zeros(self.largest + 1, dtype=np.int64)
-        for count, (probs, lengths) in zip(comp, self.rows):
+        outcomes = np.zeros(self.lengths.shape[0], dtype=np.int64)
+        for count, probs, start in zip(comp, self.probs, self.starts):
             if count:
-                hist += count * lengths[0] if probs.size == 1 else rng.multinomial(count, probs) @ lengths
-        return hist
+                outcomes[start:start + probs.size] = count if probs.size == 1 else rng.multinomial(count, probs)
+        return (outcomes @ self.lengths).tolist()
 
 
 def _largest_counted(q: float) -> int:
@@ -454,19 +459,22 @@ def _size_law(params: SourceParams, q: float, largest: int) -> _SizeLaw:
                     key = tuple(sorted((*rest, length))) if length else rest
                     law[key] = law.get(key, 0.0) + stop[length] * prob
         laws.append(law)
-    rows = []
+    probs, starts, lengths = [], [], []
     for law in laws[2:]:
         # likeliest first: a multinomial draw stops once its count is spent
         outcomes = sorted(law.items(), key=lambda item: (-item[1], item[0]))
-        lengths = np.zeros((len(outcomes), largest + 1), dtype=np.int64)
-        for row, (blocks, _) in zip(lengths, outcomes):
+        probs.append(np.array([prob for _, prob in outcomes]))
+        starts.append(len(lengths))
+        for blocks, _ in outcomes:
+            row = [0] * (largest + 1)
             for length in blocks:
                 row[length] += 1
-        rows.append((np.array([prob for _, prob in outcomes]), lengths))
+            lengths.append(row)
     # sizes 2..largest: P(s) proportional to q^(s - 2)
     sizes = np.array([q ** s for s in range(largest - 1)])
     log_counted = math.log1p(-q ** (largest - 1)) if q < 1.0 else -math.inf
-    return _SizeLaw(largest, log_counted, sizes / sizes.sum(), tuple(rows))
+    return _SizeLaw(largest, log_counted, sizes / sizes.sum(), tuple(probs), tuple(starts),
+                    np.array(lengths, dtype=np.int64))
 
 
 @lru_cache(maxsize=64)
@@ -678,7 +686,7 @@ def _two_pair_law(params: SourceParams) -> list[float]:
 
 
 def _sample_members(params: SourceParams, n_slots: int, rng: np.random.Generator
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray]:
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, list[int]]:
     """Compressed slots of the pairs of clusters of more than K pairs, their
     detector and efficiency draws, the pair count, and the herald blocks,
     by length, of the pairs not placed.
@@ -716,7 +724,7 @@ def _sample_members(params: SourceParams, n_slots: int, rng: np.random.Generator
     first = int(rng.geometric(p)) - 1 if p > 0.0 else n_slots  # slot of the first pair
     if first >= n_slots:
         empty = np.empty(0, dtype=np.int64)
-        return empty, empty.astype(bool), empty.astype(bool), 0, np.zeros(3, dtype=np.int64)
+        return empty, empty.astype(bool), empty.astype(bool), 0, [0, 0, 0]
     window = max(params.herald_deadtime_slots, 1)
     step = window + 1
     eff = params.herald_det_efficiency
@@ -737,7 +745,7 @@ def _sample_members(params: SourceParams, n_slots: int, rng: np.random.Generator
     last = -step  # compressed slot of the last member placed; the first lands on 0
     pairs = 1
     counted_pairs = 0
-    blocks = np.zeros(largest + 1, dtype=np.int64)  # of the pairs not placed
+    blocks = [0] * (largest + 1)  # of the pairs not placed, by length
     opens = 1  # how super-unit 0 of a batch opens; see _walk_units
     slots: list[np.ndarray] = []
     to_a: list[np.ndarray] = []
@@ -798,7 +806,7 @@ def _sample_members(params: SourceParams, n_slots: int, rng: np.random.Generator
         opens = 2 if cut_open else 0
         if counted_in:
             counted_pairs += counted_in + counted.pairs(tally)
-            blocks += counted.blocks(tally, rng)
+            blocks = list(map(operator.add, blocks, counted.blocks(tally, rng)))
         placed_slots = member_slots[:placed].astype(np.int64)
         placed_slots += last
         slots.append(placed_slots)
@@ -878,7 +886,7 @@ def generate_herald_stream(params: SourceParams, n_slots: int, rng: np.random.Ge
     """Run the source and heralding arm over ``n_slots`` pulse slots."""
     if not 1 <= n_slots <= MAX_SLOTS:
         raise ValueError(f"n_slots must lie in 1..2**62 (got {n_slots})")
-    pair_slots, to_a, eff_draws, pair_count, counted_blocks = _sample_members(params, n_slots, rng)
+    pair_slots, to_a, eff_draws, pair_count, blocks = _sample_members(params, n_slots, rng)
     fired = _apply_deadtime(pair_slots, to_a, eff_draws, params.herald_deadtime_slots)
     return HeraldStream(
         n_slots=n_slots,
@@ -886,8 +894,8 @@ def generate_herald_stream(params: SourceParams, n_slots: int, rng: np.random.Ge
         to_detector_a=to_a,
         fired=fired,
         pair_count=pair_count,
-        herald_count=int(fired.sum()) + int(counted_blocks @ np.arange(counted_blocks.size)),
-        counted_blocks=counted_blocks,
+        herald_count=int(fired.sum()) + sum(map(operator.mul, range(len(blocks)), blocks)),
+        counted_blocks=np.array(blocks, dtype=np.int64),
     )
 
 

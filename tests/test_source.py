@@ -371,8 +371,15 @@ def cluster_law_by_scan(size, eff, ratio, deadtime):
 
 def table_row(law, size):
     """Row ``size`` of a ``_SizeLaw`` as {sorted block lengths: probability}."""
-    probs, lengths = law.rows[size - 2]
+    probs, lengths = size_row(law, size)
     return {tuple(np.repeat(np.arange(row.size), row).tolist()): prob for prob, row in zip(probs, lengths)}
+
+
+def size_row(law, size):
+    """Outcome probabilities and block lengths of a ``_SizeLaw``'s clusters of ``size`` pairs."""
+    probs = law.probs[size - 2]
+    start = law.starts[size - 2]
+    return probs, law.lengths[start:start + probs.size]
 
 
 def size_law(eff=1.0, ratio=0.5, deadtime=0, largest=16, q=0.3):
@@ -400,10 +407,10 @@ class TestSizeLaw:
     @pytest.mark.parametrize("deadtime", [0, 1])
     def test_rows_are_laws_of_fitting_blocks(self, deadtime, ratio, eff):
         law = size_law(eff, ratio, deadtime)
-        assert law.largest == len(law.rows) + 1 == 16
+        assert law.largest == len(law.probs) + 1 == 16
         assert abs(law.sizes.sum() - 1.0) <= 1e-12
         for size in range(2, 17):
-            probs, lengths = law.rows[size - 2]
+            probs, lengths = size_row(law, size)
             assert abs(probs.sum() - 1.0) <= 1e-12 and (probs > 0.0).all()
             assert (np.diff(probs) <= 0.0).all()  # likeliest first
             # a block ends at a pair that does not herald, or at the cluster's end
@@ -429,7 +436,7 @@ class TestSizeLaw:
         state = rng.bit_generator.state
         hist = law.blocks([3, 0, 2] + [0] * 11 + [1], rng)
         assert rng.bit_generator.state == state
-        assert hist.tolist() == [0, 0, 3, 0, 2] + [0] * 11 + [1]
+        assert hist == [0, 0, 3, 0, 2] + [0] * 11 + [1]
 
     def test_sizes_follow_the_geometric_cluster_law(self):
         # a cluster of at least two pairs has s pairs with probability
