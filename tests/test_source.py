@@ -690,6 +690,13 @@ class TestAgainstDenseOracle:
         monkeypatch.setattr(source, "_BATCH_UNITS", 64)
         self.assert_same_law("dense")
 
+    @pytest.mark.usefixtures("largest_three")
+    def test_three_unit_rounds_at_window_one(self, monkeypatch):
+        # at K = 3 a round's member budget is 4, so rounds end inside placed
+        # clusters of five or more pairs, and the next round opens with the rest
+        monkeypatch.setattr(source, "_BATCH_UNITS", 3)
+        self.assert_same_law("sweep_largest_three")
+
     @staticmethod
     def assert_same_law(name):
         overrides, n_slots = LAW_POINTS[name]
