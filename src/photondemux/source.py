@@ -17,16 +17,19 @@ length <= w ("close" gaps) sit at Bernoulli positions in gap-index
 space, each has a truncated-geometric length, and a stretch of k longer
 gaps has a negative-binomial total.  Both detectors are live at a
 cluster's first pair and its blocks of heralds end inside it, so a
-cluster of at most K pairs heralds by a law of its own: at w > 1, K is 2
-and a two-pair cluster heralds 0, 1 or 2 times by a closed form; at
-w = 1 every close gap is one slot, and a table per source gives the
-herald blocks of a cluster of each size up to K, which the source's
-close-gap probability sets (13 at pair_prob 0.3).  Those clusters enter
-only as counts, as does an isolated pair, which heralds with probability
-``herald_det_efficiency``: between two clusters of more than K pairs, the
-counted clusters are one geometric count, and their close gaps (w > 1)
-or their sizes (w = 1) one composition of counts that carries their
-exact sum.  The pairs of clusters of more than K pairs, the "members",
+cluster of at most K pairs heralds by a law of its own, and a table per
+source gives it.  K is the smallest size that leaves at most one cluster
+in a million larger, within a budget of table entries: at w = 1, where
+every close gap is one slot, a cluster's law depends on its size alone
+(K = 13 at pair_prob 0.3); at w > 1 on its size and the sum of its close
+gaps, its class (K = 5 at the two-mode point, 340 gap vectors in 34
+classes), and where even K = 3 would take too many gap vectors, K is 2
+and a two-pair cluster heralds 0, 1 or 2 times by a closed form.  Those
+clusters enter only as counts, as does an isolated pair, which heralds
+with probability ``herald_det_efficiency``: between two clusters of more
+than K pairs, the counted clusters are one geometric count, and their
+sizes (w = 1), classes or close gaps (K = 2) one composition of counts
+that carries their exact sum.  The pairs of clusters of more than K pairs, the "members",
 are placed in compressed slots: gaps inside a cluster are exact, and
 each stretch between clusters takes w + 1 slots.  Deadtime and run
 detection read only gaps, and to both a gap of w + 1 acts as any longer
@@ -48,6 +51,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, replace
 from functools import lru_cache
+import itertools
 import math
 import operator
 from typing import ClassVar
@@ -96,8 +100,9 @@ class HeraldStream:
     ``pair_slots`` holds, sorted and unique, the compressed slots of the
     members: the pairs of clusters of more than K pairs, where a cluster
     chains pairs within w = ``max(deadtime, 1)`` slots of each other and K
-    is 2 at w > 1 and set by the source's close-gap probability at w = 1
-    (13 at pair_prob 0.3).  Gaps inside a cluster are exact, and gaps
+    is set by the source's close-gap probability and w (13 at pair_prob
+    0.3 and w = 1, 5 at the two-mode point; see ``_largest_counted``), so
+    that almost every cluster is counted.  Gaps inside a cluster are exact, and gaps
     between clusters are w + 1, so the slots lie in [0, n_slots) but are
     not the pairs' absolute slots.  ``to_detector_a`` and ``fired`` are
     per member.  Every other pair of the range, in a cluster of at most K
@@ -138,6 +143,7 @@ _BYTES_PER_CALL = 1 << 14
 # super-units, and members, drawn per vector round; bounds the working arrays
 _BATCH_UNITS = 1 << 18
 _HYPERGEOMETRIC_LIMIT = 10**9  # numpy draws hypergeometric counts below this
+_CLASS_BUDGET = 512  # gap vectors whose outcome laws a window of two or more slots builds (_largest_counted)
 
 
 def _batch_units(units: float, window: int) -> int:
@@ -155,9 +161,9 @@ def expected_peak_bytes(params: SourceParams, n_slots: int) -> float:
     members, the pairs of clusters of more than K, number
     n_slots p q^K (K + 1 - K q) in expectation, and those clusters, each
     closing a super-unit, n_slots p (1-q) q^K.  One vector round of
-    super-unit arrays is alive at a time.  The table of outcomes that a
-    window of one slot counts clusters by is built once per source and
-    kept, so it is not a per-call cost.
+    super-unit arrays is alive at a time.  The table of outcomes that the
+    counted clusters are drawn by is built once per source and kept, so it
+    is not a per-call cost.
     """
     p = params.pair_prob
     window = max(params.herald_deadtime_slots, 1)
@@ -210,11 +216,12 @@ class _CloseGapLaw:
     then a weighted sum of counts, drawn in O(log^2 window) draws, and the
     counts of any subset of the gaps are hypergeometric given the whole.
 
-    At a window of two or more slots the sampler counts its two-pair
-    clusters by their close gap's composition (``_counted_law``), through
-    the interface that ``_SizeLaw`` shares: draw, split, the slots and the
-    pairs of a composition, a cut cluster's composition, and the herald
-    blocks.
+    Where a window of two or more slots counts clusters of two pairs only
+    (K = 2: see ``_largest_counted``), the sampler counts them by their
+    close gap's composition (``_counted_law``), through the interface that
+    ``_SizeLaw`` and ``_GapClassLaw`` share: draw, split, the slots and the
+    pairs of a composition, a cut cluster's composition, the sum of two
+    compositions, and the herald blocks.
     """
 
     adjacent: float  # P(gap = 1 | gap <= window)
@@ -274,8 +281,9 @@ class _CloseGapLaw:
         """Gaps of a composition: each is the close pair of one two-pair cluster."""
         return sum(comp[:1 + len(self.block_probs)])
 
-    def one(self, close: int, gap: int) -> list[int]:
-        """Composition of one gap of ``gap`` slots: a cluster cut to ``close`` = 1 close pair."""
+    def one(self, gaps: list[int]) -> list[int]:
+        """Composition of one cluster of two pairs whose close gap is ``gaps[0]`` slots."""
+        (gap,) = gaps
         comp = [0] * len(self.weights)
         n_blocks = len(self.block_probs)
         starts = self.weights[1:1 + n_blocks]
@@ -287,10 +295,14 @@ class _CloseGapLaw:
                 comp[1 + n_blocks + j] = int(i == block - 1 and offset & weight > 0)
         return comp
 
-    def cut(self, comp: list[int], slots: int) -> list[int]:
+    def cut(self, comp: list[int], slots: int, rng: np.random.Generator) -> list[int]:
         """Composition of what lies less than ``slots`` slots after the first pair
         of the one two-pair cluster ``comp``: empty unless its close pair does."""
         return comp if self.total(comp) < slots else [0] * len(comp)
+
+    def add(self, comp: list[int], other: list[int]) -> list[int]:
+        """Composition of the clusters of two compositions."""
+        return list(map(operator.add, comp, other))
 
     def blocks(self, comp: list[int], rng: np.random.Generator) -> list[int]:
         """Herald blocks by length of the two-pair clusters of a composition.
@@ -367,7 +379,10 @@ class _SizeLaw:
         """Compositions of the first ``left`` of ``clusters`` clusters of ``comp``, and of the rest.
 
         Given the counts, the clusters are exchangeable, so each count of
-        the left part is hypergeometric given those before it.
+        the left part is hypergeometric given those before it.  The chain
+        stops once the left part is full or takes all the rest, which here,
+        over a few sizes of geometric weight, is cheaper than one
+        ``multivariate_hypergeometric`` call (as ``_GapClassLaw.split`` makes).
         """
         left_comp = [0] * len(comp)
         for i, count in enumerate(comp):
@@ -388,17 +403,19 @@ class _SizeLaw:
 
     pairs = total  # pairs after each cluster's first: one per close slot
 
-    def one(self, close: int, gap: int) -> list[int]:
-        """Composition of one cluster cut to ``close`` close pairs (its first ``gap`` is 1 slot)."""
+    def one(self, gaps: list[int]) -> list[int]:
+        """Composition of one cluster whose close gaps are ``gaps`` (each 1 slot)."""
         comp = [0] * (self.largest - 1)
-        comp[close - 1] = 1
+        comp[len(gaps) - 1] = 1
         return comp
 
-    def cut(self, comp: list[int], slots: int) -> list[int]:
+    def cut(self, comp: list[int], slots: int, rng: np.random.Generator) -> list[int]:
         """Composition of the pairs less than ``slots`` slots after the first of
         the one cluster ``comp``: empty when only its first pair is."""
         close = min(self.pairs(comp), slots - 1)
-        return self.one(close, 1) if close else [0] * len(comp)
+        return self.one([1] * close) if close else [0] * len(comp)
+
+    add = _CloseGapLaw.add
 
     def blocks(self, comp: list[int], rng: np.random.Generator) -> list[int]:
         """Herald blocks by length of the clusters of a composition: one
@@ -410,16 +427,20 @@ class _SizeLaw:
         return (outcomes @ self.lengths).tolist()
 
 
-def _largest_counted(q: float) -> int:
-    """K at a window of one slot: clusters of at most K pairs are counted by size.
+def _largest_counted(q: float, window: int = 1) -> int:
+    """K: clusters of at most K pairs are counted, not placed.
 
     The smallest K >= 2 with q^(K - 1) <= 1e-6, so that at most one cluster
-    in a million holds more pairs and is placed, but at most 16: the
-    outcomes of a cluster grow about as the partitions of its size, and
-    16 keeps ``_size_law``'s table within a few milliseconds.
+    in a million holds more pairs and is placed, but at most 16, and with
+    at most ``_CLASS_BUDGET`` gap vectors of 2..K pairs, sum_{s=2..K}
+    window^(s - 1): at a window of one slot a cluster's outcomes grow
+    about as the partitions of its size, and at a wider window its gap
+    vectors as window^(K - 1).  Both bounds keep a source's table within
+    a few milliseconds.
     """
     largest = 2
-    while largest < 16 and q ** (largest - 1) > 1e-6:
+    while (largest < 16 and q ** (largest - 1) > 1e-6
+           and sum(window ** close for close in range(1, largest + 1)) <= _CLASS_BUDGET):
         largest += 1
     return largest
 
@@ -477,21 +498,215 @@ def _size_law(params: SourceParams, q: float, largest: int) -> _SizeLaw:
                     np.array(lengths, dtype=np.int64))
 
 
+@dataclass(frozen=True, eq=False)
+class _GapClassLaw:
+    """Counted clusters at a window of w = deadtime >= 2 slots: their classes and herald blocks.
+
+    A cluster's close gaps are each 1..w slots.  Every gap before a
+    cluster is longer than w, so both detectors are live at its first
+    pair, and at least three slots long, so its blocks of heralds end
+    inside it: a cluster's contribution to the herald-block histogram,
+    blocks of one and of two heralds (three heralds in three slots would
+    need a detector to fire twice within two slots), has a law that
+    depends on its gaps and the source alone.  The gap vectors of s pairs
+    and S close slots are equally likely (each (1-p)^S times a factor of
+    s alone), so a cluster's class is (s, S): its outcome law is the mean
+    of its gap vectors' laws, and a cluster that the end of the range cuts
+    takes a uniform one of them.  A composition is an int64 array of
+    counts per class, likeliest class first; ``slots`` and ``close`` give
+    each class's S and s - 1, so a composition's sums are dot products.
+    Classes of one outcome law form a group: the classes
+    ``order[starts[i]:starts[i + 1]]`` share the law ``outcomes[i]``, whose
+    outcome j holds the blocks ``lengths[i * outcomes.shape[1] + j]``.  A
+    row lists its outcomes likeliest first after zeros, so a multinomial
+    draw consumes nothing for the zeros, stops once its count is spent,
+    and leaves any rounding residue on an outcome of the law.
+    """
+
+    largest: int  # the pairs of the largest cluster counted
+    log_counted: float  # log P(a cluster holds at most ``largest`` pairs)
+    probs: np.ndarray  # P(class | 2 <= s <= largest), likeliest first
+    slots: np.ndarray  # int64, per class: S
+    close: np.ndarray  # int64, per class: s - 1
+    gaps: tuple[tuple[tuple[int, ...], ...], ...]  # per class: its gap vectors
+    index: dict  # (s - 1, S) -> its class
+    order: np.ndarray  # the classes, group by group
+    starts: np.ndarray  # per group: where its classes start in ``order``
+    outcomes: np.ndarray  # per group: P(outcome), likeliest first after zeros
+    lengths: np.ndarray  # int64, per group and outcome, row-major: [0, blocks of one, blocks of two]
+
+    def draw(self, clusters: int, rng: np.random.Generator) -> np.ndarray:
+        """Composition of ``clusters`` fresh counted clusters: one multinomial."""
+        if clusters == 0:
+            return np.zeros(self.probs.size, dtype=np.int64)
+        return rng.multinomial(clusters, self.probs)
+
+    def split(self, comp: np.ndarray, clusters: int, left: int,
+              rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """Compositions of the first ``left`` of ``clusters`` clusters of ``comp``, and of the rest.
+
+        Given the counts, the clusters are exchangeable, so the left part
+        is multivariate hypergeometric: one draw.
+        """
+        if left == 0 or left == clusters:
+            empty = np.zeros_like(comp)
+            return (empty, comp) if left == 0 else (comp, empty)
+        left_comp = rng.multivariate_hypergeometric(comp, left)
+        return left_comp, comp - left_comp
+
+    def total(self, comp: np.ndarray) -> int:
+        """Close slots of a composition."""
+        return int(comp.dot(self.slots))
+
+    def pairs(self, comp: np.ndarray) -> int:
+        """Pairs after each cluster's first: one per close gap."""
+        return int(comp.dot(self.close))
+
+    def one(self, gaps: list[int]) -> np.ndarray:
+        """Composition of one cluster whose close gaps are ``gaps``."""
+        comp = np.zeros(self.probs.size, dtype=np.int64)
+        comp[self.index[len(gaps), sum(gaps)]] = 1
+        return comp
+
+    def cut(self, comp: np.ndarray, slots: int, rng: np.random.Generator) -> np.ndarray:
+        """Composition of the pairs less than ``slots`` slots after the first of
+        the one cluster ``comp``, empty when only its first pair is.
+
+        Its gaps are a uniform vector of its class; given its sum, which
+        alone decided that the cluster crosses the end, so are those of the
+        prefix in range, and heralding is causal: the prefix's blocks
+        follow the prefix's class.
+        """
+        vectors = self.gaps[int(comp.argmax())]
+        gaps = vectors[int(rng.integers(len(vectors)))] if len(vectors) > 1 else vectors[0]
+        kept = bisect.bisect_left(list(itertools.accumulate(gaps)), slots)
+        return self.one(gaps[:kept]) if kept else np.zeros_like(comp)
+
+    def add(self, comp: np.ndarray, other: np.ndarray) -> np.ndarray:
+        """Composition of the clusters of two compositions."""
+        return comp + other
+
+    def blocks(self, comp: np.ndarray, rng: np.random.Generator) -> list[int]:
+        """Herald blocks by length of the clusters of a composition: one
+        multinomial per group, all in one call."""
+        drawn = rng.multinomial(np.add.reduceat(comp[self.order], self.starts), self.outcomes)
+        return (drawn.ravel() @ self.lengths).tolist()
+
+
+def _gap_class_law(params: SourceParams, q: float, largest: int) -> _GapClassLaw:
+    """``_GapClassLaw`` of a window of w = deadtime >= 2 slots, with pairs close with probability q.
+
+    P(gap vector) is proportional to q^(s - 2) prod_i P(g_i | g_i <= w).
+    The outcome laws of the gap vectors come from a dynamic program along
+    the gaps that runs all vectors of one length at once and extends each
+    by every next gap, so a vector shares its prefix's rows.  A row holds
+    a prefix, the slots since each detector last fired as of the prefix's
+    last pair (capped at w, since every gap is at least one slot: a
+    detector w slots on is live at the next pair), its blocks of one and
+    of two heralds so far, and a probability.  A new herald one slot after
+    a herald that opened a block of one, a detector that fired 0 slots ago
+    while the other did not fire 1 slot ago, closes a block of two.
+    """
+    window = params.herald_deadtime_slots
+    p = params.pair_prob
+    eff = params.herald_det_efficiency
+    on_a = params.herald_splitter_ratio * eff
+    on_b = eff - on_a
+    width = largest // 2 + 1  # an outcome is blocks of one * width + blocks of two
+    size = (largest + 1) * width
+    gap_probs = np.array([p * (1.0 - p) ** g for g in range(window)])  # P(gap = 1..w)
+    gap_probs /= gap_probs.sum()
+    steps = np.arange(1, window + 1)
+    # rows after a cluster's first pair: A fired, B fired, neither did
+    prefix = np.zeros(3, dtype=np.int64)
+    age_a, age_b = np.array([0, window, window]), np.array([window, 0, window])
+    outcome, prob = np.array([width, width, 0]), np.array([on_a, on_b, 1.0 - eff])
+    weight = np.ones(1)
+    weights, laws = [], []
+    for close in range(1, largest):
+        opened = ((age_a == 0) & (age_b != 1)) | ((age_b == 0) & (age_a != 1))
+        joins = (opened[:, None] & (steps == 1)).ravel()
+        prefix = (prefix[:, None] * window + steps - 1).ravel()
+        age_a = (age_a[:, None] + steps).ravel()
+        age_b = (age_b[:, None] + steps).ravel()
+        live_a, live_b = age_a > window, age_b > window
+        np.minimum(age_a, window, out=age_a)
+        np.minimum(age_b, window, out=age_b)
+        outcome, prob = np.repeat(outcome, window), np.repeat(prob, window)
+        herald = outcome + np.where(joins, 1 - width, width)
+        # the pair fires A, fires B, or neither (its detector blind, or its efficiency draw failed)
+        fired = np.zeros_like(age_a)
+        prefix = np.concatenate((prefix, prefix, prefix))
+        age_a, age_b = np.concatenate((fired, age_a, age_a)), np.concatenate((age_b, fired, age_b))
+        outcome = np.concatenate((herald, herald, outcome))
+        prob = np.concatenate((prob * (on_a * live_a), prob * (on_b * live_b),
+                               prob * (1.0 - eff + on_a * ~live_a + on_b * ~live_b)))
+        weight = np.outer(weight, gap_probs).ravel()
+        weights.append(weight * q ** (close - 1))
+        laws.append(np.bincount(prefix * size + outcome, weights=prob,
+                                minlength=window ** close * size).reshape(-1, size))
+        if close < largest - 1:  # merge the rows of one state
+            kept = prob > 0.0
+            key = ((prefix[kept] * (window + 1) + age_a[kept]) * (window + 1) + age_b[kept]) * size + outcome[kept]
+            key, where = np.unique(key, return_inverse=True)
+            prob = np.bincount(where.ravel(), weights=prob[kept])
+            key, outcome = np.divmod(key, size)
+            key, age_b = np.divmod(key, window + 1)
+            prefix, age_a = np.divmod(key, window + 1)
+    # the classes (s, S): s - 1 = close gaps, S = close..close * w slots
+    vectors = [gaps for close in range(1, largest) for gaps in itertools.product(range(1, window + 1), repeat=close)]
+    keys = sorted({(len(gaps), sum(gaps)) for gaps in vectors})
+    canonical = {key: i for i, key in enumerate(keys)}
+    of_class = np.array([canonical[len(gaps), sum(gaps)] for gaps in vectors])
+    members: list[list[tuple[int, ...]]] = [[] for _ in keys]
+    for gaps, c in zip(vectors, of_class.tolist()):
+        members[c].append(gaps)
+    sizes = np.bincount(of_class)
+    weights = np.bincount(of_class, weights=np.concatenate(weights))
+    by_class = np.argsort(of_class, kind="stable")
+    laws = np.add.reduceat(np.concatenate(laws)[by_class], np.cumsum(sizes) - sizes) / sizes[:, None]
+    rank = np.argsort(-weights, kind="stable").tolist()  # likeliest first: a multinomial draw stops once its count is spent
+    keys = [keys[c] for c in rank]
+    laws, group = np.unique(laws[rank], axis=0, return_inverse=True)
+    group = group.ravel()
+    order = np.argsort(group, kind="stable")
+    # each group's outcomes, likeliest first after zeros
+    held = (laws > 0.0).sum(axis=1)
+    likeliest = np.arange(held.max()) - (held.max() - held)[:, None]  # a zero where negative
+    column = np.take_along_axis(np.argsort(-laws, axis=1, kind="stable"), np.maximum(likeliest, 0), axis=1)
+    zero = likeliest < 0
+    outcomes = np.where(zero, 0.0, np.take_along_axis(laws, column, axis=1))
+    lengths = np.stack((np.zeros_like(column), column // width, column % width), axis=-1)
+    lengths[zero] = 0
+    lengths = lengths.reshape(-1, 3)
+    log_counted = math.log1p(-q ** (largest - 1)) if q < 1.0 else -math.inf
+    return _GapClassLaw(
+        largest, log_counted, weights[rank] / weights.sum(),
+        np.array([slots for _, slots in keys], dtype=np.int64), np.array([close for close, _ in keys], dtype=np.int64),
+        tuple(tuple(members[c]) for c in rank), {key: i for i, key in enumerate(keys)}, order,
+        np.searchsorted(group[order], np.arange(len(laws))), outcomes, lengths)
+
+
 @lru_cache(maxsize=64)
-def _counted_law(params: SourceParams) -> "_CloseGapLaw | _SizeLaw":
+def _counted_law(params: SourceParams) -> "_CloseGapLaw | _SizeLaw | _GapClassLaw":
     """What counts the clusters of at most K pairs for this source; see ``_sample_members``.
 
-    A window of two or more slots counts clusters of two pairs by their
-    ``_close_gap_law`` composition; a window of one slot counts clusters
-    of 2..K pairs by ``_size_law``.  Needs pair_prob > 0.
+    K is ``_largest_counted``.  A window of one slot counts clusters of
+    2..K pairs by ``_size_law``, a wider one by ``_gap_class_law``, but
+    where K is 2 (q <= 1e-6, or a window of more than 22 slots, where even
+    K = 3 holds too many classes) by their ``_close_gap_law`` composition.
+    Needs pair_prob > 0.
     """
     p = params.pair_prob
     window = max(params.herald_deadtime_slots, 1)
     log_long = window * math.log1p(-p) if p < 1.0 else -math.inf
-    if window > 1:
-        return replace(_close_gap_law(p, window), log_counted=log_long, outcomes=tuple(_two_pair_law(params)))
     q = -math.expm1(log_long)
-    return _size_law(params, q, _largest_counted(q))
+    largest = _largest_counted(q, window)
+    if window == 1:
+        return _size_law(params, q, largest)
+    if largest == 2:
+        return replace(_close_gap_law(p, window), log_counted=log_long, outcomes=tuple(_two_pair_law(params)))
+    return _gap_class_law(params, q, largest)
 
 
 def _draw_stretch(k: int, room: int, window: int, pair_prob: float,
@@ -537,8 +752,8 @@ def _bisect_stretch(k: int, excess: int, room: int, window: int, rng: np.random.
 
 
 def _walk_units(clusters: np.ndarray, members: np.ndarray, member_slots: np.ndarray, room: int,
-                opens: int, counted: "_CloseGapLaw | _SizeLaw", window: int, pair_prob: float, q: float,
-                rng: np.random.Generator) -> tuple[int, list[int], int, int, "int | None"]:
+                opens: int, counted: "_CloseGapLaw | _SizeLaw | _GapClassLaw", window: int, pair_prob: float,
+                q: float, rng: np.random.Generator) -> tuple[int, "list[int] | np.ndarray", int, int, "int | None"]:
     """In-range tallies of a batch: its counted clusters and their summed
     composition, its members placed, its pairs, and the room left.
 
@@ -568,7 +783,8 @@ def _walk_units(clusters: np.ndarray, members: np.ndarray, member_slots: np.ndar
     ``_bisect_stretch`` (or ``_draw_stretch``) counts the pairs of its
     stretch in range, and the close pairs in range are those less than the
     room left slots after the cluster's first pair.  A cluster cut to two
-    to K pairs (K = ``counted.largest``) is counted at its size, and one
+    to K pairs (K = ``counted.largest``) is counted by its gaps in range
+    (``counted.cut``, or ``counted.one`` for a placed one), and one
     cut to one pair is an isolated pair.  The room left is None once the
     batch crosses the end.
     """
@@ -615,7 +831,7 @@ def _walk_units(clusters: np.ndarray, members: np.ndarray, member_slots: np.ndar
             if length < room:
                 room -= length
                 pairs += k + counted.pairs(comp) + at_b[3] - at_a[3]  # each gap ends at a pair
-                tally = list(map(operator.add, tally, comp))
+                tally = counted.add(tally, comp)
                 a, at_a = b, at_b
                 if later:
                     b, at_b, k, excess, comp = later.pop()
@@ -646,10 +862,10 @@ def _walk_units(clusters: np.ndarray, members: np.ndarray, member_slots: np.ndar
         return n_counted, tally, placed, pairs + _bisect_stretch(k, excess, room, window, rng), None
     pairs += k  # the last long gap ends at the cluster's first pair
     if at_b[0] > at_a[0]:  # a counted cluster, alone in comp
-        part = counted.cut(comp, room - stretch)
+        part = counted.cut(comp, room - stretch, rng)
         close = counted.pairs(part)
         if close:
-            tally = list(map(operator.add, tally, part))
+            tally = counted.add(tally, part)
             n_counted += 1
         return n_counted, tally, placed, pairs + close, None
     # a placed cluster: its close pairs in range lie less than room - stretch
@@ -662,7 +878,7 @@ def _walk_units(clusters: np.ndarray, members: np.ndarray, member_slots: np.ndar
     crossing = int(close.searchsorted(ref + room - stretch))
     pairs += crossing
     if lead and 0 < crossing < counted.largest:  # cut to 2..K pairs
-        tally = list(map(operator.add, tally, counted.one(crossing, int(close[0]) - ref)))
+        tally = counted.add(tally, counted.one(np.diff(member_slots[first - 1:first + crossing]).tolist()))
         return n_counted + 1, tally, placed, pairs, None
     if crossing:
         placed = first + crossing
@@ -692,9 +908,8 @@ def _sample_members(params: SourceParams, n_slots: int, rng: np.random.Generator
     by length, of the pairs not placed.
 
     With window = max(deadtime, 1) and q = 1 - (1-p)^window, a pair gap is
-    close (<= window) with probability q.  ``_counted_law`` sets K: 2 at a
-    window of two or more slots, ``_largest_counted(q)`` at a window of
-    one.  From the range's first pair the gaps are walked in
+    close (<= window) with probability q.  ``_counted_law`` sets K,
+    ``_largest_counted(q, window)``.  From the range's first pair the gaps are walked in
     "super-units": g counted clusters of 2..K pairs, g ~ Geom0(q^(K-1)),
     closed by one placed cluster of more than K pairs, whose close gaps
     number K - 1 + j with j ~ Geom(1 - q).  Each cluster follows a stretch
@@ -703,8 +918,8 @@ def _sample_members(params: SourceParams, n_slots: int, rng: np.random.Generator
     the close gaps of the placed clusters, each Geom(p) cut to 1..window
     and drawn by inverse CDF, are arrays: the counted clusters of a batch
     are counts, with their long gaps and the ``_counted_law`` composition
-    of their close gaps (a window of two or more slots) or their sizes (a
-    window of one).  ``_walk_units`` walks a batch up to the end of the
+    of their sizes (a window of one slot), classes or close gaps (K = 2).
+    ``_walk_units`` walks a batch up to the end of the
     range and returns what of it lies in range: the counted clusters and
     their composition, the members to place and the pairs.  A batch holds
     at most a budget of members: it ends with the first super-unit that
@@ -884,8 +1099,8 @@ def _apply_deadtime(slots: np.ndarray, to_a: np.ndarray, eff_draws: np.ndarray,
 
 def generate_herald_stream(params: SourceParams, n_slots: int, rng: np.random.Generator) -> HeraldStream:
     """Run the source and heralding arm over ``n_slots`` pulse slots."""
-    if not 1 <= n_slots <= MAX_SLOTS:
-        raise ValueError(f"n_slots must lie in 1..2**62 (got {n_slots})")
+    if not (_is_int(n_slots) and 1 <= n_slots <= MAX_SLOTS):
+        raise ValueError(f"n_slots must be an integer in 1..2**62 (got {n_slots!r})")
     pair_slots, to_a, eff_draws, pair_count, blocks = _sample_members(params, n_slots, rng)
     fired = _apply_deadtime(pair_slots, to_a, eff_draws, params.herald_deadtime_slots)
     return HeraldStream(

@@ -33,15 +33,29 @@ def landings(monkeypatch):
     return read
 
 
+def _count_up_to(monkeypatch, largest):
+    monkeypatch.setattr(source, "_largest_counted", lambda q, window=1: largest)
+    source._counted_law.cache_clear()
+
+
 @pytest.fixture
 def largest_three(monkeypatch):
-    """Count clusters of at most three pairs at a window of one slot (K = 3).
+    """Count clusters of at most three pairs (K = 3), at any window.
 
-    The source's own K (13 at pair_prob 0.3) places almost no cluster in a
-    short range; the laws the tests check hold for any K, and at K = 3
-    counted, placed and cut clusters all occur.
+    The source's own K (13 at pair_prob 0.3 and deadtime 0, 5 at the
+    two-mode point) places almost no cluster in a short range; the laws
+    the tests check hold for any K, and at K = 3 counted, placed and cut
+    clusters all occur.
     """
-    monkeypatch.setattr(source, "_largest_counted", lambda q: 3)
+    _count_up_to(monkeypatch, 3)
+    yield
     source._counted_law.cache_clear()
+
+
+@pytest.fixture
+def largest_two(monkeypatch):
+    """Count only clusters of two pairs (K = 2), by their close gap, at any window
+    wider than one slot: every cluster of three or more pairs is placed."""
+    _count_up_to(monkeypatch, 2)
     yield
     source._counted_law.cache_clear()

@@ -241,6 +241,8 @@ TRIGGER_POINTS = (
         (0.0043882, 1.0, 0.5, 4, 2, 100_000_000),  # the two-mode fixture point
         (0.3, 1.0, 0.5, 4, 2, 300),  # the dense point, where the range's ends matter
     ]
+    # their herald counts: every herald is a run of one
+    + [(0.0043882, 1.0, 0.5, 4, 1, 100_000_000), (0.3, 1.0, 0.5, 4, 1, 300)]
     # a lossy, unbalanced deadtime of one slot, where blocks of every length occur
     + [(0.4, 0.7, 0.3, 1, n, 40_000) for n in (3, 4)]
 )
@@ -304,9 +306,10 @@ def _per_detector_cluster_sizes(slots, to_a, eff_draws, deadtime):
 class TestClosedFormClusters:
     """Generated streams, where clusters of one, two and three or more meet in one call."""
 
-    # name: (SourceParams overrides, slots); at the fixture point and
-    # efficiency 0.7 a detector has about 11 clusters of three or more in
-    # 2e8 slots (2.7 in 5e7, where about one stream in seven has none)
+    # name: (SourceParams overrides, slots); at the fixture point, with K = 2
+    # (the largest_two fixture: at the source's K of 5 a range places almost
+    # no cluster), and efficiency 0.7 a detector has about 11 clusters of
+    # three or more in 2e8 slots (2.7 in 5e7, where about one stream in seven has none)
     POINTS = {
         "fixture": (dict(pair_prob=0.0043882, herald_deadtime_slots=4), 200_000_000),
         "dense": (dict(pair_prob=0.3, herald_deadtime_slots=4), 200_000),
@@ -315,7 +318,9 @@ class TestClosedFormClusters:
     @pytest.mark.parametrize("eff", [1.0, 0.7])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("name", sorted(POINTS))
-    def test_matches_loop_bit_for_bit(self, name, seed, eff):
+    def test_matches_loop_bit_for_bit(self, name, seed, eff, request):
+        if name == "fixture":
+            request.getfixturevalue("largest_two")
         overrides, n_slots = self.POINTS[name]
         stream = generate_herald_stream(make_params(**overrides), n_slots, RngStream(seed).generator())
         slots, to_a = stream.pair_slots, stream.to_detector_a
@@ -473,9 +478,197 @@ class TestSizeLaw:
     def test_cut_keeps_the_pairs_in_range(self):
         law = size_law(largest=5)
         cluster = [0, 0, 1, 0]  # four pairs: its last lies 3 slots after its first
-        assert [law.cut(cluster, slots) for slots in (1, 2, 3, 4)] == [
+        assert [law.cut(cluster, slots, None) for slots in (1, 2, 3, 4)] == [
             [0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
         assert law.total(cluster) == law.pairs(cluster) == 3
+
+
+def scan_blocks(slots, to_a, eff_draws, deadtime):
+    """(blocks of one, blocks of two) of consecutive heralds of one cluster whose
+    detectors are live before it, by a sequential scan of its arrivals."""
+    last = {True: -math.inf, False: -math.inf}  # each detector's last fire
+    heralds = []
+    for slot, on_a, hit in zip(slots, to_a, eff_draws):
+        if hit and slot - last[on_a] > deadtime:
+            last[on_a] = slot
+            heralds.append(slot)
+    lengths = Counter()
+    run = 0
+    for i, slot in enumerate(heralds):
+        run += 1
+        if i + 1 == len(heralds) or heralds[i + 1] != slot + 1:
+            lengths[run] += 1
+            run = 0
+    assert set(lengths) <= {1, 2}  # at a deadtime of two slots or more
+    return lengths[1], lengths[2]
+
+
+def gap_vector_law_by_scan(gaps, eff, ratio, deadtime):
+    """{(blocks of one, blocks of two): probability} of a cluster with close gaps ``gaps``,
+    over every detector and efficiency path."""
+    slots = [0, *itertools.accumulate(gaps)]
+    law = Counter()
+    for to_a in itertools.product((True, False), repeat=len(slots)):
+        for hits in itertools.product((True, False), repeat=len(slots)):
+            weight = math.prod((ratio if a else 1.0 - ratio) * (eff if h else 1.0 - eff) for a, h in zip(to_a, hits))
+            if weight > 0.0:
+                law[scan_blocks(slots, to_a, hits, deadtime)] += weight
+    return law
+
+
+def class_row(law, close, slots):
+    """{(blocks of one, blocks of two): probability} of a ``_GapClassLaw``'s class (s - 1, S)."""
+    c = law.index[close, slots]
+    group = int(np.searchsorted(law.starts, np.flatnonzero(law.order == c)[0], side="right")) - 1
+    width = law.outcomes.shape[1]
+    lengths = law.lengths[group * width:(group + 1) * width]
+    return {(int(ones), int(twos)): prob for prob, (_, ones, twos) in zip(law.outcomes[group], lengths) if prob > 0.0}
+
+
+def gap_class_law(eff=1.0, ratio=0.5, deadtime=4, largest=4, pair_prob=0.3):
+    params = make_params(pair_prob=pair_prob, herald_det_efficiency=eff, herald_splitter_ratio=ratio,
+                         herald_deadtime_slots=deadtime)
+    return source._gap_class_law(params, 1.0 - (1.0 - pair_prob) ** deadtime, largest)
+
+
+def gap_classes(law):
+    """Every class (s - 1, S) of a ``_GapClassLaw`` with its gap vectors."""
+    return {key: law.gaps[i] for key, i in law.index.items()}
+
+
+class TestGapClassLaw:
+    """Clusters of 2..K pairs at a deadtime of two slots or more, counted by (size, close slots)."""
+
+    @pytest.mark.parametrize("eff", [0.6, 1.0])
+    @pytest.mark.parametrize("ratio", [0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("deadtime", [2, 3, 4, 5])
+    def test_matches_enumeration(self, deadtime, ratio, eff):
+        # every gap vector of up to three gaps, and every detector and efficiency
+        # path of it; a class's law is the mean over its equally likely vectors
+        law = gap_class_law(eff, ratio, deadtime)
+        classes = gap_classes(law)
+        assert len(classes) == sum(close * (deadtime - 1) + 1 for close in (1, 2, 3)) == law.probs.size
+        for (close, slots), vectors in classes.items():
+            assert sorted(vectors) == [g for g in itertools.product(range(1, deadtime + 1), repeat=close)
+                                       if sum(g) == slots]
+            expected = Counter()
+            for gaps in vectors:
+                for outcome, prob in gap_vector_law_by_scan(gaps, eff, ratio, deadtime).items():
+                    expected[outcome] += prob / len(vectors)
+            row = class_row(law, close, slots)
+            assert set(row) == set(expected), (close, slots)
+            assert max(abs(row[k] - expected[k]) for k in row) <= 1e-14, (close, slots, row, expected)
+
+    @pytest.mark.parametrize("eff", [0.3, 1.0])
+    @pytest.mark.parametrize("ratio", [0.0, 0.3, 0.5])
+    @pytest.mark.parametrize("deadtime", [2, 4, 7])
+    def test_rows_are_laws_of_fitting_blocks(self, deadtime, ratio, eff):
+        law = gap_class_law(eff, ratio, deadtime, largest=5)
+        assert abs(law.probs.sum() - 1.0) <= 1e-12 and (np.diff(law.probs) <= 0.0).all()  # likeliest first
+        assert abs(law.outcomes.sum(axis=1) - 1.0).max() <= 1e-12 and (law.outcomes >= 0.0).all()
+        for close, slots in law.index:
+            row = class_row(law, close, slots)
+            # a pair heralds at most once, and two blocks lie a slot apart
+            assert all(ones + 2 * twos <= close + 1 and ones + twos <= (slots + 2) // 2 for ones, twos in row)
+        # a group lists its outcomes after zeros, likeliest first
+        for probs in law.outcomes:
+            held = probs[probs > 0.0]
+            assert (probs[:probs.size - held.size] == 0.0).all() and (np.diff(held) <= 0.0).all()
+
+    @pytest.mark.parametrize("eff", [0.6, 1.0])
+    @pytest.mark.parametrize("ratio", [0.3, 0.5])
+    @pytest.mark.parametrize("deadtime", [2, 4])
+    def test_two_pair_rows_are_two_pair_law(self, deadtime, ratio, eff):
+        law = gap_class_law(eff, ratio, deadtime)
+        none, one, both = _two_pair_law(make_params(herald_det_efficiency=eff, herald_splitter_ratio=ratio,
+                                                    herald_deadtime_slots=deadtime))
+        for gap in range(1, deadtime + 1):  # both heralds form a block of two where the gap is one slot
+            row = class_row(law, 1, gap)
+            assert row.get((0, 0), 0.0) == pytest.approx(none, abs=1e-15)
+            assert row.get((1, 0), 0.0) == pytest.approx(one, abs=1e-15)
+            assert row.get((0, 1) if gap == 1 else (2, 0), 0.0) == pytest.approx(both, abs=1e-15)
+
+    @pytest.mark.parametrize("pair_prob,deadtime", [(0.3, 4), (0.0043882, 4), (0.5, 3)])
+    def test_classes_follow_iid_close_gaps(self, pair_prob, deadtime):
+        # a cluster of at least two pairs has s pairs with probability
+        # proportional to q^(s - 2), cut to 2..K, and iid close gaps
+        law = gap_class_law(deadtime=deadtime, largest=5, pair_prob=pair_prob)
+        q = 1.0 - (1.0 - pair_prob) ** deadtime
+        rng = np.random.default_rng(127)
+        clusters = 20_000
+        sizes = rng.choice(np.arange(2, 6), size=clusters, p=q ** np.arange(4) / (q ** np.arange(4)).sum())
+        gaps = iid_close_gaps(pair_prob, deadtime, (clusters, 4), rng)
+        iid = Counter((size - 1, int(g[:size - 1].sum())) for size, g in zip(sizes, gaps))
+        drawn = law.draw(clusters, rng)
+        keys = sorted(law.index, key=law.index.get)
+        assert same_counts_pvalue(dict(zip(keys, drawn.tolist())), iid) > ALPHA
+        assert law.log_counted == pytest.approx(math.log1p(-q ** 4), rel=1e-12)
+
+    def test_split_has_the_law_of_a_fresh_draw(self):
+        # the first 2 of 5 clusters of a drawn class composition, split off by one
+        # multivariate hypergeometric draw, against a fresh composition of 2; the
+        # other 3 against a fresh composition of 3
+        law = gap_class_law(deadtime=2, largest=3, pair_prob=0.6)
+        rng = np.random.default_rng(131)
+        left, right, fresh_left, fresh_right = [], [], [], []
+        for _ in range(4000):
+            comp = law.draw(5, rng)
+            a, b = law.split(comp, 5, 2, rng)
+            assert (a + b == comp).all() and min(a.min(), b.min()) >= 0 and a.sum() == 2
+            left.append(tuple(a.tolist()))
+            right.append(tuple(b.tolist()))
+            fresh_left.append(tuple(law.draw(2, rng).tolist()))
+            fresh_right.append(tuple(law.draw(3, rng).tolist()))
+        assert same_law_pvalue(left, fresh_left) > ALPHA
+        assert same_law_pvalue(right, fresh_right) > ALPHA
+
+    def test_sums_and_one_cluster(self):
+        law = gap_class_law(deadtime=4, largest=5)
+        for gaps in [(1,), (4,), (2, 3), (1, 1, 1), (4, 4, 4, 4)]:
+            comp = law.one(list(gaps))
+            assert comp.sum() == 1 and law.total(comp) == sum(gaps) and law.pairs(comp) == len(gaps)
+        comp = law.one([1]) * 3 + law.one([2, 3]) * 2
+        assert law.total(comp) == 3 + 10 and law.pairs(comp) == 3 + 4
+
+    def test_cut_keeps_the_prefix_in_range(self):
+        # a cluster of three pairs and 5 close slots has the gaps (1, 4), (2, 3),
+        # (3, 2) or (4, 1), each with probability 1/4
+        law = gap_class_law(deadtime=4, largest=4)
+        cluster = law.one([2, 3])
+        rng = np.random.default_rng(137)
+        for slots, expected in [(1, {(): 1.0}), (2, {(): 0.75, (1, 1): 0.25}),
+                                (4, {(): 0.25, (1, 1): 0.25, (1, 2): 0.25, (1, 3): 0.25}),
+                                (5, {(1, 1): 0.25, (1, 2): 0.25, (1, 3): 0.25, (1, 4): 0.25}),
+                                (6, {(2, 5): 1.0})]:
+            kept = Counter()
+            for _ in range(2000):
+                part = law.cut(cluster, slots, rng)
+                kept[(law.pairs(part), law.total(part)) if part.any() else ()] += 1
+            assert set(kept) == set(expected), slots
+            if len(expected) > 1:
+                observed = [kept[k] for k in expected]
+                assert stats.chisquare(observed, [2000 * p for p in expected.values()]).pvalue > ALPHA, kept
+
+    @pytest.mark.parametrize("q,window,largest", [
+        (1.0 - (1.0 - 0.0043882) ** 4, 4, 5),  # the two-mode point: 34 classes of 340 gap vectors
+        (0.9, 2, 9), (0.9, 3, 6), (0.9, 4, 5), (0.9, 7, 4), (0.9, 22, 3), (0.9, 23, 2),
+        (0.02, 2, 5), (1e-6, 4, 2), (0.3, 1, 13),
+    ])
+    def test_largest_counted_takes_the_window(self, q, window, largest):
+        # the smallest K with q^(K - 1) <= 1e-6, within 512 gap vectors
+        assert source._largest_counted(q, window) == largest
+        assert sum(window ** close for close in range(1, largest)) <= 512
+        assert q ** (largest - 1) <= 1e-6 or sum(window ** close for close in range(1, largest + 1)) > 512 or largest == 16
+
+    @pytest.mark.parametrize("overrides,kind,largest", [
+        (dict(pair_prob=0.0043882, herald_deadtime_slots=4), source._GapClassLaw, 5),
+        (dict(pair_prob=0.3, herald_deadtime_slots=0), source._SizeLaw, 13),
+        (dict(pair_prob=0.3, herald_deadtime_slots=23), source._CloseGapLaw, 2),
+        (dict(pair_prob=1e-7, herald_deadtime_slots=4), source._CloseGapLaw, 2),
+    ])
+    def test_counted_law_by_window(self, overrides, kind, largest):
+        law = source._counted_law(make_params(**overrides))
+        assert isinstance(law, kind) and law.largest == largest
 
 
 def close_gap_pmf(pair_prob, window):
@@ -570,8 +763,8 @@ class TestCloseGapLaw:
         # counted with the composition of its one close gap
         law = _close_gap_law(pair_prob, window)
         for gap in sorted({1, 2, 3, window // 2, window - 1, window} & set(range(1, window + 1))):
-            assert law.one(1, gap) == composition_of([gap], law), gap
-            assert law.total(law.one(1, gap)) == gap and law.pairs(law.one(1, gap)) == 1
+            assert law.one([gap]) == composition_of([gap], law), gap
+            assert law.total(law.one([gap])) == gap and law.pairs(law.one([gap])) == 1
 
     @pytest.mark.parametrize("pair_prob,window", [(0.3, 2), (0.3, 4), (0.5, 5)])
     def test_draw_matches_iid_gaps(self, pair_prob, window):
@@ -654,11 +847,14 @@ LAW_POINTS = {
     "lossy_unbalanced_d1": (dict(pair_prob=0.4, herald_deadtime_slots=1, herald_det_efficiency=0.7,
                                  herald_splitter_ratio=0.3), 20_000),
 }
-# the window-1 points again with K = 3 (the largest_three fixture): at the
-# source's K (13 at the sweep point) these ranges hold about four members
-# in all, too few to compare their clusters, while at K = 3 placed and
-# cut clusters are common
-LAW_POINTS.update({name + "_largest_three": LAW_POINTS[name] for name in ("sweep", "lossy_unbalanced_d1")})
+# at the source's K (13 at the sweep point, 5 at the two-mode point) these
+# ranges hold almost no member, too few to compare their clusters
+FEW_MEMBERS = {"sweep", "lossy_unbalanced_d1", "fixture"}
+# so those points again with K = 3 at a window of one slot and K = 2 at the
+# two-mode point (the largest_three and largest_two fixtures), where placed
+# and cut clusters are common, and the dense point with K = 3
+LAW_POINTS.update({name + "_largest_three": LAW_POINTS[name] for name in ("sweep", "lossy_unbalanced_d1", "dense")})
+LAW_POINTS["fixture_largest_two"] = LAW_POINTS["fixture"]
 LAW_SEEDS = range(40)
 ALPHA = 1e-3  # per comparison; about 60 of them run
 
@@ -682,8 +878,9 @@ class TestAgainstDenseOracle:
 
     @pytest.mark.parametrize("name", sorted(LAW_POINTS))
     def test_same_law(self, name, request):
-        if name.endswith("_largest_three"):
-            request.getfixturevalue("largest_three")
+        for largest in ("largest_three", "largest_two"):
+            if name.endswith("_" + largest):
+                request.getfixturevalue(largest)
         self.assert_same_law(name)
 
     def test_many_vector_rounds(self, monkeypatch):
@@ -696,6 +893,12 @@ class TestAgainstDenseOracle:
         # clusters of five or more pairs, and the next round opens with the rest
         monkeypatch.setattr(source, "_BATCH_UNITS", 3)
         self.assert_same_law("sweep_largest_three")
+
+    @pytest.mark.usefixtures("largest_three")
+    def test_three_unit_rounds_at_window_four(self, monkeypatch):
+        # the same at a window of four slots, where clusters are counted by gap class
+        monkeypatch.setattr(source, "_BATCH_UNITS", 3)
+        self.assert_same_law("dense_largest_three")
 
     @staticmethod
     def assert_same_law(name):
@@ -718,7 +921,7 @@ class TestAgainstDenseOracle:
             a = [row[column] for row in fast]
             b = [row[column] for row in dense]
             assert ks_pvalue(a, b) > ALPHA, (column, np.mean(a), np.mean(b))
-        if window > 1 or name.endswith("_largest_three"):  # see LAW_POINTS
+        if name not in FEW_MEMBERS:
             table = np.array([sum(row[2] for row in fast), sum(row[2] for row in dense)])
             table = table[:, table.sum(axis=0) > 0]
             assert table.shape[1] >= 2
@@ -735,12 +938,14 @@ class TestAgainstDenseOracle:
             assert stream.herald_count == 0 and stream.pair_slots.size == 0
 
 
-# name: (SourceParams overrides, slots per trial)
+# name: (SourceParams overrides, slots per trial, the fixture that sets K or
+# None); the source's own K (5 at the two-mode point and at pair_prob 0.05,
+# deadtime 4, 10 at the no_deadtime point) would place almost nothing there
 COMPRESSED_POINTS = {
-    "fixture": (dict(pair_prob=0.0043882, herald_deadtime_slots=4), 2_000_000),
-    "dense": (dict(pair_prob=0.3, herald_deadtime_slots=4), 20_000),
-    "short": (dict(pair_prob=0.05, herald_deadtime_slots=4), 300),
-    "no_deadtime": (dict(pair_prob=0.2, herald_deadtime_slots=0), 5_000),
+    "fixture": (dict(pair_prob=0.0043882, herald_deadtime_slots=4), 2_000_000, "largest_two"),
+    "dense": (dict(pair_prob=0.3, herald_deadtime_slots=4), 20_000, None),
+    "short": (dict(pair_prob=0.05, herald_deadtime_slots=4), 300, "largest_two"),
+    "no_deadtime": (dict(pair_prob=0.2, herald_deadtime_slots=0), 5_000, "largest_three"),
 }
 
 
@@ -749,11 +954,11 @@ class TestCompressedSlots:
 
     @pytest.mark.parametrize("name", sorted(COMPRESSED_POINTS))
     def test_gaps_are_exact_or_window_plus_one(self, name, request):
-        overrides, n_slots = COMPRESSED_POINTS[name]
+        overrides, n_slots, largest = COMPRESSED_POINTS[name]
         params = make_params(**overrides)
         window = max(params.herald_deadtime_slots, 1)
-        if window == 1:  # the source's K (10) would place almost nothing
-            request.getfixturevalue("largest_three")
+        if largest:
+            request.getfixturevalue(largest)
         for seed in range(5):
             slots = generate_herald_stream(params, n_slots, RngStream(67, (seed,)).generator()).pair_slots
             gaps = np.diff(slots)
@@ -764,11 +969,11 @@ class TestCompressedSlots:
     def test_compressed_absolute_oracle_has_same_law(self, name, request):
         # the sampler that draws every stretch's absolute place, with its
         # gaps between clusters cut to window + 1
-        overrides, n_slots = COMPRESSED_POINTS[name]
+        overrides, n_slots, largest = COMPRESSED_POINTS[name]
         params = make_params(**overrides)
         window = max(params.herald_deadtime_slots, 1)
-        if window == 1:  # the source's K (10) would place almost nothing
-            request.getfixturevalue("largest_three")
+        if largest:
+            request.getfixturevalue(largest)
         largest = largest_counted(params)
         seeds = 200
         fast, oracle = [], []
@@ -874,10 +1079,29 @@ class TestTrialBoundary:
         assert hist[n_slots] == hist.sum() == 1  # one block of every pair
         assert stream.counted_blocks[1:].sum() == (0 if placed else 1)
 
+    @pytest.mark.usefixtures("largest_three")
+    def test_window_four_clusters_are_counted_placed_and_cut(self, monkeypatch):
+        # at K = 3 short ranges hold counted clusters, placed ones, and both
+        # cut by the end of the range; the pair count stays binomial
+        params = make_params(pair_prob=0.3, herald_deadtime_slots=4)
+        seen = spy_cuts(monkeypatch)
+        counts = np.empty(2000, dtype=np.int64)
+        placed = counted = 0
+        for i in range(counts.size):
+            stream = generate_herald_stream(params, 40, RngStream(151, (i,)).generator())
+            counts[i] = stream.pair_count
+            placed += stream.pair_slots.size > 0
+            counted += stream.counted_blocks[2] > 0  # a block of two: a counted cluster
+        assert placed and counted
+        assert {pairs for kind, pairs in seen if kind == "placed"} == {2, 3}
+        assert {pairs for kind, pairs in seen if kind == "counted"} == {1, 2}
+        assert binomial_fit_pvalue(counts, 40, 0.3) > ALPHA
+
     @pytest.mark.parametrize("pair_prob,deadtime,n_slots", [
         (0.05, 4, 40),
         (0.2, 1, 60),
         (0.05, 4, 300),
+        (0.3, 4, 60),  # at the source's K of 5
     ])
     def test_members_match_dense_oracle_in_law(self, pair_prob, deadtime, n_slots, request):
         # in short ranges most clusters touch an end of the range: the member
@@ -885,8 +1109,8 @@ class TestTrialBoundary:
         # definition (a pair of a cluster of more than K pairs of the range)
         params = make_params(pair_prob=pair_prob, herald_deadtime_slots=deadtime)
         window = max(deadtime, 1)
-        if window == 1:  # the source's K (10) would place almost nothing
-            request.getfixturevalue("largest_three")
+        if pair_prob < 0.3:  # the source's K (5 at pair_prob 0.05, 10 at 0.2) would place almost nothing
+            request.getfixturevalue("largest_three" if window == 1 else "largest_two")
         largest = largest_counted(params)
         draws = 2000
         fast, dense = [], []
@@ -904,6 +1128,77 @@ class TestTrialBoundary:
         table = table[:, table.sum(axis=0) > 0]
         assert table.shape[1] >= 2
         assert stats.chi2_contingency(table).pvalue > ALPHA, table
+
+
+def spy_cuts(monkeypatch):
+    """The clusters of 2..K pairs that the end of a range cuts, as they are seen.
+
+    Each is ("counted", pairs in range) for a counted cluster, through its
+    law's ``cut`` (1 pair when only its first pair is in range), or
+    ("placed", pairs in range) for a placed cluster cut to 2..K pairs.
+    """
+    seen, inside = [], []
+    for law in (source._SizeLaw, source._GapClassLaw):
+        def spy_cut(self, comp, slots, rng, cut=law.cut):
+            inside.append(True)
+            part = cut(self, comp, slots, rng)
+            inside.pop()
+            seen.append(("counted", 1 + int(self.pairs(part))))
+            return part
+
+        def spy_one(self, gaps, one=law.one):
+            if not inside:
+                seen.append(("placed", 1 + len(gaps)))
+            return one(self, gaps)
+
+        monkeypatch.setattr(law, "cut", spy_cut)
+        monkeypatch.setattr(law, "one", spy_one)
+    return seen
+
+
+class TestRangeEndInCountedCluster:
+    """Ranges that end inside a counted cluster, against the dense oracle's ranges that end
+    inside a cluster of at most K pairs: the pairs of that cluster in range, and the range's
+    pair and herald counts."""
+
+    # (pair_prob, deadtime, slots): a window of one slot at the source's K (13)
+    # and one of four slots at the source's K (5); ranges end inside such a
+    # cluster about one time in ten and one time in three
+    @pytest.mark.parametrize("pair_prob,deadtime,n_slots", [(0.3, 0, 30), (0.3, 4, 30)])
+    def test_same_law_given_the_end_cuts_a_counted_cluster(self, pair_prob, deadtime, n_slots, monkeypatch):
+        params = make_params(pair_prob=pair_prob, herald_deadtime_slots=deadtime)
+        window = max(deadtime, 1)
+        largest = largest_counted(params)
+        draws = 6000
+        seen = spy_cuts(monkeypatch)
+        fast, fast_kept = [], Counter()
+        for i in range(draws):
+            seen.clear()
+            stream = generate_herald_stream(params, n_slots, RngStream(139, (i,)).generator())
+            kept = [pairs for kind, pairs in seen if kind == "counted"]
+            if kept:
+                fast.append((stream.pair_count, stream.herald_count))
+                fast_kept[kept[0]] += 1
+        dense, dense_kept = [], Counter()
+        # far enough past the end to tell a cluster of at most K pairs from a longer one
+        reach = n_slots + (largest + 1) * window + 1
+        for i in range(draws):
+            ref = dense_herald_stream(params, reach, RngStream(149, (i,)).generator())
+            slots = ref.pair_slots
+            end = int(np.searchsorted(slots, n_slots))  # pairs in range
+            if 0 < end < slots.size and slots[end] - slots[end - 1] <= window:
+                breaks = np.flatnonzero(np.diff(slots) > window) + 1
+                first = breaks[breaks < end].max(initial=0)
+                stop = breaks[breaks >= end].min(initial=slots.size)
+                if stop - first <= largest:
+                    dense.append((end, int(ref.fired[:end].sum())))
+                    dense_kept[end - first] += 1
+        assert len(fast) > draws // 20 and set(dense_kept) > {1, 2}
+        assert same_counts_pvalue(fast_kept, dense_kept) > ALPHA, (fast_kept, dense_kept)
+        for column in (0, 1):  # pair count, herald count
+            a = [row[column] for row in fast]
+            b = [row[column] for row in dense]
+            assert ks_pvalue(a, b) > ALPHA, (column, np.mean(a), np.mean(b))
 
 
 class TestWalkSplits:
@@ -1040,6 +1335,16 @@ class TestEdgeCases:
             stream = generate_herald_stream(params, 2**62, RngStream(59, (i,)).generator())
             assert abs(stream.pair_count - expected) < 6 * np.sqrt(expected)
 
+    @pytest.mark.parametrize("n_slots,bad", [(True, "True"), (5.0, "5.0"), (np.float64(300.0), "300.0"), ("300", "'300'")])
+    def test_rejects_non_integer_range(self, n_slots, bad):
+        # True and 5.0 were taken, and the stream kept them as its n_slots
+        with pytest.raises(ValueError, match=re.escape(bad)):
+            generate_herald_stream(make_params(), n_slots, RngStream(0).generator())
+
+    def test_numpy_integer_range(self):
+        stream = generate_herald_stream(make_params(), np.int64(300), RngStream(0).generator())
+        assert stream.n_slots == 300
+
     def test_rejects_empty_range(self):
         # and ranges past the 2^62 slots that the sampler's integer sums
         # allow; at the smallest rate a missed refusal samples few pairs
@@ -1074,6 +1379,7 @@ class TestStreamConsistency:
         assert np.intersect1d(a, b).size == 0
         assert np.union1d(a, b).tolist() == stream.herald_slots.tolist()
 
+    @pytest.mark.usefixtures("largest_three")  # the source's K of 5 places almost nothing
     def test_members_have_a_close_neighbour(self):
         stream = generate_herald_stream(make_params(pair_prob=0.05), 200_000,
                                         RngStream(19).generator())
