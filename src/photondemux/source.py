@@ -23,15 +23,15 @@ in a million larger, within a budget of table entries: at w = 1, where
 every close gap is one slot, a cluster's law depends on its size alone
 (K = 13 at pair_prob 0.3); at w > 1 on its size and the sum of its close
 gaps, its class (K = 5 at the two-mode point, 340 gap vectors in 34
-classes), and where even K = 3 would take too many gap vectors, K is 2
-and a two-pair cluster heralds 0, 1 or 2 times by a closed form.  Those
-clusters enter only as counts, as does an isolated pair, which heralds
-with probability ``herald_det_efficiency``: between two clusters of more
-than K pairs, the counted clusters are one geometric count, and their
-sizes (w = 1), classes or close gaps (K = 2) one composition of counts
-that carries their exact sum.  The pairs of clusters of more than K pairs, the "members",
-are placed in compressed slots: gaps inside a cluster are exact, and
-each stretch between clusters takes w + 1 slots.  Deadtime and run
+classes); where K is 2 (q <= 1e-6, or even K = 3 would take too many gap
+vectors) a two-pair cluster heralds 0, 1 or 2 times by a closed form.
+Those clusters enter only as counts, as does an isolated pair, which
+heralds with probability ``herald_det_efficiency``: between two clusters
+of more than K pairs, the counted clusters are one geometric count, and
+their sizes (w = 1), classes or close gaps (K = 2) one composition of
+counts that carries their exact sum.  The pairs of clusters of more than
+K pairs, the "members", are placed in compressed slots: gaps inside a
+cluster are exact, and each stretch between clusters takes w + 1 slots.  Deadtime and run
 detection read only gaps, and to both a gap of w + 1 acts as any longer
 one, so detector clusters and herald blocks are those of the real
 slots; real lengths are kept only to find where the range ends.  The law
@@ -102,9 +102,9 @@ class HeraldStream:
     chains pairs within w = ``max(deadtime, 1)`` slots of each other and K
     is set by the source's close-gap probability and w (13 at pair_prob
     0.3 and w = 1, 5 at the two-mode point; see ``_largest_counted``), so
-    that almost every cluster is counted.  Gaps inside a cluster are exact, and gaps
-    between clusters are w + 1, so the slots lie in [0, n_slots) but are
-    not the pairs' absolute slots.  ``to_detector_a`` and ``fired`` are
+    that almost every cluster is counted.  Gaps inside a cluster are
+    exact, and gaps between clusters are w + 1, so the slots lie in
+    [0, n_slots) but are not the pairs' absolute slots.  ``to_detector_a`` and ``fired`` are
     per member.  Every other pair of the range, in a cluster of at most K
     pairs in range (one cut short by the end of the range included) or
     isolated, is only counted: ``counted_blocks[L]`` is the number of
@@ -665,7 +665,8 @@ def _gap_class_law(params: SourceParams, q: float, largest: int) -> _GapClassLaw
     weights = np.bincount(of_class, weights=np.concatenate(weights))
     by_class = np.argsort(of_class, kind="stable")
     laws = np.add.reduceat(np.concatenate(laws)[by_class], np.cumsum(sizes) - sizes) / sizes[:, None]
-    rank = np.argsort(-weights, kind="stable").tolist()  # likeliest first: a multinomial draw stops once its count is spent
+    # likeliest first: a multinomial draw stops once its count is spent
+    rank = np.argsort(-weights, kind="stable").tolist()
     keys = [keys[c] for c in rank]
     laws, group = np.unique(laws[rank], axis=0, return_inverse=True)
     group = group.ravel()

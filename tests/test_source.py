@@ -531,11 +531,6 @@ def gap_class_law(eff=1.0, ratio=0.5, deadtime=4, largest=4, pair_prob=0.3):
     return source._gap_class_law(params, 1.0 - (1.0 - pair_prob) ** deadtime, largest)
 
 
-def gap_classes(law):
-    """Every class (s - 1, S) of a ``_GapClassLaw`` with its gap vectors."""
-    return {key: law.gaps[i] for key, i in law.index.items()}
-
-
 class TestGapClassLaw:
     """Clusters of 2..K pairs at a deadtime of two slots or more, counted by (size, close slots)."""
 
@@ -546,7 +541,7 @@ class TestGapClassLaw:
         # every gap vector of up to three gaps, and every detector and efficiency
         # path of it; a class's law is the mean over its equally likely vectors
         law = gap_class_law(eff, ratio, deadtime)
-        classes = gap_classes(law)
+        classes = {key: law.gaps[i] for key, i in law.index.items()}  # (s - 1, S): its gap vectors
         assert len(classes) == sum(close * (deadtime - 1) + 1 for close in (1, 2, 3)) == law.probs.size
         for (close, slots), vectors in classes.items():
             assert sorted(vectors) == [g for g in itertools.product(range(1, deadtime + 1), repeat=close)
@@ -658,7 +653,8 @@ class TestGapClassLaw:
         # the smallest K with q^(K - 1) <= 1e-6, within 512 gap vectors
         assert source._largest_counted(q, window) == largest
         assert sum(window ** close for close in range(1, largest)) <= 512
-        assert q ** (largest - 1) <= 1e-6 or sum(window ** close for close in range(1, largest + 1)) > 512 or largest == 16
+        assert (q ** (largest - 1) <= 1e-6 or largest == 16
+                or sum(window ** close for close in range(1, largest + 1)) > 512)
 
     @pytest.mark.parametrize("overrides,kind,largest", [
         (dict(pair_prob=0.0043882, herald_deadtime_slots=4), source._GapClassLaw, 5),
@@ -1335,7 +1331,9 @@ class TestEdgeCases:
             stream = generate_herald_stream(params, 2**62, RngStream(59, (i,)).generator())
             assert abs(stream.pair_count - expected) < 6 * np.sqrt(expected)
 
-    @pytest.mark.parametrize("n_slots,bad", [(True, "True"), (5.0, "5.0"), (np.float64(300.0), "300.0"), ("300", "'300'")])
+    @pytest.mark.parametrize("n_slots,bad", [
+        (True, "True"), (5.0, "5.0"), (np.float64(300.0), "300.0"), ("300", "'300'"),
+    ])
     def test_rejects_non_integer_range(self, n_slots, bad):
         # True and 5.0 were taken, and the stream kept them as its n_slots
         with pytest.raises(ValueError, match=re.escape(bad)):
