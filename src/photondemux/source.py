@@ -23,13 +23,14 @@ in a million larger, within a budget of table entries: at w = 1, where
 every close gap is one slot, a cluster's law depends on its size alone
 (K = 13 at pair_prob 0.3); at w > 1 on its size and the sum of its close
 gaps, its class (K = 5 at the two-mode point, 340 gap vectors in 34
-classes); where K is 2 (q <= 1e-6, or even K = 3 would take too many gap
-vectors) a two-pair cluster heralds 0, 1 or 2 times by a closed form.
+classes; K = 2, a class per close gap, where q <= 1e-6 or even K = 3
+would take too many gap vectors; K = 1 past w = 512, where not even the
+two-pair classes fit, so every cluster is placed).
 Those clusters enter only as counts, as does an isolated pair, which
 heralds with probability ``herald_det_efficiency``: between two clusters
 of more than K pairs, the counted clusters are one geometric count, and
-their sizes (w = 1), classes or close gaps (K = 2) one composition of
-counts that carries their exact sum.  The pairs of clusters of more than
+their sizes (w = 1) or classes (w > 1) one composition of counts that
+carries their exact sum.  The pairs of clusters of more than
 K pairs, the "members", are placed in compressed slots: gaps inside a
 cluster are exact, and each stretch between clusters takes w + 1 slots.  Deadtime and run
 detection read only gaps, and to both a gap of w + 1 acts as any longer
@@ -49,12 +50,11 @@ and ``run_starts_from_heralds`` lays the claimed runs out as start slots.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 import itertools
 import math
 import operator
-from typing import ClassVar
 
 import numpy as np
 
@@ -102,7 +102,8 @@ class HeraldStream:
     chains pairs within w = ``max(deadtime, 1)`` slots of each other and K
     is set by the source's close-gap probability and w (13 at pair_prob
     0.3 and w = 1, 5 at the two-mode point; see ``_largest_counted``), so
-    that almost every cluster is counted.  Gaps inside a cluster are
+    that almost every cluster is counted, but past w = 512 K is 1 and
+    every cluster is placed.  Gaps inside a cluster are
     exact, and gaps between clusters are w + 1, so the slots lie in
     [0, n_slots) but are not the pairs' absolute slots.  ``to_detector_a`` and ``fired`` are
     per member.  Every other pair of the range, in a cluster of at most K
@@ -202,150 +203,6 @@ def _hypergeometric(good: int, bad: int, sample: int, rng: np.random.Generator) 
     return int(rng.hypergeometric(good, bad, sample))
 
 
-@dataclass(frozen=True)
-class _CloseGapLaw:
-    """Counts that carry the exact sum of m iid close gaps (Geom(p) cut to 1..window).
-
-    A composition is a list: the gaps of 1 slot, then the gaps of 2..window
-    per dyadic block of the window - 1 values 2..window, then for each
-    block of 2^b values and each bit t < b, the block's gaps whose offset
-    in the block has bit t set.  The law of a gap of 2..window is
-    proportional to (1-p)^(value - 2), so inside a block the bits of a
-    gap's offset from the block's first value are independent, bit t set
-    with probability r / (1 + r) at r = (1-p)^(2^t).  The sum of the gaps is
-    then a weighted sum of counts, drawn in O(log^2 window) draws, and the
-    counts of any subset of the gaps are hypergeometric given the whole.
-
-    Where a window of two or more slots counts clusters of two pairs only
-    (K = 2: see ``_largest_counted``), the sampler counts them by their
-    close gap's composition (``_counted_law``), through the interface that
-    ``_SizeLaw`` and ``_GapClassLaw`` share: draw, split, the slots and the
-    pairs of a composition, a cut cluster's composition, the sum of two
-    compositions, and the herald blocks.
-    """
-
-    adjacent: float  # P(gap = 1 | gap <= window)
-    block_probs: tuple[float, ...]  # P(block i | block >= i, gap >= 2)
-    bits: tuple[tuple[int, float], ...]  # (block, P(bit t set)) for each bit t of each block
-    weights: tuple[int, ...]  # slots per count: 1, each block's first value, each bit's 2^t
-    # as the counted clusters of a window of two or more slots (_counted_law):
-    log_counted: float = 0.0  # log P(a cluster holds two pairs, not three or more)
-    outcomes: tuple[float, ...] = ()  # _two_pair_law
-    largest: ClassVar[int] = 2  # the pairs of the largest cluster counted
-
-    def draw(self, gaps: int, rng: np.random.Generator) -> list[int]:
-        """Composition of ``gaps`` fresh close gaps."""
-        if gaps == 0:
-            return [0] * len(self.weights)
-        ones = gaps if self.adjacent == 1.0 else int(rng.binomial(gaps, self.adjacent))
-        rest = gaps - ones
-        blocks = []
-        for prob in self.block_probs:
-            count = int(rng.binomial(rest, prob)) if rest and prob < 1.0 else rest
-            blocks.append(count)
-            rest -= count
-        return [ones, *blocks, *(int(rng.binomial(blocks[i], prob)) if blocks[i] else 0
-                                 for i, prob in self.bits)]
-
-    def split(self, comp: list[int], gaps: int, left: int,
-              rng: np.random.Generator) -> tuple[list[int], list[int]]:
-        """Compositions of the first ``left`` of ``gaps`` gaps of composition ``comp``, and of the rest.
-
-        Given the counts, the gaps are exchangeable, and given its block
-        counts each block's bit columns are independent and uniform: so
-        each count of the left part is hypergeometric.
-        """
-        if left == 0 or left == gaps:
-            return ([0] * len(comp), comp) if left == 0 else (comp, [0] * len(comp))
-        n_blocks = len(self.block_probs)
-        ones = _hypergeometric(comp[0], gaps - comp[0], left, rng)
-        rest, rest_left = gaps - comp[0], left - ones
-        blocks = []
-        for count in comp[1:n_blocks]:
-            in_left = _hypergeometric(count, rest - count, rest_left, rng)
-            blocks.append(in_left)
-            rest -= count
-            rest_left -= in_left
-        if n_blocks:
-            blocks.append(rest_left)
-        bits = [_hypergeometric(count, comp[1 + i] - count, blocks[i], rng)
-                for (i, _), count in zip(self.bits, comp[1 + n_blocks:])]
-        left_comp = [ones, *blocks, *bits]
-        return left_comp, [x - y for x, y in zip(comp, left_comp)]
-
-    def total(self, comp: list[int]) -> int:
-        """Sum of the gaps of a composition."""
-        return sum(map(operator.mul, self.weights, comp))
-
-    def pairs(self, comp: list[int]) -> int:
-        """Gaps of a composition: each is the close pair of one two-pair cluster."""
-        return sum(comp[:1 + len(self.block_probs)])
-
-    def one(self, gaps: list[int]) -> list[int]:
-        """Composition of one cluster of two pairs whose close gap is ``gaps[0]`` slots."""
-        (gap,) = gaps
-        comp = [0] * len(self.weights)
-        n_blocks = len(self.block_probs)
-        starts = self.weights[1:1 + n_blocks]
-        block = bisect.bisect_right(starts, gap)  # 0 for a gap of 1, else 1 + its block
-        comp[block] = 1
-        if block:
-            offset = gap - starts[block - 1]
-            for j, ((i, _), weight) in enumerate(zip(self.bits, self.weights[1 + n_blocks:])):
-                comp[1 + n_blocks + j] = int(i == block - 1 and offset & weight > 0)
-        return comp
-
-    def cut(self, comp: list[int], slots: int, rng: np.random.Generator) -> list[int]:
-        """Composition of what lies less than ``slots`` slots after the first pair
-        of the one two-pair cluster ``comp``: empty unless its close pair does."""
-        return comp if self.total(comp) < slots else [0] * len(comp)
-
-    def add(self, comp: list[int], other: list[int]) -> list[int]:
-        """Composition of the clusters of two compositions."""
-        return list(map(operator.add, comp, other))
-
-    def blocks(self, comp: list[int], rng: np.random.Generator) -> list[int]:
-        """Herald blocks by length of the two-pair clusters of a composition.
-
-        One multinomial over ``outcomes`` per gap class: two heralds form
-        a block where the gap is 1 slot, and two blocks of one elsewhere.
-        """
-        ones = twos = 0
-        if comp[0]:
-            _, one, both = rng.multinomial(comp[0], self.outcomes).tolist()
-            ones, twos = one, both
-        apart = self.pairs(comp) - comp[0]
-        if apart:
-            _, one, both = rng.multinomial(apart, self.outcomes).tolist()
-            ones += one + 2 * both
-        return [0, ones, twos]
-
-
-@lru_cache(maxsize=64)
-def _close_gap_law(pair_prob: float, window: int) -> _CloseGapLaw:
-    """``_CloseGapLaw`` of the close gaps at this pair probability and window."""
-    if window == 1 or pair_prob == 1.0:  # every close gap is 1 slot
-        return _CloseGapLaw(1.0, (), (), (1,))
-    log_miss = math.log1p(-pair_prob)
-    probs, bits, starts, bit_weights = [], [], [], []
-    offset = 0
-    size = window - 1  # values 2..window
-    for b in reversed(range(size.bit_length())):
-        if size >> b & 1:
-            # 2^b values from 2 + offset, of weight (1-p)^offset (1 - (1-p)^(2^b))
-            probs.append(math.exp(offset * log_miss) * -math.expm1(2**b * log_miss))
-            for t in range(b):
-                r = math.exp(2**t * log_miss)
-                bits.append((len(starts), r / (1.0 + r)))
-                bit_weights.append(2**t)
-            starts.append(2 + offset)
-            offset += 2**b
-    tails = [sum(probs[i:]) for i in range(len(probs))]
-    adjacent = pair_prob / -math.expm1(window * log_miss)
-    conditional = (*(x / tail for x, tail in zip(probs[:-1], tails)), 1.0)
-    return _CloseGapLaw(adjacent, conditional, tuple(bits), (1, *starts, *bit_weights))
-
-
 @dataclass(frozen=True, eq=False)
 class _SizeLaw:
     """Counted clusters at a window of one slot: their sizes and herald blocks.
@@ -415,7 +272,9 @@ class _SizeLaw:
         close = min(self.pairs(comp), slots - 1)
         return self.one([1] * close) if close else [0] * len(comp)
 
-    add = _CloseGapLaw.add
+    def add(self, comp: list[int], other: list[int]) -> list[int]:
+        """Composition of the clusters of two compositions."""
+        return list(map(operator.add, comp, other))
 
     def blocks(self, comp: list[int], rng: np.random.Generator) -> list[int]:
         """Herald blocks by length of the clusters of a composition: one
@@ -430,15 +289,17 @@ class _SizeLaw:
 def _largest_counted(q: float, window: int = 1) -> int:
     """K: clusters of at most K pairs are counted, not placed.
 
-    The smallest K >= 2 with q^(K - 1) <= 1e-6, so that at most one cluster
+    The smallest K >= 1 with q^(K - 1) <= 1e-6, so that at most one cluster
     in a million holds more pairs and is placed, but at most 16, and with
     at most ``_CLASS_BUDGET`` gap vectors of 2..K pairs, sum_{s=2..K}
     window^(s - 1): at a window of one slot a cluster's outcomes grow
     about as the partitions of its size, and at a wider window its gap
     vectors as window^(K - 1).  Both bounds keep a source's table within
-    a few milliseconds.
+    a few milliseconds.  Since q^0 = 1, K is at least 2 wherever the w
+    gap vectors of two pairs fit the budget; a window of more than 512
+    slots has K = 1: it counts no cluster and places every one.
     """
-    largest = 2
+    largest = 1
     while (largest < 16 and q ** (largest - 1) > 1e-6
            and sum(window ** close for close in range(1, largest + 1)) <= _CLASS_BUDGET):
         largest += 1
@@ -607,6 +468,10 @@ def _gap_class_law(params: SourceParams, q: float, largest: int) -> _GapClassLaw
     a herald that opened a block of one, a detector that fired 0 slots ago
     while the other did not fire 1 slot ago, closes a block of two.
     """
+    if largest == 1:  # no class: every cluster is placed
+        empty = np.zeros(0, dtype=np.int64)
+        return _GapClassLaw(1, -math.inf, np.zeros(0), empty, empty, (), {}, empty, empty,
+                            np.zeros((0, 0)), np.zeros((0, 3), dtype=np.int64))
     window = params.herald_deadtime_slots
     p = params.pair_prob
     eff = params.herald_det_efficiency
@@ -689,14 +554,14 @@ def _gap_class_law(params: SourceParams, q: float, largest: int) -> _GapClassLaw
 
 
 @lru_cache(maxsize=64)
-def _counted_law(params: SourceParams) -> "_CloseGapLaw | _SizeLaw | _GapClassLaw":
+def _counted_law(params: SourceParams) -> "_SizeLaw | _GapClassLaw":
     """What counts the clusters of at most K pairs for this source; see ``_sample_members``.
 
     K is ``_largest_counted``.  A window of one slot counts clusters of
-    2..K pairs by ``_size_law``, a wider one by ``_gap_class_law``, but
-    where K is 2 (q <= 1e-6, or a window of more than 22 slots, where even
-    K = 3 holds too many classes) by their ``_close_gap_law`` composition.
-    Needs pair_prob > 0.
+    2..K pairs by ``_size_law``, a wider one by ``_gap_class_law``: at
+    K = 2 (q <= 1e-6, or a window of 23 to 512 slots) its classes are the
+    two-pair clusters' close gaps of 1..w slots, and at K = 1 (a window of
+    more than 512 slots) it has none.  Needs pair_prob > 0.
     """
     p = params.pair_prob
     window = max(params.herald_deadtime_slots, 1)
@@ -705,8 +570,6 @@ def _counted_law(params: SourceParams) -> "_CloseGapLaw | _SizeLaw | _GapClassLa
     largest = _largest_counted(q, window)
     if window == 1:
         return _size_law(params, q, largest)
-    if largest == 2:
-        return replace(_close_gap_law(p, window), log_counted=log_long, outcomes=tuple(_two_pair_law(params)))
     return _gap_class_law(params, q, largest)
 
 
@@ -753,7 +616,7 @@ def _bisect_stretch(k: int, excess: int, room: int, window: int, rng: np.random.
 
 
 def _walk_units(clusters: np.ndarray, members: np.ndarray, member_slots: np.ndarray, room: int,
-                opens: int, counted: "_CloseGapLaw | _SizeLaw | _GapClassLaw", window: int, pair_prob: float,
+                opens: int, counted: "_SizeLaw | _GapClassLaw", window: int, pair_prob: float,
                 q: float, rng: np.random.Generator) -> tuple[int, "list[int] | np.ndarray", int, int, "int | None"]:
     """In-range tallies of a batch: its counted clusters and their summed
     composition, its members placed, its pairs, and the room left.
@@ -886,22 +749,6 @@ def _walk_units(clusters: np.ndarray, members: np.ndarray, member_slots: np.ndar
     return n_counted, tally, placed, pairs, None
 
 
-def _two_pair_law(params: SourceParams) -> list[float]:
-    """Probabilities of 0, 1 and 2 heralds from a cluster of exactly two pairs.
-
-    The cluster's first arrival always meets a live detector.  Its second
-    arrival is at most w = max(deadtime, 1) slots later, so under a
-    deadtime of at least one slot it is blind exactly when it goes to the
-    detector that the first arrival fired.
-    """
-    eff = params.herald_det_efficiency
-    r = params.herald_splitter_ratio
-    apart = 1.0 if params.herald_deadtime_slots == 0 else 1.0 - r * r - (1.0 - r) ** 2
-    both = eff * eff * apart
-    none = (1.0 - eff) ** 2
-    return [none, 1.0 - none - both, both]
-
-
 def _sample_members(params: SourceParams, n_slots: int, rng: np.random.Generator
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, list[int]]:
     """Compressed slots of the pairs of clusters of more than K pairs, their
@@ -912,14 +759,14 @@ def _sample_members(params: SourceParams, n_slots: int, rng: np.random.Generator
     close (<= window) with probability q.  ``_counted_law`` sets K,
     ``_largest_counted(q, window)``.  From the range's first pair the gaps are walked in
     "super-units": g counted clusters of 2..K pairs, g ~ Geom0(q^(K-1)),
-    closed by one placed cluster of more than K pairs, whose close gaps
+    none at K = 1, closed by one placed cluster of more than K pairs, whose close gaps
     number K - 1 + j with j ~ Geom(1 - q).  Each cluster follows a stretch
     of 1 + Geom0(q) long gaps (Geom0(q) before the range's first
     cluster), each window + 1 slots plus a Geom0(p) excess.  Only g, j and
     the close gaps of the placed clusters, each Geom(p) cut to 1..window
     and drawn by inverse CDF, are arrays: the counted clusters of a batch
     are counts, with their long gaps and the ``_counted_law`` composition
-    of their sizes (a window of one slot), classes or close gaps (K = 2).
+    of their sizes (a window of one slot) or classes (a wider one).
     ``_walk_units`` walks a batch up to the end of the
     range and returns what of it lies in range: the counted clusters and
     their composition, the members to place and the pairs.  A batch holds
@@ -951,8 +798,10 @@ def _sample_members(params: SourceParams, n_slots: int, rng: np.random.Generator
     q = -math.expm1(log_long)
     log_q = math.log1p(-math.exp(log_long))  # 0 when every gap is close
     # g = floor(log(u) / log P(counted)) and j - 1 = floor(log(u') / log(q)); when
-    # q is 1, j is the cap, put in place of log(u') and divided by -1
-    scale = np.array([[counted.log_counted], [log_q if log_q < 0.0 else -1.0]])
+    # q is 1, j is the cap, put in place of log(u') and divided by -1.  A log(q)
+    # nearer 0 than -1e-300 (1 - q subnormal) is taken as -1e-300: every j with
+    # u' > 0 then still passes the cap, and no quotient overflows
+    scale = np.array([[counted.log_counted], [min(log_q, -1e-300) if log_q < 0.0 else -1.0]])
     # clusters of more than K pairs (a pair, then K close gaps, then a long
     # one), and their pairs, per slot
     super_units = p * q * q ** (largest - 1) * (1.0 - q)
@@ -961,7 +810,7 @@ def _sample_members(params: SourceParams, n_slots: int, rng: np.random.Generator
     last = -step  # compressed slot of the last member placed; the first lands on 0
     pairs = 1
     counted_pairs = 0
-    blocks = [0] * (largest + 1)  # of the pairs not placed, by length
+    blocks = [0] * max(largest + 1, 3)  # of the pairs not placed, by length
     opens = 1  # how super-unit 0 of a batch opens; see _walk_units
     slots: list[np.ndarray] = []
     to_a: list[np.ndarray] = []

@@ -54,8 +54,9 @@ def largest_three(monkeypatch):
 
 @pytest.fixture
 def largest_two(monkeypatch):
-    """Count only clusters of two pairs (K = 2), by their close gap, at any window
-    wider than one slot: every cluster of three or more pairs is placed."""
+    """Count only clusters of two pairs (K = 2), as the source does at 23 to 512 slots:
+    at a wider window than one slot the gap classes are then the close gaps of
+    1..w slots, and every cluster of three or more pairs is placed."""
     _count_up_to(monkeypatch, 2)
     yield
     source._counted_law.cache_clear()

@@ -7,7 +7,9 @@ pairs, and a Python loop per cluster) but obviously exact.
 The package's cluster-skipping sampler must agree with it in law, and
 its deadtime resolver (closed form for clusters of one or two arrivals,
 pointer doubling for longer ones) must agree with
-``loop_two_detectors`` bit for bit.
+``loop_two_detectors`` bit for bit.  ``two_pair_law`` is the closed
+form of a two-pair cluster's heralds, the law that the package's
+counted-cluster tables must give their two-pair rows.
 
 ``absolute_members`` is the cluster-skipping sampler as it was before
 it placed members in compressed slots: it draws where every stretch of
@@ -86,6 +88,22 @@ def loop_two_detectors(slots: np.ndarray, to_a: np.ndarray, eff_draws: np.ndarra
     for on_detector in (to_a, ~to_a):
         fired[on_detector] = loop_apply_deadtime(slots[on_detector], eff_draws[on_detector], deadtime)
     return fired
+
+
+def two_pair_law(params) -> list[float]:
+    """Probabilities of 0, 1 and 2 heralds from a cluster of exactly two pairs.
+
+    The cluster's first arrival always meets a live detector.  Its second
+    arrival is at most w = max(deadtime, 1) slots later, so under a
+    deadtime of at least one slot it is blind exactly when it goes to the
+    detector that the first arrival fired.
+    """
+    eff = params.herald_det_efficiency
+    r = params.herald_splitter_ratio
+    apart = 1.0 if params.herald_deadtime_slots == 0 else 1.0 - r * r - (1.0 - r) ** 2
+    both = eff * eff * apart
+    none = (1.0 - eff) ** 2
+    return [none, 1.0 - none - both, both]
 
 
 @dataclass(frozen=True)

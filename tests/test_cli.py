@@ -1,6 +1,10 @@
 """Command-line verbs: outputs, overrides, and exit-status contract."""
 
 import json
+import os
+from pathlib import Path
+import subprocess
+import sys
 
 import pytest
 
@@ -181,6 +185,23 @@ class TestSimulateVerb:
         path.write_text(json.dumps(doc))
         assert main(["simulate", "--config", str(path)]) == 1
         assert "error: run: no runs" in capsys.readouterr().err
+
+    def test_wide_deadtime_runs_as_a_module(self, tmp_path):
+        # a 3000-slot deadtime counts no cluster (K = 1): every cluster is placed
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({
+            "source": {"pair_prob": 0.3, "rep_rate_hz": 82e6, "herald_deadtime_slots": 3000},
+            "converter": {"n_modes": 2},
+            "run": {"slots_per_trial": 100_000, "trials": 1},
+        }))
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-m", "photondemux.cli", "simulate", "--config", str(path)],
+                              cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+        # each detector fires at most once per 3001 slots
+        assert 0 < json.loads(proc.stdout)["herald_count"] <= 2 * -(-100_000 // 3001)
 
 
 class TestSweepVerb:

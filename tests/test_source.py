@@ -27,14 +27,12 @@ from photondemux.source import (
     HeraldStream,
     RngStream,
     _apply_deadtime,
-    _close_gap_law,
-    _two_pair_law,
     expected_peak_bytes,
     generate_herald_stream,
     herald_block_histogram,
     run_starts_from_heralds,
 )
-from source_oracle import absolute_members, dense_herald_stream, loop_two_detectors
+from source_oracle import absolute_members, dense_herald_stream, loop_two_detectors, two_pair_law
 
 
 def herald_chain(pair_prob, eff, ratio, deadtime, n=1):
@@ -354,7 +352,7 @@ class TestTwoPairLaw:
                 weight = (np.prod(np.where(to_a, ratio, 1.0 - ratio))
                           * np.prod(np.where(eff_draws, eff, 1.0 - eff)))
                 law[loop_two_detectors(slots, to_a, eff_draws, deadtime).sum()] += weight
-            assert np.abs(_two_pair_law(params) - law).max() <= 1e-15, (gap, law)
+            assert np.abs(two_pair_law(params) - law).max() <= 1e-15, (gap, law)
 
 
 def cluster_law_by_scan(size, eff, ratio, deadtime):
@@ -428,8 +426,8 @@ class TestSizeLaw:
     @pytest.mark.parametrize("deadtime", [0, 1])
     def test_two_pair_row_is_two_pair_law(self, deadtime, ratio, eff):
         row = table_row(size_law(eff, ratio, deadtime), 2)
-        none, one, both = _two_pair_law(make_params(herald_det_efficiency=eff, herald_splitter_ratio=ratio,
-                                                    herald_deadtime_slots=deadtime))
+        none, one, both = two_pair_law(make_params(herald_det_efficiency=eff, herald_splitter_ratio=ratio,
+                                                   herald_deadtime_slots=deadtime))
         assert row.get((), 0.0) == pytest.approx(none, abs=1e-15)
         assert row.get((1,), 0.0) == pytest.approx(one, abs=1e-15)
         assert row.get((2,), 0.0) == pytest.approx(both, abs=1e-15)
@@ -572,32 +570,35 @@ class TestGapClassLaw:
 
     @pytest.mark.parametrize("eff", [0.6, 1.0])
     @pytest.mark.parametrize("ratio", [0.3, 0.5])
-    @pytest.mark.parametrize("deadtime", [2, 4])
+    @pytest.mark.parametrize("deadtime", [2, 4, 37, 512])
     def test_two_pair_rows_are_two_pair_law(self, deadtime, ratio, eff):
-        law = gap_class_law(eff, ratio, deadtime)
-        none, one, both = _two_pair_law(make_params(herald_det_efficiency=eff, herald_splitter_ratio=ratio,
-                                                    herald_deadtime_slots=deadtime))
+        # past 22 slots K is 2: a class per close gap of 1..w slots
+        law = gap_class_law(eff, ratio, deadtime, largest=4 if deadtime <= 4 else 2)
+        none, one, both = two_pair_law(make_params(herald_det_efficiency=eff, herald_splitter_ratio=ratio,
+                                                   herald_deadtime_slots=deadtime))
         for gap in range(1, deadtime + 1):  # both heralds form a block of two where the gap is one slot
             row = class_row(law, 1, gap)
             assert row.get((0, 0), 0.0) == pytest.approx(none, abs=1e-15)
             assert row.get((1, 0), 0.0) == pytest.approx(one, abs=1e-15)
             assert row.get((0, 1) if gap == 1 else (2, 0), 0.0) == pytest.approx(both, abs=1e-15)
 
-    @pytest.mark.parametrize("pair_prob,deadtime", [(0.3, 4), (0.0043882, 4), (0.5, 3)])
+    @pytest.mark.parametrize("pair_prob,deadtime", [(0.3, 4), (0.0043882, 4), (0.5, 3), (0.02, 37), (0.001, 512)])
     def test_classes_follow_iid_close_gaps(self, pair_prob, deadtime):
         # a cluster of at least two pairs has s pairs with probability
         # proportional to q^(s - 2), cut to 2..K, and iid close gaps
-        law = gap_class_law(deadtime=deadtime, largest=5, pair_prob=pair_prob)
+        largest = 5 if deadtime <= 4 else 2  # past 22 slots K is 2
+        law = gap_class_law(deadtime=deadtime, largest=largest, pair_prob=pair_prob)
         q = 1.0 - (1.0 - pair_prob) ** deadtime
         rng = np.random.default_rng(127)
         clusters = 20_000
-        sizes = rng.choice(np.arange(2, 6), size=clusters, p=q ** np.arange(4) / (q ** np.arange(4)).sum())
-        gaps = iid_close_gaps(pair_prob, deadtime, (clusters, 4), rng)
+        odds = q ** np.arange(largest - 1)
+        sizes = rng.choice(np.arange(2, largest + 1), size=clusters, p=odds / odds.sum())
+        gaps = iid_close_gaps(pair_prob, deadtime, (clusters, largest - 1), rng)
         iid = Counter((size - 1, int(g[:size - 1].sum())) for size, g in zip(sizes, gaps))
         drawn = law.draw(clusters, rng)
         keys = sorted(law.index, key=law.index.get)
         assert same_counts_pvalue(dict(zip(keys, drawn.tolist())), iid) > ALPHA
-        assert law.log_counted == pytest.approx(math.log1p(-q ** 4), rel=1e-12)
+        assert law.log_counted == pytest.approx(math.log1p(-q ** (largest - 1)), rel=1e-12)
 
     def test_split_has_the_law_of_a_fresh_draw(self):
         # the first 2 of 5 clusters of a drawn class composition, split off by one
@@ -648,6 +649,7 @@ class TestGapClassLaw:
         (1.0 - (1.0 - 0.0043882) ** 4, 4, 5),  # the two-mode point: 34 classes of 340 gap vectors
         (0.9, 2, 9), (0.9, 3, 6), (0.9, 4, 5), (0.9, 7, 4), (0.9, 22, 3), (0.9, 23, 2),
         (0.02, 2, 5), (1e-6, 4, 2), (0.3, 1, 13),
+        (0.9, 512, 2), (0.9, 513, 1), (1e-7, 600, 1),  # past 512 slots not even two pairs fit
     ])
     def test_largest_counted_takes_the_window(self, q, window, largest):
         # the smallest K with q^(K - 1) <= 1e-6, within 512 gap vectors
@@ -659,12 +661,20 @@ class TestGapClassLaw:
     @pytest.mark.parametrize("overrides,kind,largest", [
         (dict(pair_prob=0.0043882, herald_deadtime_slots=4), source._GapClassLaw, 5),
         (dict(pair_prob=0.3, herald_deadtime_slots=0), source._SizeLaw, 13),
-        (dict(pair_prob=0.3, herald_deadtime_slots=23), source._CloseGapLaw, 2),
-        (dict(pair_prob=1e-7, herald_deadtime_slots=4), source._CloseGapLaw, 2),
+        (dict(pair_prob=0.3, herald_deadtime_slots=23), source._GapClassLaw, 2),
+        (dict(pair_prob=1e-7, herald_deadtime_slots=4), source._GapClassLaw, 2),
+        (dict(pair_prob=0.3, herald_deadtime_slots=600), source._GapClassLaw, 1),
+        (dict(pair_prob=1e-7, herald_deadtime_slots=600), source._GapClassLaw, 1),
     ])
     def test_counted_law_by_window(self, overrides, kind, largest):
         law = source._counted_law(make_params(**overrides))
         assert isinstance(law, kind) and law.largest == largest
+        window = overrides["herald_deadtime_slots"]
+        if largest == 2:  # one class per close gap
+            assert sorted(law.index) == [(1, gap) for gap in range(1, window + 1)]
+        if largest == 1:  # no class, and no cluster counted
+            assert law.probs.size == 0 and law.log_counted == -math.inf
+            assert law.draw(0, None).size == 0
 
 
 def close_gap_pmf(pair_prob, window):
@@ -672,40 +682,6 @@ def close_gap_pmf(pair_prob, window):
     x = np.arange(1, window + 1, dtype=np.float64)
     pmf = pair_prob * (1.0 - pair_prob) ** (x - 1.0)
     return pmf / pmf.sum()
-
-
-def law_blocks(law):
-    """(first value, P(block), bit probabilities) of each dyadic block of a ``_CloseGapLaw``."""
-    blocks, reach = [], 1.0
-    for i, cond in enumerate(law.block_probs):
-        bits = [prob for block, prob in law.bits if block == i]
-        blocks.append((law.weights[1 + i], reach * cond, bits))
-        reach *= 1.0 - cond
-    return blocks
-
-
-def law_gap_pmf(law, window):
-    """P(gap = x), x = 1..window, that a ``_CloseGapLaw`` implies for one gap."""
-    pmf = np.zeros(window + 1)
-    pmf[1] = law.adjacent
-    for start, block_prob, bits in law_blocks(law):
-        offsets = np.arange(2 ** len(bits))
-        prob = np.full(offsets.size, (1.0 - law.adjacent) * block_prob)
-        for t, bit_prob in enumerate(bits):
-            prob *= np.where(offsets >> t & 1, bit_prob, 1.0 - bit_prob)
-        pmf[start:start + offsets.size] = prob
-    return pmf[1:]
-
-
-def composition_of(gaps, law):
-    """The ``_CloseGapLaw`` composition of given close gaps."""
-    gaps = np.asarray(gaps)
-    counts, bit_counts = [int((gaps == 1).sum())], []
-    for start, _, bits in law_blocks(law):
-        offsets = gaps[(gaps >= start) & (gaps < start + 2 ** len(bits))] - start
-        counts.append(offsets.size)
-        bit_counts += [int((offsets >> t & 1).sum()) for t in range(len(bits))]
-    return counts + bit_counts
 
 
 def same_law_pvalue(a, b):
@@ -731,87 +707,6 @@ def iid_close_gaps(pair_prob, window, shape, rng):
     """Close gaps drawn from the enumerated pmf."""
     cdf = np.cumsum(close_gap_pmf(pair_prob, window))
     return np.minimum(np.searchsorted(cdf, rng.random(shape) * cdf[-1], side="right"), window - 1) + 1
-
-
-# (pair_prob, window): the paper's window of 4, blocks of one and of two
-# values, and a window so wide that the truncation holds a third of the law
-CLOSE_GAP_POINTS = [(0.3, 1), (0.3, 2), (0.0043882, 4), (0.3, 4), (0.5, 5), (1e-6, 2**20 + 3)]
-
-
-class TestCloseGapLaw:
-    """The two-pair close-gap composition against enumerated pmfs."""
-
-    @pytest.mark.parametrize("pair_prob,window", CLOSE_GAP_POINTS)
-    def test_one_gap_matches_enumeration(self, pair_prob, window):
-        # the adjacent probability, the dyadic blocks and their offset bits
-        # give the truncated geometric gap law value by value
-        law = _close_gap_law(pair_prob, window)
-        expected = close_gap_pmf(pair_prob, window)
-        assert law.adjacent == pytest.approx(expected[0], rel=1e-12)
-        assert np.allclose(law_gap_pmf(law, window), expected, rtol=1e-9, atol=0.0)
-        sizes = [2 ** len(bits) for _, _, bits in law_blocks(law)]
-        assert sum(sizes) == window - 1  # the blocks tile 2..window
-        assert all(a > b for a, b in zip(sizes, sizes[1:]))
-
-    @pytest.mark.parametrize("pair_prob,window", CLOSE_GAP_POINTS)
-    def test_one_gap_composition(self, pair_prob, window):
-        # a placed cluster that the end of the range cuts to two pairs is
-        # counted with the composition of its one close gap
-        law = _close_gap_law(pair_prob, window)
-        for gap in sorted({1, 2, 3, window // 2, window - 1, window} & set(range(1, window + 1))):
-            assert law.one([gap]) == composition_of([gap], law), gap
-            assert law.total(law.one([gap])) == gap and law.pairs(law.one([gap])) == 1
-
-    @pytest.mark.parametrize("pair_prob,window", [(0.3, 2), (0.3, 4), (0.5, 5)])
-    def test_draw_matches_iid_gaps(self, pair_prob, window):
-        # the joint law of every count of a drawn composition of 3 gaps
-        law = _close_gap_law(pair_prob, window)
-        rng = np.random.default_rng(83)
-        drawn = [tuple(law.draw(3, rng)) for _ in range(4000)]
-        iid = [tuple(composition_of(g, law)) for g in iid_close_gaps(pair_prob, window, (4000, 3), rng)]
-        assert same_law_pvalue(drawn, iid) > ALPHA
-
-    @pytest.mark.parametrize("pair_prob,window", CLOSE_GAP_POINTS)
-    def test_total_is_the_sum_of_the_gaps(self, pair_prob, window):
-        law = _close_gap_law(pair_prob, window)
-        rng = np.random.default_rng(89)
-        gaps = iid_close_gaps(pair_prob, window, (200, 5), rng)
-        assert [law.total(composition_of(g, law)) for g in gaps] == gaps.sum(axis=1).tolist()
-
-    @pytest.mark.parametrize("pair_prob,window", [(0.0043882, 4), (1e-6, 2**20 + 3)])
-    def test_sum_of_wide_gaps_matches_iid_gaps(self, pair_prob, window):
-        # the sum of the gaps of 2..window of a drawn composition of 4 gaps
-        law = _close_gap_law(pair_prob, window)
-        rng = np.random.default_rng(97)
-        drawn = []
-        for _ in range(3000):
-            comp = law.draw(4, rng)
-            drawn.append(law.total(comp) - comp[0])
-        gaps = iid_close_gaps(pair_prob, window, (3000, 4), rng)
-        iid = np.where(gaps > 1, gaps, 0).sum(axis=1)
-        assert ks_pvalue(drawn, iid) > ALPHA
-
-    @pytest.mark.parametrize("pair_prob,window", [(0.3, 2), (0.3, 4), (0.5, 5), (1e-6, 2**20 + 3)])
-    def test_split_has_the_law_of_a_fresh_draw(self, pair_prob, window):
-        # the first 2 of 5 gaps of a drawn composition, split off by the
-        # hypergeometric chain, against a fresh composition of 2 gaps; the
-        # other 3 against a fresh composition of 3
-        law = _close_gap_law(pair_prob, window)
-        rng = np.random.default_rng(101)
-        left, right, fresh_left, fresh_right = [], [], [], []
-        for _ in range(4000):
-            comp = law.draw(5, rng)
-            a, b = law.split(comp, 5, 2, rng)
-            assert [x + y for x, y in zip(a, b)] == comp and min(a + b) >= 0
-            left.append(tuple(a))
-            right.append(tuple(b))
-            fresh_left.append(tuple(law.draw(2, rng)))
-            fresh_right.append(tuple(law.draw(3, rng)))
-        for part, fresh in ((left, fresh_left), (right, fresh_right)):
-            if window > 5:  # too many compositions to tabulate: compare the sums
-                assert ks_pvalue([law.total(c) for c in part], [law.total(c) for c in fresh]) > ALPHA
-            else:
-                assert same_law_pvalue(part, fresh) > ALPHA
 
 
 def _cluster_sizes(slots, to_a, window):
@@ -842,6 +737,9 @@ LAW_POINTS = {
     "saturated": (dict(pair_prob=1.0, herald_deadtime_slots=4, herald_det_efficiency=0.7), 2_000),
     "lossy_unbalanced_d1": (dict(pair_prob=0.4, herald_deadtime_slots=1, herald_det_efficiency=0.7,
                                  herald_splitter_ratio=0.3), 20_000),
+    # K = 2 (a class per close gap) and K = 1 (every cluster placed)
+    "wide_d37": (dict(pair_prob=0.02, herald_deadtime_slots=37), 200_000),
+    "widest_d600": (dict(pair_prob=0.002, herald_deadtime_slots=600), 2_000_000),
 }
 # at the source's K (13 at the sweep point, 5 at the two-mode point) these
 # ranges hold almost no member, too few to compare their clusters
@@ -1321,6 +1219,28 @@ class TestEdgeCases:
             for i in range(2000)
         ])
         assert binomial_fit_pvalue(counts, n_slots, pair_prob) > ALPHA
+
+    @pytest.mark.parametrize("pair_prob,deadtime,n_slots", [(0.3, 3000, 30_000), (0.5, 1100, 30_000),
+                                                            (1e-9, 2**40, 10**12)])
+    def test_wide_window_places_every_cluster(self, pair_prob, deadtime, n_slots):
+        # past 512 slots K is 1: no cluster is counted, every pair of a cluster
+        # is placed, and each detector fires at most once per deadtime + 1 slots
+        params = make_params(pair_prob=pair_prob, herald_deadtime_slots=deadtime)
+        assert largest_counted(params) == 1
+        for i in range(3):
+            stream = generate_herald_stream(params, n_slots, RngStream(61, (i,)).generator())
+            assert stream.pair_count > 0 and stream.pair_slots.size > 0
+            assert stream.herald_count <= 2 * -(-n_slots // (deadtime + 1))
+            assert same_detector_refire_gaps(stream, deadtime) == 0
+            hist = herald_block_histogram(stream)
+            assert hist.size >= 3 and int(hist @ np.arange(hist.size)) == stream.herald_count
+
+    def test_subnormal_long_gap_probability_draws_quietly(self):
+        # at pair_prob 0.3 and a 2000-slot deadtime 1 - q is about 1e-310: a
+        # cluster's extra close gaps, log(u) / log(q), overflow to the cap
+        params = make_params(pair_prob=0.3, herald_deadtime_slots=2000)
+        stream = generate_herald_stream(params, 30_000, RngStream(71).generator())
+        assert stream.pair_count == stream.pair_slots.size > 0
 
     @pytest.mark.parametrize("deadtime", [0, 4, 2**62])
     def test_smallest_rate_over_the_longest_range(self, deadtime):

@@ -31,6 +31,13 @@ SOURCE = "src/photondemux/source.py"
 SIZE = "tests/test_source.py::TestSizeLaw"
 GAP = "tests/test_source.py::TestGapClassLaw"
 END = "tests/test_source.py::TestRangeEndInCountedCluster::test_same_law_given_the_end_cuts_a_counted_cluster"
+WALK = "tests/test_source.py::TestWalkSplits::test_pair_count_is_binomial"
+BOUNDARY = "tests/test_source.py::TestTrialBoundary::test_pair_count_is_binomial"
+PIECES = "tests/test_source.py::TestEdgeCases::test_astronomical_stretch_is_drawn_in_pieces"
+WIDE = "tests/test_source.py::TestEdgeCases::test_wide_window_places_every_cluster"
+DOUBLING = "tests/test_source.py::TestHeraldFractionOracle::test_saturated_source_matches_markov_chain"
+CONVERTER = "src/photondemux/converter.py"
+LAWS = "tests/test_converter.py::TestLawsAgainstReference::test_laws_are_bit_equal"
 
 
 @dataclass(frozen=True)
@@ -90,6 +97,104 @@ MUTANTS = (
            "        left_comp = rng.multivariate_hypergeometric(comp, left)",
            "        left_comp = np.minimum(comp, np.maximum(left - (np.cumsum(comp) - comp), 0))",
            (f"{GAP}::test_split_has_the_law_of_a_fresh_draw",)),
+    Mutant("the same-detector blinding dropped from the gap DP", SOURCE,
+           "        prob = np.concatenate((prob * (on_a * live_a), prob * (on_b * live_b),\n"
+           "                               prob * (1.0 - eff + on_a * ~live_a + on_b * ~live_b)))",
+           "        prob = np.concatenate((prob * on_a, prob * on_b, prob * (1.0 - eff)))",
+           (f"{GAP}::test_two_pair_rows_are_two_pair_law",)),
+    Mutant("every close gap counted as adjacent in the gap DP", SOURCE,
+           "        joins = (opened[:, None] & (steps == 1)).ravel()",
+           "        joins = np.repeat(opened, window)",
+           (f"{GAP}::test_two_pair_rows_are_two_pair_law",)),
+    # the K rule past the class budget: K = 1, every cluster placed
+    Mutant("K counted from 2 again", SOURCE,
+           "    largest = 1\n    while (largest < 16",
+           "    largest = 2\n    while (largest < 16",
+           (f"{GAP}::test_largest_counted_takes_the_window[0.9-513-1]", f"{WIDE}[0.3-3000-30000]")),
+    Mutant("K = 1 already at 512 slots", SOURCE,
+           "           and sum(window ** close for close in range(1, largest + 1)) <= _CLASS_BUDGET):",
+           "           and sum(window ** close for close in range(1, largest + 1)) < _CLASS_BUDGET):",
+           (f"{GAP}::test_largest_counted_takes_the_window[0.9-512-2]",)),
+    Mutant("the K = 1 law given the two-pair classes", SOURCE,
+           "    return _gap_class_law(params, q, largest)\n",
+           "    return _gap_class_law(params, q, max(largest, 2))\n",
+           (f"{GAP}::test_counted_law_by_window", f"{WIDE}[0.3-3000-30000]")),
+    # the walk and the range end
+    Mutant("a fixed split share in place of the beta draw", SOURCE,
+           "    return int(rng.binomial(total, rng.beta(left, right)))",
+           "    return int(rng.binomial(total, left / (left + right)))",
+           (f"{BOUNDARY}[one_round-0.001-4-300]", f"{PIECES}[1e-10-10000000000]")),
+    Mutant("the long-gap split's beta-binomial shapes swapped", SOURCE,
+           "_split(k - base, at_mid[1] - at_a[1], at_b[1] - at_mid[1], rng)",
+           "_split(k - base, at_b[1] - at_mid[1], at_mid[1] - at_a[1], rng)",
+           (WALK,)),
+    Mutant("the excess split's shapes swapped", SOURCE,
+           "            left_excess = _split(excess, left_k, k - left_k, rng)",
+           "            left_excess = _split(excess, k - left_k, left_k, rng)",
+           (WALK,)),
+    Mutant("the crossing stretch's pairs in range dropped", SOURCE,
+           "        return n_counted, tally, placed, pairs + _bisect_stretch(k, excess, room, window, rng), None",
+           "        return n_counted, tally, placed, pairs, None",
+           (BOUNDARY,)),
+    Mutant("the pieces before the crossing piece dropped", SOURCE,
+           "            return done + _bisect_stretch(piece, piece_excess, room, window, rng), None",
+           "            return _bisect_stretch(piece, piece_excess, room, window, rng), None",
+           (f"{BOUNDARY}[two_gap_pieces-0.05-4-40]", "tests/test_source.py::TestEdgeCases::test_smallest_rate_over_the_longest_range[0]")),
+    Mutant("a pieced stretch's excess dropped", SOURCE,
+           "        excess += piece_excess\n",
+           "",
+           (f"{BOUNDARY}[two_gap_pieces-0.2-1-60]",
+            "tests/test_source.py::TestTrialBoundary::test_members_match_dense_oracle_in_law[two_gap_pieces-0.05-4-300]")),
+    Mutant("a compressed stretch of w slots instead of w + 1", SOURCE,
+           "        member_gaps[members[head:batch]] = step  #",
+           "        member_gaps[members[head:batch]] = window  #",
+           ("tests/test_source.py::TestCompressedSlots::test_gaps_are_exact_or_window_plus_one",)),
+    # the deadtime of placed members
+    Mutant("the third member of each triple dropped from the doubling set", SOURCE,
+           "            big[2:] |= triple\n",
+           "",
+           (DOUBLING,)),
+    Mutant("the doubling pass skipped", SOURCE,
+           "            while (jump[starts] != k).any():",
+           "            while False:",
+           (DOUBLING,)),
+    Mutant("the deadtime off by one: a gap of exactly the deadtime ends a cluster", SOURCE,
+           "        np.greater(s[1:] - s[:-1], deadtime, out=on[1:])",
+           "        np.greater_equal(s[1:] - s[:-1], deadtime, out=on[1:])",
+           ("tests/test_source.py::TestClosedFormClusters::test_matches_loop_bit_for_bit",)),
+    Mutant("a herald block broken only at gaps of more than 2 slots", SOURCE,
+           "    starts = np.flatnonzero(np.concatenate(([2], placed[1:] - placed[:-1], [2])) > 1)",
+           "    starts = np.flatnonzero(np.concatenate(([2], placed[1:] - placed[:-1], [2])) > 2)",
+           ("tests/test_controller.py::TestBlockHistogramOnGeneratedStreams",)),
+    # routing
+    Mutant("a misrouted photon's share (1 - eta) / n instead of / (n - 1)", CONVERTER,
+           "        row = [scale * ((1.0 - hit) / max(n - 1, 1))] * n",
+           "        row = [scale * ((1.0 - hit) / n)] * n",
+           ("tests/test_converter.py::TestMisrouteDistribution::test_misroutes_are_uniform_over_other_ports",)),
+    Mutant("clock phases drawn in proportion to 1..n", CONVERTER,
+           "rng.multinomial(runs, [1.0 / n] * n)",
+           "rng.multinomial(runs, [2.0 * (i + 1) / (n * (n + 1)) for i in range(n)])",
+           ("tests/test_converter.py::TestClockOffsetDraw::test_phase_groups_are_uniform",)),
+    Mutant("the clocked phase rotation reversed", CONVERTER,
+           "    laws = [rows[phase:] + rows[:phase] for phase in range(n)]",
+           "    laws = [rows[n - phase:] + rows[:n - phase] for phase in range(n)]",
+           (LAWS,)),
+    Mutant("a left-to-right row sum for the arrival probability", CONVERTER,
+           "    arrived = np.add.reduce(on_port, axis=1).tolist()",
+           "    arrived = [sum(row) for row in on_port]",
+           (LAWS,)),
+    Mutant("the success count by the product of the marginals", CONVERTER,
+           "                k = int(rng.hypergeometric(k, m - k, rows[i][i]))",
+           "                k = int(rng.binomial(k, rows[i][i] / m))",
+           ("tests/test_converter.py::TestAgainstRunOracle::test_success_count_is_binomial_across_seeds",)),
+    Mutant("a run count that takes a bool", CONVERTER,
+           "    return _is_int(value) and value >= 0",
+           "    return isinstance(value, (int, np.integer)) and value >= 0",
+           ("tests/test_converter.py::TestMonteCarloGrid::test_route_runs_rejects_non_counts[True]",)),
+    Mutant("a grid point routed on the key (g, 0)", "src/photondemux/pipeline.py",
+           "    gen = RngStream(ctl.seed, (grid_index,)).generator()",
+           "    gen = RngStream(ctl.seed, (grid_index, 0)).generator()",
+           ("tests/test_pipeline.py::TestStreamTallies::test_point_routes_and_calibrates_once_on_its_own_key",)),
     # refusals
     Mutant("a bool seed accepted", SOURCE,
            "    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)",
