@@ -161,7 +161,8 @@ MUTANTS = (
     Mutant("the deadtime off by one: a gap of exactly the deadtime ends a cluster", SOURCE,
            "        np.greater(s[1:] - s[:-1], deadtime, out=on[1:])",
            "        np.greater_equal(s[1:] - s[:-1], deadtime, out=on[1:])",
-           ("tests/test_source.py::TestClosedFormClusters::test_matches_loop_bit_for_bit",)),
+           ("tests/test_source.py::TestDoublingDeadtime::test_matches_sequential_scan",
+            "tests/test_source.py::TestClosedFormClusters::test_matches_loop_bit_for_bit")),
     Mutant("a herald block broken only at gaps of more than 2 slots", SOURCE,
            "    starts = np.flatnonzero(np.concatenate(([2], placed[1:] - placed[:-1], [2])) > 1)",
            "    starts = np.flatnonzero(np.concatenate(([2], placed[1:] - placed[:-1], [2])) > 2)",
