@@ -18,19 +18,19 @@ space, each has a truncated-geometric length, and a stretch of k longer
 gaps has a negative-binomial total.  Both detectors are live at a
 cluster's first pair and its blocks of heralds end inside it, so a
 cluster of at most K pairs heralds by a law of its own, and a table per
-source gives it.  K is the smallest size that leaves at most one cluster
-in a million larger, within a budget of table entries: at w = 1, where
-every close gap is one slot, a cluster's law depends on its size alone
-(K = 13 at pair_prob 0.3); at w > 1 on its size and the sum of its close
-gaps, its class (K = 5 at the two-mode point, 340 gap vectors in 34
-classes; K = 2, a class per close gap, where q <= 1e-6 or even K = 3
-would take too many gap vectors; K = 1 past w = 512, where not even the
-two-pair classes fit, so every cluster is placed).
+source gives it.  The law depends on the cluster's size and the sum of
+its close gaps, its class.  K is the smallest size that leaves at most
+one cluster in a million larger, within a budget of table entries: at
+w = 1, where every close gap is one slot, a class is a size (K = 13 at
+pair_prob 0.3); at w > 1, K = 5 at the two-mode point (340 gap vectors
+in 34 classes), K = 2, a class per close gap, where q <= 1e-6 or even
+K = 3 would take too many gap vectors, and K = 1 past w = 512, where not
+even the two-pair classes fit, so every cluster is placed.
 Those clusters enter only as counts, as does an isolated pair, which
 heralds with probability ``herald_det_efficiency``: between two clusters
 of more than K pairs, the counted clusters are one geometric count, and
-their sizes (w = 1) or classes (w > 1) one composition of counts that
-carries their exact sum.  The pairs of clusters of more than
+their classes one composition of counts that carries their exact sum.
+The pairs of clusters of more than
 K pairs, the "members", are placed in compressed slots: gaps inside a
 cluster are exact, and each stretch between clusters takes w + 1 slots.  Deadtime and run
 detection read only gaps, and to both a gap of w + 1 acts as any longer
@@ -203,89 +203,6 @@ def _hypergeometric(good: int, bad: int, sample: int, rng: np.random.Generator) 
     return int(rng.hypergeometric(good, bad, sample))
 
 
-@dataclass(frozen=True, eq=False)
-class _SizeLaw:
-    """Counted clusters at a window of one slot: their sizes and herald blocks.
-
-    At a window of one slot every close gap is one slot, so a cluster of
-    s pairs fills s consecutive slots, and the slot before it and the slot
-    after it are empty.  Its first pair meets two live detectors, and its
-    blocks of consecutive heralds end inside it.  So a cluster's
-    contribution to the herald-block histogram has a law that depends on
-    s and the source alone: ``probs[s - 2]`` holds the probabilities of
-    its outcomes, each a multiset of block lengths, and rows ``starts[s -
-    2]`` on of ``lengths`` count each outcome's blocks by length.  A
-    composition is a list: the clusters of 2, 3, ..., ``largest`` pairs.
-    """
-
-    largest: int  # the pairs of the largest cluster counted
-    log_counted: float  # log P(a cluster holds at most ``largest`` pairs)
-    sizes: np.ndarray  # P(s pairs | 2 <= s <= largest), s = 2..largest
-    probs: tuple[np.ndarray, ...]  # per size: P(outcome), likeliest first
-    starts: tuple[int, ...]  # per size: the row of ``lengths`` of its first outcome
-    lengths: np.ndarray  # int64, per outcome of every size: its blocks of L heralds at L
-
-    def draw(self, clusters: int, rng: np.random.Generator) -> list[int]:
-        """Composition of ``clusters`` fresh counted clusters."""
-        if clusters == 0 or self.sizes.size == 1:
-            return [clusters] + [0] * (self.sizes.size - 1)
-        return rng.multinomial(clusters, self.sizes).tolist()
-
-    def split(self, comp: list[int], clusters: int, left: int,
-              rng: np.random.Generator) -> tuple[list[int], list[int]]:
-        """Compositions of the first ``left`` of ``clusters`` clusters of ``comp``, and of the rest.
-
-        Given the counts, the clusters are exchangeable, so each count of
-        the left part is hypergeometric given those before it.  The chain
-        stops once the left part is full or takes all the rest, which here,
-        over a few sizes of geometric weight, is cheaper than one
-        ``multivariate_hypergeometric`` call (as ``_GapClassLaw.split`` makes).
-        """
-        left_comp = [0] * len(comp)
-        for i, count in enumerate(comp):
-            if left == 0 or left == clusters:  # the rest go right, or all go left
-                if left:
-                    left_comp[i:] = comp[i:]
-                break
-            if count:
-                in_left = _hypergeometric(count, clusters - count, left, rng)
-                left_comp[i] = in_left
-                clusters -= count
-                left -= in_left
-        return left_comp, [x - y for x, y in zip(comp, left_comp)]
-
-    def total(self, comp: list[int]) -> int:
-        """Close slots of a composition: s - 1 per cluster of s pairs."""
-        return sum(map(operator.mul, range(1, self.largest), comp))
-
-    pairs = total  # pairs after each cluster's first: one per close slot
-
-    def one(self, gaps: list[int]) -> list[int]:
-        """Composition of one cluster whose close gaps are ``gaps`` (each 1 slot)."""
-        comp = [0] * (self.largest - 1)
-        comp[len(gaps) - 1] = 1
-        return comp
-
-    def cut(self, comp: list[int], slots: int, rng: np.random.Generator) -> list[int]:
-        """Composition of the pairs less than ``slots`` slots after the first of
-        the one cluster ``comp``: empty when only its first pair is."""
-        close = min(self.pairs(comp), slots - 1)
-        return self.one([1] * close) if close else [0] * len(comp)
-
-    def add(self, comp: list[int], other: list[int]) -> list[int]:
-        """Composition of the clusters of two compositions."""
-        return list(map(operator.add, comp, other))
-
-    def blocks(self, comp: list[int], rng: np.random.Generator) -> list[int]:
-        """Herald blocks by length of the clusters of a composition: one
-        multinomial over each size's outcomes, none for a single outcome."""
-        outcomes = np.zeros(self.lengths.shape[0], dtype=np.int64)
-        for count, probs, start in zip(comp, self.probs, self.starts):
-            if count:
-                outcomes[start:start + probs.size] = count if probs.size == 1 else rng.multinomial(count, probs)
-        return (outcomes @ self.lengths).tolist()
-
-
 def _largest_counted(q: float, window: int = 1) -> int:
     """K: clusters of at most K pairs are counted, not placed.
 
@@ -306,16 +223,18 @@ def _largest_counted(q: float, window: int = 1) -> int:
     return largest
 
 
-def _size_law(params: SourceParams, q: float, largest: int) -> _SizeLaw:
-    """``_SizeLaw`` of a window of one slot (deadtime 0 or 1), with pairs close with probability q.
+def _size_law(params: SourceParams, q: float, largest: int) -> _GapClassLaw:
+    """``_GapClassLaw`` of a window of one slot (deadtime 0 or 1), with pairs close with probability q.
 
-    A cluster's outcome is built from its first block and what follows:
-    either its s pairs all herald, one block of s, or its first L pairs
-    herald and pair L + 1 does not, and then the rest, s - L - 1 pairs,
-    starts afresh, since the slot after a pair that does not herald finds
-    both detectors live.  The first L pairs herald with a probability
-    that a two-state recursion over the detector of the last herald gives
-    (the other one, under a deadtime of one slot).
+    Every close gap is one slot, so class i holds the clusters of i + 2
+    pairs, one gap vector of ones, and is a group of its own, in size
+    order.  A cluster's outcome is built from its first block and what
+    follows: either its s pairs all herald, one block of s, or its first
+    L pairs herald and pair L + 1 does not, and then the rest, s - L - 1
+    pairs, starts afresh, since the slot after a pair that does not herald
+    finds both detectors live.  The first L pairs herald with a
+    probability that a two-state recursion over the detector of the last
+    herald gives (the other one, under a deadtime of one slot).
     """
     eff = params.herald_det_efficiency
     on_a = params.herald_splitter_ratio * eff
@@ -341,42 +260,46 @@ def _size_law(params: SourceParams, q: float, largest: int) -> _SizeLaw:
                     key = tuple(sorted((*rest, length))) if length else rest
                     law[key] = law.get(key, 0.0) + stop[length] * prob
         laws.append(law)
-    probs, starts, lengths = [], [], []
-    for law in laws[2:]:
-        # likeliest first: a multinomial draw stops once its count is spent
-        outcomes = sorted(law.items(), key=lambda item: (-item[1], item[0]))
-        probs.append(np.array([prob for _, prob in outcomes]))
-        starts.append(len(lengths))
-        for blocks, _ in outcomes:
-            row = [0] * (largest + 1)
+    # each size's outcomes likeliest first, after zeros up to the widest size
+    rows = [sorted(law.items(), key=lambda item: (-item[1], item[0])) for law in laws[2:]]
+    width = max(map(len, rows))
+    outcomes = np.zeros((largest - 1, width))
+    lengths = np.zeros((largest - 1, width, max(largest + 1, 3)), dtype=np.int64)
+    for i, row in enumerate(rows):
+        for j, (blocks, prob) in enumerate(row, width - len(row)):
+            outcomes[i, j] = prob
             for length in blocks:
-                row[length] += 1
-            lengths.append(row)
+                lengths[i, j, length] += 1
     # sizes 2..largest: P(s) proportional to q^(s - 2)
     sizes = np.array([q ** s for s in range(largest - 1)])
     log_counted = math.log1p(-q ** (largest - 1)) if q < 1.0 else -math.inf
-    return _SizeLaw(largest, log_counted, sizes / sizes.sum(), tuple(probs), tuple(starts),
-                    np.array(lengths, dtype=np.int64))
+    close = np.arange(1, largest, dtype=np.int64)
+    return _GapClassLaw(largest, log_counted, sizes / sizes.sum(), close, close,
+                        tuple(((1,) * c,) for c in range(1, largest)), {(c, c): c - 1 for c in range(1, largest)},
+                        close - 1, close - 1, outcomes, lengths.reshape(-1, lengths.shape[2]))
 
 
 @dataclass(frozen=True, eq=False)
 class _GapClassLaw:
-    """Counted clusters at a window of w = deadtime >= 2 slots: their classes and herald blocks.
+    """Counted clusters of 2..K pairs at a window of w slots: their classes and herald blocks.
 
     A cluster's close gaps are each 1..w slots.  Every gap before a
     cluster is longer than w, so both detectors are live at its first
-    pair, and at least three slots long, so its blocks of heralds end
-    inside it: a cluster's contribution to the herald-block histogram,
-    blocks of one and of two heralds (three heralds in three slots would
-    need a detector to fire twice within two slots), has a law that
+    pair, and its blocks of heralds end inside it: at w = 1 the slot after
+    it is empty, and at w >= 2 that gap is at least three slots long.  So
+    a cluster's contribution to the herald-block histogram has a law that
     depends on its gaps and the source alone.  The gap vectors of s pairs
     and S close slots are equally likely (each (1-p)^S times a factor of
     s alone), so a cluster's class is (s, S): its outcome law is the mean
     of its gap vectors' laws, and a cluster that the end of the range cuts
-    takes a uniform one of them.  A composition is an int64 array of
-    counts per class, likeliest class first; ``slots`` and ``close`` give
-    each class's S and s - 1, so a composition's sums are dot products.
-    Classes of one outcome law form a group: the classes
+    takes a uniform one of them.  At w = 1 a class is a size, S = s - 1
+    with one gap vector of ones, whose blocks are up to s heralds long
+    (``_size_law``); at w >= 2 a block holds one or two heralds, since
+    three heralds in three slots would need a detector to fire twice
+    within two slots (``_gap_class_law``).  A composition is an int64
+    array of counts per class, likeliest class first; ``slots`` and
+    ``close`` give each class's S and s - 1, so a composition's sums are
+    dot products.  Classes of one outcome law form a group: the classes
     ``order[starts[i]:starts[i + 1]]`` share the law ``outcomes[i]``, whose
     outcome j holds the blocks ``lengths[i * outcomes.shape[1] + j]``.  A
     row lists its outcomes likeliest first after zeros, so a multinomial
@@ -394,7 +317,7 @@ class _GapClassLaw:
     order: np.ndarray  # the classes, group by group
     starts: np.ndarray  # per group: where its classes start in ``order``
     outcomes: np.ndarray  # per group: P(outcome), likeliest first after zeros
-    lengths: np.ndarray  # int64, per group and outcome, row-major: [0, blocks of one, blocks of two]
+    lengths: np.ndarray  # int64, per group and outcome, row-major: its blocks of L heralds at L (3 or K + 1 columns)
 
     def draw(self, clusters: int, rng: np.random.Generator) -> np.ndarray:
         """Composition of ``clusters`` fresh counted clusters: one multinomial."""
@@ -406,13 +329,28 @@ class _GapClassLaw:
               rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         """Compositions of the first ``left`` of ``clusters`` clusters of ``comp``, and of the rest.
 
-        Given the counts, the clusters are exchangeable, so the left part
-        is multivariate hypergeometric: one draw.
+        Given the counts, the clusters are exchangeable, so each count of
+        the left part is hypergeometric given those before it.  The chain
+        visits the classes likeliest first and stops once the left part is
+        empty or takes all the rest.  Over the few classes a composition
+        holds, its scalar draws cost less than one
+        ``multivariate_hypergeometric`` call, whose argument checks take
+        most of its time; the chain reads the counts as a list, since
+        stepping over numpy scalars costs more than the draws.
         """
-        if left == 0 or left == clusters:
-            empty = np.zeros_like(comp)
-            return (empty, comp) if left == 0 else (comp, empty)
-        left_comp = rng.multivariate_hypergeometric(comp, left)
+        counts = comp.tolist()
+        taken = [0] * len(counts)
+        for i, count in enumerate(counts):
+            if left == 0 or left == clusters:  # the rest go right, or all go left
+                if left:
+                    taken[i:] = counts[i:]
+                break
+            if count:
+                in_left = _hypergeometric(count, clusters - count, left, rng)
+                taken[i] = in_left
+                clusters -= count
+                left -= in_left
+        left_comp = np.array(taken, dtype=np.int64)
         return left_comp, comp - left_comp
 
     def total(self, comp: np.ndarray) -> int:
@@ -449,9 +387,16 @@ class _GapClassLaw:
 
     def blocks(self, comp: np.ndarray, rng: np.random.Generator) -> list[int]:
         """Herald blocks by length of the clusters of a composition: one
-        multinomial per group, all in one call."""
-        drawn = rng.multinomial(np.add.reduceat(comp[self.order], self.starts), self.outcomes)
-        return (drawn.ravel() @ self.lengths).tolist()
+        multinomial per group, all in one call, and none where every group
+        has a single outcome (deadtime 0 at efficiency 1).  Only the
+        outcomes drawn are summed: at w = 1 most rows of ``lengths`` are
+        padding or sizes the composition lacks."""
+        groups = np.add.reduceat(comp[self.order], self.starts)
+        if self.outcomes.shape[1] == 1:
+            return (groups @ self.lengths).tolist()
+        drawn = rng.multinomial(groups, self.outcomes).ravel()
+        held = np.flatnonzero(drawn)
+        return (drawn[held] @ self.lengths[held]).tolist()
 
 
 def _gap_class_law(params: SourceParams, q: float, largest: int) -> _GapClassLaw:
@@ -554,14 +499,15 @@ def _gap_class_law(params: SourceParams, q: float, largest: int) -> _GapClassLaw
 
 
 @lru_cache(maxsize=64)
-def _counted_law(params: SourceParams) -> "_SizeLaw | _GapClassLaw":
+def _counted_law(params: SourceParams) -> _GapClassLaw:
     """What counts the clusters of at most K pairs for this source; see ``_sample_members``.
 
-    K is ``_largest_counted``.  A window of one slot counts clusters of
-    2..K pairs by ``_size_law``, a wider one by ``_gap_class_law``: at
-    K = 2 (q <= 1e-6, or a window of 23 to 512 slots) its classes are the
-    two-pair clusters' close gaps of 1..w slots, and at K = 1 (a window of
-    more than 512 slots) it has none.  Needs pair_prob > 0.
+    K is ``_largest_counted``.  One law type serves every window, from
+    two builders: a window of one slot has a class per size, 2..K, built by
+    ``_size_law``'s renewal recursion; a wider one has the classes of
+    ``_gap_class_law``'s gap DP: at K = 2 (q <= 1e-6, or a window of 23 to
+    512 slots) the two-pair clusters' close gaps of 1..w slots, and at
+    K = 1 (a window of more than 512 slots) none.  Needs pair_prob > 0.
     """
     p = params.pair_prob
     window = max(params.herald_deadtime_slots, 1)
@@ -616,8 +562,8 @@ def _bisect_stretch(k: int, excess: int, room: int, window: int, rng: np.random.
 
 
 def _walk_units(clusters: np.ndarray, members: np.ndarray, member_slots: np.ndarray, room: int,
-                opens: int, counted: "_SizeLaw | _GapClassLaw", window: int, pair_prob: float,
-                q: float, rng: np.random.Generator) -> tuple[int, "list[int] | np.ndarray", int, int, "int | None"]:
+                opens: int, counted: _GapClassLaw, window: int, pair_prob: float,
+                q: float, rng: np.random.Generator) -> tuple[int, np.ndarray, int, int, "int | None"]:
     """In-range tallies of a batch: its counted clusters and their summed
     composition, its members placed, its pairs, and the room left.
 
@@ -635,8 +581,9 @@ def _walk_units(clusters: np.ndarray, members: np.ndarray, member_slots: np.ndar
     The walk takes segments of clusters left to right, each with its long
     gaps k = its stretches' first long gaps + NegBinomial(its stretches,
     q), their excess over window + 1 slots each, NegBinomial(k, p), and the
-    ``counted`` composition of its counted clusters; the excess and the
-    composition are drawn once the segment is small enough for one draw.
+    composition of its counted clusters by ``counted``'s classes (sizes at
+    a window of one slot); the excess and the composition are drawn once
+    the segment is small enough for one draw.
     A fresh segment holds the clusters expected in the room, at least one,
     so its stretches stay within ``_max_piece(q)`` for any range of at
     most 2^62 slots.  A segment that passes the room is cut where the
@@ -766,7 +713,7 @@ def _sample_members(params: SourceParams, n_slots: int, rng: np.random.Generator
     the close gaps of the placed clusters, each Geom(p) cut to 1..window
     and drawn by inverse CDF, are arrays: the counted clusters of a batch
     are counts, with their long gaps and the ``_counted_law`` composition
-    of their sizes (a window of one slot) or classes (a wider one).
+    of their classes (at a window of one slot, their sizes).
     ``_walk_units`` walks a batch up to the end of the
     range and returns what of it lies in range: the counted clusters and
     their composition, the members to place and the pairs.  A batch holds
@@ -778,7 +725,9 @@ def _sample_members(params: SourceParams, n_slots: int, rng: np.random.Generator
     and each stretch takes window + 1 slots, the first one from slot
     -(window + 1), so the first member lands on 0.  The counted clusters
     in range draw their herald blocks per batch, by their composition
-    (``blocks``), and an isolated pair heralds with probability
+    (``blocks``), into a list with an entry per column of the law's
+    ``lengths`` (blocks of up to K heralds at a window of one slot, of up
+    to two at a wider one), and an isolated pair heralds with probability
     ``herald_det_efficiency``, a block of one.  Every draw follows the laws
     of drawing all pairs, while the cost scales with the number of placed
     clusters.
@@ -810,7 +759,7 @@ def _sample_members(params: SourceParams, n_slots: int, rng: np.random.Generator
     last = -step  # compressed slot of the last member placed; the first lands on 0
     pairs = 1
     counted_pairs = 0
-    blocks = [0] * max(largest + 1, 3)  # of the pairs not placed, by length
+    blocks = [0] * counted.lengths.shape[1]  # of the pairs not placed, by length
     opens = 1  # how super-unit 0 of a batch opens; see _walk_units
     slots: list[np.ndarray] = []
     to_a: list[np.ndarray] = []

@@ -190,13 +190,14 @@ def round_size(request, monkeypatch):
         return None
     request.getfixturevalue("largest_three")
     cuts = []
-    one = source._SizeLaw.one
+    one = source._GapClassLaw.one
 
     def spy(law, gaps):
-        cuts.append(len(gaps))
+        if all(close == slots for close, slots in law.index):  # a window-1 table: every close gap one slot
+            cuts.append(len(gaps))
         return one(law, gaps)
 
-    monkeypatch.setattr(source._SizeLaw, "one", spy)
+    monkeypatch.setattr(source._GapClassLaw, "one", spy)
     return cuts
 
 

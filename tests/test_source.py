@@ -373,16 +373,21 @@ def cluster_law_by_scan(size, eff, ratio, deadtime):
 
 
 def table_row(law, size):
-    """Row ``size`` of a ``_SizeLaw`` as {sorted block lengths: probability}."""
+    """The clusters of ``size`` pairs of a window-1 ``_GapClassLaw`` as {sorted block lengths: probability}."""
     probs, lengths = size_row(law, size)
     return {tuple(np.repeat(np.arange(row.size), row).tolist()): prob for prob, row in zip(probs, lengths)}
 
 
 def size_row(law, size):
-    """Outcome probabilities and block lengths of a ``_SizeLaw``'s clusters of ``size`` pairs."""
-    probs = law.probs[size - 2]
-    start = law.starts[size - 2]
-    return probs, law.lengths[start:start + probs.size]
+    """Outcome probabilities and block lengths of a window-1 ``_GapClassLaw``'s clusters of
+    ``size`` pairs, the class (size - 1, size - 1), less the zeros its group is padded with."""
+    group = int(np.searchsorted(law.starts, np.flatnonzero(law.order == law.index[size - 1, size - 1])[0],
+                                side="right")) - 1
+    width = law.outcomes.shape[1]
+    probs, lengths = law.outcomes[group], law.lengths[group * width:(group + 1) * width]
+    padding = width - np.count_nonzero(probs)
+    assert (probs[:padding] == 0.0).all() and (lengths[:padding] == 0).all()
+    return probs[padding:], lengths[padding:]
 
 
 def size_law(eff=1.0, ratio=0.5, deadtime=0, largest=16, q=0.3):
@@ -410,8 +415,12 @@ class TestSizeLaw:
     @pytest.mark.parametrize("deadtime", [0, 1])
     def test_rows_are_laws_of_fitting_blocks(self, deadtime, ratio, eff):
         law = size_law(eff, ratio, deadtime)
-        assert law.largest == len(law.probs) + 1 == 16
-        assert abs(law.sizes.sum() - 1.0) <= 1e-12
+        assert law.largest == len(law.probs) + 1 == 16 and law.lengths.shape[1] == 17
+        assert abs(law.probs.sum() - 1.0) <= 1e-12
+        # each size is its own group, in size order: a class (s - 1, s - 1) of one gap vector of ones
+        assert law.order.tolist() == law.starts.tolist() == list(range(15))
+        assert [law.index[c, c] for c in range(1, 16)] == list(range(15))
+        assert law.gaps == tuple(((1,) * c,) for c in range(1, 16))
         for size in range(2, 17):
             probs, lengths = size_row(law, size)
             assert abs(probs.sum() - 1.0) <= 1e-12 and (probs > 0.0).all()
@@ -437,7 +446,7 @@ class TestSizeLaw:
         law = size_law()
         rng = np.random.default_rng(5)
         state = rng.bit_generator.state
-        hist = law.blocks([3, 0, 2] + [0] * 11 + [1], rng)
+        hist = law.blocks(np.array([3, 0, 2] + [0] * 11 + [1]), rng)
         assert rng.bit_generator.state == state
         assert hist == [0, 0, 3, 0, 2] + [0] * 11 + [1]
 
@@ -446,7 +455,7 @@ class TestSizeLaw:
         # proportional to q^(s - 2), cut to 2..K
         law = size_law(q=0.3, largest=13)
         expected = 0.3 ** np.arange(12)
-        assert np.allclose(law.sizes, expected / expected.sum(), rtol=1e-12, atol=0.0)
+        assert np.allclose(law.probs, expected / expected.sum(), rtol=1e-12, atol=0.0)
         assert law.log_counted == pytest.approx(math.log(1.0 - 0.3 ** 12), rel=1e-12)
 
     @pytest.mark.parametrize("q,largest", [(0.3, 13), (0.05, 6), (0.9, 16), (1.0, 16), (1e-6, 2), (0.0, 2)])
@@ -465,18 +474,19 @@ class TestSizeLaw:
         for _ in range(4000):
             comp = law.draw(5, rng)
             a, b = law.split(comp, 5, 2, rng)
-            assert [x + y for x, y in zip(a, b)] == comp and min(a + b) >= 0 and sum(a) == 2
-            left.append(tuple(a))
-            right.append(tuple(b))
-            fresh_left.append(tuple(law.draw(2, rng)))
-            fresh_right.append(tuple(law.draw(3, rng)))
+            assert (a + b == comp).all() and min(a.min(), b.min()) >= 0 and a.sum() == 2
+            left.append(tuple(a.tolist()))
+            right.append(tuple(b.tolist()))
+            fresh_left.append(tuple(law.draw(2, rng).tolist()))
+            fresh_right.append(tuple(law.draw(3, rng).tolist()))
         assert same_law_pvalue(left, fresh_left) > ALPHA
         assert same_law_pvalue(right, fresh_right) > ALPHA
 
     def test_cut_keeps_the_pairs_in_range(self):
         law = size_law(largest=5)
-        cluster = [0, 0, 1, 0]  # four pairs: its last lies 3 slots after its first
-        assert [law.cut(cluster, slots, None) for slots in (1, 2, 3, 4)] == [
+        cluster = law.one([1, 1, 1])  # four pairs: its last lies 3 slots after its first
+        assert cluster.tolist() == [0, 0, 1, 0]
+        assert [law.cut(cluster, slots, None).tolist() for slots in (1, 2, 3, 4)] == [
             [0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
         assert law.total(cluster) == law.pairs(cluster) == 3
 
@@ -601,9 +611,9 @@ class TestGapClassLaw:
         assert law.log_counted == pytest.approx(math.log1p(-q ** (largest - 1)), rel=1e-12)
 
     def test_split_has_the_law_of_a_fresh_draw(self):
-        # the first 2 of 5 clusters of a drawn class composition, split off by one
-        # multivariate hypergeometric draw, against a fresh composition of 2; the
-        # other 3 against a fresh composition of 3
+        # the first 2 of 5 clusters of a drawn class composition, split off by
+        # the hypergeometric chain, against a fresh composition of 2; the other
+        # 3 against a fresh composition of 3
         law = gap_class_law(deadtime=2, largest=3, pair_prob=0.6)
         rng = np.random.default_rng(131)
         left, right, fresh_left, fresh_right = [], [], [], []
@@ -660,7 +670,7 @@ class TestGapClassLaw:
 
     @pytest.mark.parametrize("overrides,kind,largest", [
         (dict(pair_prob=0.0043882, herald_deadtime_slots=4), source._GapClassLaw, 5),
-        (dict(pair_prob=0.3, herald_deadtime_slots=0), source._SizeLaw, 13),
+        (dict(pair_prob=0.3, herald_deadtime_slots=0), source._GapClassLaw, 13),
         (dict(pair_prob=0.3, herald_deadtime_slots=23), source._GapClassLaw, 2),
         (dict(pair_prob=1e-7, herald_deadtime_slots=4), source._GapClassLaw, 2),
         (dict(pair_prob=0.3, herald_deadtime_slots=600), source._GapClassLaw, 1),
@@ -1032,21 +1042,22 @@ def spy_cuts(monkeypatch):
     ("placed", pairs in range) for a placed cluster cut to 2..K pairs.
     """
     seen, inside = [], []
-    for law in (source._SizeLaw, source._GapClassLaw):
-        def spy_cut(self, comp, slots, rng, cut=law.cut):
-            inside.append(True)
-            part = cut(self, comp, slots, rng)
-            inside.pop()
-            seen.append(("counted", 1 + int(self.pairs(part))))
-            return part
+    law = source._GapClassLaw
 
-        def spy_one(self, gaps, one=law.one):
-            if not inside:
-                seen.append(("placed", 1 + len(gaps)))
-            return one(self, gaps)
+    def spy_cut(self, comp, slots, rng, cut=law.cut):
+        inside.append(True)
+        part = cut(self, comp, slots, rng)
+        inside.pop()
+        seen.append(("counted", 1 + int(self.pairs(part))))
+        return part
 
-        monkeypatch.setattr(law, "cut", spy_cut)
-        monkeypatch.setattr(law, "one", spy_one)
+    def spy_one(self, gaps, one=law.one):
+        if not inside:
+            seen.append(("placed", 1 + len(gaps)))
+        return one(self, gaps)
+
+    monkeypatch.setattr(law, "cut", spy_cut)
+    monkeypatch.setattr(law, "one", spy_one)
     return seen
 
 

@@ -61,8 +61,8 @@ MUTANTS = (
            ("tests/test_source.py::TestTrialBoundary::"
             "test_every_placed_cluster_has_three_pairs[three_unit_rounds-0.2-0-500]",)),
     Mutant("a counted window-1 cluster crossing the end keeps one pair too many", SOURCE,
-           "        close = min(self.pairs(comp), slots - 1)",
-           "        close = min(self.pairs(comp), slots)",
+           "        kept = bisect.bisect_left(list(itertools.accumulate(gaps)), slots)",
+           "        kept = bisect.bisect_right(list(itertools.accumulate(gaps)), slots)",
            (f"{SIZE}::test_cut_keeps_the_pairs_in_range", f"{END}[0.3-0-30]")),
     Mutant("the K threshold one size short", SOURCE,
            "    while (largest < 16 and q ** (largest - 1) > 1e-6",
@@ -76,10 +76,15 @@ MUTANTS = (
            "    sizes = np.array([q ** s for s in range(largest - 1)])",
            "    sizes = np.array([q ** s * (1.05 if s == 0 else 1.0) for s in range(largest - 1)])",
            (f"{SIZE}::test_sizes_follow_the_geometric_cluster_law",)),
-    Mutant("the size split without hypergeometric draws", SOURCE,
+    Mutant("a window-1 group's outcomes padded after them, not before", SOURCE,
+           "        for j, (blocks, prob) in enumerate(row, width - len(row)):",
+           "        for j, (blocks, prob) in enumerate(row):",
+           (f"{SIZE}::test_matches_enumeration",)),
+    # the law of every window: the split chain
+    Mutant("the class split without hypergeometric draws", SOURCE,
            "                in_left = _hypergeometric(count, clusters - count, left, rng)",
            "                in_left = min(count, left)",
-           (f"{SIZE}::test_split_has_the_law_of_a_fresh_draw",)),
+           (f"{SIZE}::test_split_has_the_law_of_a_fresh_draw", f"{GAP}::test_split_has_the_law_of_a_fresh_draw")),
     # the gap classes of a wider window
     Mutant("a wrong class probability: the close-gap law not normalized", SOURCE,
            "    gap_probs /= gap_probs.sum()\n",
@@ -93,10 +98,6 @@ MUTANTS = (
            "        np.minimum(age_a, window, out=age_a)\n        np.minimum(age_b, window, out=age_b)",
            "        age_a[:] = window\n        age_b[:] = window",
            (f"{GAP}::test_matches_enumeration",)),
-    Mutant("the class split without draws", SOURCE,
-           "        left_comp = rng.multivariate_hypergeometric(comp, left)",
-           "        left_comp = np.minimum(comp, np.maximum(left - (np.cumsum(comp) - comp), 0))",
-           (f"{GAP}::test_split_has_the_law_of_a_fresh_draw",)),
     Mutant("the same-detector blinding dropped from the gap DP", SOURCE,
            "        prob = np.concatenate((prob * (on_a * live_a), prob * (on_b * live_b),\n"
            "                               prob * (1.0 - eff + on_a * ~live_a + on_b * ~live_b)))",
