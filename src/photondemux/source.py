@@ -30,10 +30,10 @@ Those clusters enter only as counts, as does an isolated pair, which
 heralds with probability ``herald_det_efficiency``: between two clusters
 of more than K pairs, the counted clusters are one geometric count, and
 their classes one composition of counts that carries their exact sum.
-The pairs of clusters of more than
-K pairs, the "members", are placed in compressed slots: gaps inside a
-cluster are exact, and each stretch between clusters takes w + 1 slots.  Deadtime and run
-detection read only gaps, and to both a gap of w + 1 acts as any longer
+The pairs of clusters of more than K pairs, the "members", are placed
+in compressed slots: gaps inside a cluster are exact, and each stretch
+between clusters takes w + 1 slots.  Deadtime and run detection read
+only gaps, and to both a gap of w + 1 acts as any longer
 one, so detector clusters and herald blocks are those of the real
 slots; real lengths are kept only to find where the range ends.  The law
 of every count and of the member gaps equals that of drawing all pairs,
@@ -381,10 +381,6 @@ class _GapClassLaw:
         kept = bisect.bisect_left(list(itertools.accumulate(gaps)), slots)
         return self.one(gaps[:kept]) if kept else np.zeros_like(comp)
 
-    def add(self, comp: np.ndarray, other: np.ndarray) -> np.ndarray:
-        """Composition of the clusters of two compositions."""
-        return comp + other
-
     def blocks(self, comp: np.ndarray, rng: np.random.Generator) -> list[int]:
         """Herald blocks by length of the clusters of a composition: one
         multinomial per group, all in one call, and none where every group
@@ -396,7 +392,7 @@ class _GapClassLaw:
             return (groups @ self.lengths).tolist()
         drawn = rng.multinomial(groups, self.outcomes).ravel()
         held = np.flatnonzero(drawn)
-        return (drawn[held] @ self.lengths[held]).tolist()
+        return (drawn[held] @ self.lengths.take(held, axis=0)).tolist()
 
 
 def _gap_class_law(params: SourceParams, q: float, largest: int) -> _GapClassLaw:
@@ -642,7 +638,7 @@ def _walk_units(clusters: np.ndarray, members: np.ndarray, member_slots: np.ndar
             if length < room:
                 room -= length
                 pairs += k + counted.pairs(comp) + at_b[3] - at_a[3]  # each gap ends at a pair
-                tally = counted.add(tally, comp)
+                tally = tally + comp
                 a, at_a = b, at_b
                 if later:
                     b, at_b, k, excess, comp = later.pop()
@@ -676,7 +672,7 @@ def _walk_units(clusters: np.ndarray, members: np.ndarray, member_slots: np.ndar
         part = counted.cut(comp, room - stretch, rng)
         close = counted.pairs(part)
         if close:
-            tally = counted.add(tally, part)
+            tally = tally + part
             n_counted += 1
         return n_counted, tally, placed, pairs + close, None
     # a placed cluster: its close pairs in range lie less than room - stretch
@@ -689,7 +685,7 @@ def _walk_units(clusters: np.ndarray, members: np.ndarray, member_slots: np.ndar
     crossing = int(close.searchsorted(ref + room - stretch))
     pairs += crossing
     if lead and 0 < crossing < counted.largest:  # cut to 2..K pairs
-        tally = counted.add(tally, counted.one(np.diff(member_slots[first - 1:first + crossing]).tolist()))
+        tally = tally + counted.one(np.diff(member_slots[first - 1:first + crossing]).tolist())
         return n_counted + 1, tally, placed, pairs, None
     if crossing:
         placed = first + crossing
