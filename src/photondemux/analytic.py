@@ -20,6 +20,13 @@ which the Monte-Carlo converter reproduces trial by trial.
 from __future__ import annotations
 
 from .model import RoutingStrategy
+from .source import _is_int
+
+
+def _check_int(n: int, name: str = "n") -> None:
+    """Refuse a photon number that is not an integer: a float or a bool has no photon count."""
+    if not _is_int(n):
+        raise ValueError(f"{name} must be an integer (got {n!r})")
 
 
 def _check_eta(eta_sw: float) -> None:
@@ -29,6 +36,7 @@ def _check_eta(eta_sw: float) -> None:
 
 def s_heralded(n: int, eta_sw: float) -> float:
     """Conversion efficiency with heralding-driven routers: eta_sw**n."""
+    _check_int(n)
     if n < 1:
         raise ValueError(f"n must be >= 1 (got {n})")
     _check_eta(eta_sw)
@@ -41,6 +49,7 @@ def s_unheralded_clocked(n: int, eta_sw: float) -> float:
     Defined for n >= 2; a single output mode has no clock phase to miss,
     use :func:`s_heralded` for n = 1.
     """
+    _check_int(n)
     if n < 2:
         raise ValueError(f"n must be >= 2 for clocked conversion (got {n}); use s_heralded for n = 1")
     _check_eta(eta_sw)
@@ -54,6 +63,7 @@ def s_passive(n: int) -> float:
     n**n equally likely assignments is correct.  Attainable only with
     negligible splitter loss; there is deliberately no lossy variant.
     """
+    _check_int(n)
     if n < 1:
         raise ValueError(f"n must be >= 1 (got {n})")
     return 1.0 / n**n

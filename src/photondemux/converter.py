@@ -43,11 +43,11 @@ from typing import Sequence
 import numpy as np
 
 from .model import ConverterParams, RoutingStrategy
-from .source import RngStream, _is_int
+from .source import _HYPERGEOMETRIC_LIMIT, RngStream, _is_int
 
-# numpy's hypergeometric takes ngood, nbad < 1e9: longer batches are
-# routed in iid pieces of at most this many runs
-_PIECE = 10**9 - 1
+# numpy's hypergeometric takes ngood, nbad below its limit: longer
+# batches are routed in iid pieces of at most this many runs
+_PIECE = _HYPERGEOMETRIC_LIMIT - 1
 
 
 @dataclass(frozen=True)

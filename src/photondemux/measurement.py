@@ -23,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .analytic import _check_int
 from .model import EfficiencyEstimate
 
 
@@ -84,6 +85,7 @@ def estimate_s(
     fraction, 1 / (trigger_count + 1), scaled by 1 / p_h1_eta_d**n as the
     estimate is (E. B. Wilson, J. Am. Stat. Assoc. 22, 209 (1927)).
     """
+    _check_int(n)
     if n < 1:
         raise ValueError(f"n must be >= 1 (got {n})")
     if c_h_rate <= 0:
@@ -118,6 +120,7 @@ def compensate_transmittance(
     """
     if not 0 < t <= 1:
         raise ValueError(f"transmittance must lie in (0, 1] (got {t})")
+    _check_int(n)
     if n < 1:
         raise ValueError(f"n must be >= 1 (got {n})")
     value = s.value / t**n

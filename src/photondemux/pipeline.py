@@ -38,7 +38,7 @@ from typing import Callable, Mapping, TextIO
 
 import numpy as np
 
-from .analytic import s_heralded, s_passive, s_unheralded_clocked
+from .analytic import _check_int, s_heralded, s_passive, s_unheralded_clocked
 from .config import (
     Scenario,
     SweepGrid,
@@ -157,14 +157,14 @@ def _count_scenario(scenario: Scenario, grid_index: int, progress: "Progress | N
     }
 
 
-def execute_scenario(scenario: Scenario, grid_index: int = 0, progress: "Progress | None" = None) -> dict:
-    """Run all trials of a scenario and build its report mapping.
+def execute_scenario(scenario: Scenario, progress: "Progress | None" = None) -> dict:
+    """Run all trials of a scenario, as grid point 0, and build its report mapping.
 
     The report holds every counted quantity and the config echo.  Wall
     time is deliberately absent so identical (config, seed) runs produce
     identical bytes.
     """
-    report = _count_scenario(scenario, grid_index, progress)
+    report = _count_scenario(scenario, 0, progress)
     echo = scenario_to_mapping(scenario)
     return {**report, "config_digest": config_digest(echo), "config": echo}
 
@@ -195,7 +195,7 @@ def report_digest_matches(mapping: Mapping) -> bool:
 
 def run_simulation(scenario: Scenario, progress: "Progress | None" = None) -> dict:
     """Execute one scenario end to end and return its report mapping."""
-    return execute_scenario(scenario, grid_index=0, progress=progress)
+    return execute_scenario(scenario, progress=progress)
 
 
 def run_calibrate(scenario: Scenario, progress: "Progress | None" = None) -> dict:
@@ -254,6 +254,7 @@ def run_analytic(n_max: int, eta_sw: float) -> list[dict]:
     Keys n, heralded, clocked, passive; the clocked cell is None at
     n = 1, where that strategy is undefined.
     """
+    _check_int(n_max, "n_max")
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2 (got {n_max})")
     return [

@@ -193,13 +193,10 @@ def _split(total: int, left: int, right: int, rng: np.random.Generator) -> int:
 
 
 def _hypergeometric(good: int, bad: int, sample: int, rng: np.random.Generator) -> int:
-    """Good items among ``sample`` drawn without replacement from ``good + bad``."""
-    if sample == 0 or good == 0:
-        return 0
+    """Good items among ``sample`` drawn without replacement from ``good + bad``:
+    ``good`` and ``sample`` positive, and ``sample`` less than ``good + bad``."""
     if bad == 0:
         return sample
-    if sample == good + bad:
-        return good
     return int(rng.hypergeometric(good, bad, sample))
 
 
@@ -842,12 +839,15 @@ def _apply_deadtime(slots: np.ndarray, to_a: np.ndarray, eff_draws: np.ndarray,
     ``deadtime``, and each cluster is resolved on its own, one detector at
     a time.  A cluster's first arrival fires.  In a cluster of two the
     second arrival is within the deadtime of the first, so it is blind:
-    clusters of one or two, nearly all of them near the paper's operating
-    point, are settled in closed form.  In a cluster of three or more the
-    fired arrivals are the orbit of next(i) = the first arrival later than
-    slot i + deadtime, started at the cluster's first arrival.  Only these
-    clusters' arrivals are gathered, and their orbits are marked by
-    pointer doubling, in log2(longest orbit) vector rounds.
+    clusters of one or two are settled in closed form.  They are nearly
+    all the clusters of a source that places short ones, K = 1 or 2 (a
+    window of more than 22 slots, or q <= 1e-6); at the paper's operating
+    point (K = 5) a trial places a cluster about once in 600.  In a
+    cluster of three or more the fired arrivals are the orbit of next(i)
+    = the first arrival later than slot i + deadtime, started at the
+    cluster's first arrival.  Only these clusters' arrivals are gathered,
+    and their orbits are marked by pointer doubling, in log2(longest
+    orbit) vector rounds.
     """
     if deadtime == 0 or slots.size == 0:
         return eff_draws.copy()

@@ -10,14 +10,17 @@ pointer doubling for longer ones) must agree with
 ``loop_two_detectors`` bit for bit.  ``two_pair_law`` is the closed
 form of a two-pair cluster's heralds, the law that the package's
 counted-cluster tables must give their two-pair rows.
+``stream_triggers`` counts a stream's runs of n heralds from their start
+slots, the count that the pipeline's block histogram must reproduce.
 
 ``absolute_members`` is the cluster-skipping sampler as it was before
 it placed members in compressed slots: it draws where every stretch of
 long gaps lies, one negative-binomial draw per unit, and returns the
 absolute slots of every pair within ``window`` of another.  Dropping
-its clusters of exactly two pairs, which the package's sampler counts
-without placing, and compressing its inter-cluster gaps to
-``window + 1`` must give the package's sampler's law.
+its clusters of at most K pairs (2 <= K <= 16, or K = 1 past a window
+of 512 slots), which the package's sampler counts without placing, and
+compressing its inter-cluster gaps to ``window + 1`` must give the
+package's sampler's law.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from photondemux.source import _BATCH_UNITS, _bisect_stretch, _draw_stretch, _max_piece
+from photondemux.source import _BATCH_UNITS, _bisect_stretch, _draw_stretch, _max_piece, run_starts_from_heralds
 
 
 def dense_pair_slots(pair_prob: float, n_slots: int, rng: np.random.Generator) -> np.ndarray:
@@ -104,6 +107,14 @@ def two_pair_law(params) -> list[float]:
     both = eff * eff * apart
     none = (1.0 - eff) ** 2
     return [none, 1.0 - none - both, both]
+
+
+def stream_triggers(stream, n: int) -> int:
+    """Runs of n heralds in a ``HeraldStream``: the runs laid out as start slots over
+    its placed heralds, and floor(L / n) per block of L heralds that it only counts.
+    The pipeline counts them from the block histogram alone; the two must agree."""
+    counted = stream.counted_blocks
+    return int(run_starts_from_heralds(stream.herald_slots, n).size + counted @ (np.arange(counted.size) // n))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,9 @@ success is an exhaustive count over all port assignments.
 
 import itertools
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -140,6 +142,18 @@ class TestDomainChecks:
         with pytest.raises(ValueError):
             s_passive(0)
 
+    @pytest.mark.parametrize("n", [1.5, 2.0, np.float64(3.0), True])
+    def test_non_integer_n_rejected(self, n):
+        # s_heralded(1.5, 0.9) gave 0.854, s_passive(True) 1.0
+        for call in (lambda: s_heralded(n, 0.9), lambda: s_unheralded_clocked(n, 0.9), lambda: s_passive(n),
+                     lambda: s_closed_form("passive", n, 1.0)):
+            with pytest.raises(ValueError, match=re.escape(f"n must be an integer (got {n!r})")):
+                call()
+
+    def test_numpy_integer_n_accepted(self):
+        n = np.int64(2)
+        assert (s_heralded(n, 0.5), s_unheralded_clocked(n, 1.0), s_passive(n)) == (0.25, 0.5, 0.25)
+
 
 @settings(max_examples=200, deadline=None)
 @given(
@@ -207,3 +221,9 @@ class TestCurves:
     def test_n_max_too_small(self):
         with pytest.raises(ValueError):
             run_analytic(1, 0.5)
+
+    @pytest.mark.parametrize("n_max", [3.5, 4.0, True])
+    def test_non_integer_n_max_rejected(self, n_max):
+        # 3.5 raised a TypeError from range()
+        with pytest.raises(ValueError, match=re.escape(f"n_max must be an integer (got {n_max!r})")):
+            run_analytic(n_max, 1.0)

@@ -18,6 +18,7 @@ from photondemux.source import (
     run_starts_from_heralds,
 )
 from routing_oracle import route_heralded_runs
+from source_oracle import stream_triggers
 
 
 def greedy_scan_oracle(effective, n):
@@ -237,9 +238,7 @@ class TestBlockHistogramOnGeneratedStreams:
             longest = max(longest, np.flatnonzero(hist).max(initial=0))
             assert block_triggers(stream, 1) == stream.herald_count
             for n in (2, 3, 4):
-                starts = run_starts_from_heralds(stream.herald_slots, n).size
-                counted = int(stream.counted_blocks @ (np.arange(stream.counted_blocks.size) // n))
-                assert block_triggers(stream, n) == starts + counted
+                assert block_triggers(stream, n) == stream_triggers(stream, n)
         assert longest >= 5
 
 

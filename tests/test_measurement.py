@@ -1,6 +1,7 @@
 """Counting estimators: rates, efficiency inversion, uncertainty rules."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -136,6 +137,20 @@ class TestCompensateTransmittance:
     def test_zero_modes_rejected(self):
         with pytest.raises(ValueError, match=r"^n must be >= 1 \(got 0\)$"):
             compensate_transmittance(EfficiencyEstimate(0.5, 0.0), 0.731, 0)
+
+
+@pytest.mark.parametrize("n", [1.5, 2.5, 2.0, True])
+def test_non_integer_n_rejected(n):
+    # both computed a value for a photon number that cannot exist
+    with pytest.raises(ValueError, match=re.escape(f"n must be an integer (got {n!r})")):
+        estimate_s(1.0, 10.0, 0.1, n)
+    with pytest.raises(ValueError, match=re.escape(f"n must be an integer (got {n!r})")):
+        compensate_transmittance(EfficiencyEstimate(0.5, 0.0), 0.731, n)
+
+
+def test_numpy_integer_n_accepted():
+    assert estimate_s(1.0, 10.0, 0.5, np.int64(2)).value == pytest.approx(0.4)
+    assert compensate_transmittance(EfficiencyEstimate(0.25, 0.0), 0.5, np.int64(2)).value == pytest.approx(1.0)
 
 
 class TestPropagation:

@@ -32,7 +32,7 @@ from photondemux.source import (
     herald_block_histogram,
     run_starts_from_heralds,
 )
-from source_oracle import absolute_members, dense_herald_stream, loop_two_detectors, two_pair_law
+from source_oracle import absolute_members, dense_herald_stream, loop_two_detectors, stream_triggers, two_pair_law
 
 
 def herald_chain(pair_prob, eff, ratio, deadtime, n=1):
@@ -137,25 +137,18 @@ def make_params(**overrides):
     return SourceParams(**base)
 
 
+def cluster_sizes(slots: np.ndarray, window: int) -> np.ndarray:
+    """Pairs per cluster (gaps <= ``window``) of sorted ``slots``."""
+    breaks = np.flatnonzero(np.diff(slots) > window) + 1
+    sizes = np.diff(np.concatenate(([0], breaks, [slots.size])))
+    return sizes[sizes > 0]  # no cluster without slots
+
+
 def same_detector_refire_gaps(stream: HeraldStream, deadtime: int) -> int:
-    """Number of same-detector firing pairs closer than the blind window."""
-    violations = 0
-    for slots in (stream.pair_slots[stream.fired & stream.to_detector_a],
-                  stream.pair_slots[stream.fired & ~stream.to_detector_a]):
-        if slots.size > 1:
-            violations += int((np.diff(slots) <= deadtime).sum())
-    return violations
-
-
-def counted_triggers(stream: HeraldStream, n: int) -> int:
-    """Runs of n claimed from the blocks of the heralds that are only counted."""
-    return int(stream.counted_blocks @ (np.arange(stream.counted_blocks.size) // n))
-
-
-def stream_triggers(stream: HeraldStream, n: int) -> int:
-    """Runs of n >= 2 heralds in a stream, from the placed start slots and the
-    counted blocks; the pipeline's block-histogram count equals it (test_controller)."""
-    return int(run_starts_from_heralds(stream.herald_slots, n).size) + counted_triggers(stream, n)
+    """Number of same-detector firing pairs closer than the blind window:
+    a detector's fires, less its clusters of fires (gaps <= deadtime)."""
+    fires, on_a = stream.pair_slots[stream.fired], stream.to_detector_a[stream.fired]
+    return sum(slots.size - cluster_sizes(slots, deadtime).size for slots in (fires[on_a], fires[~on_a]))
 
 
 def ks_pvalue(a, b) -> float:
@@ -184,10 +177,7 @@ def in_large_clusters(slots: np.ndarray, window: int, largest: int) -> np.ndarra
     they compare members.  On the sampler's own side the filter keeps
     every pair (test_every_placed_cluster_has_three_pairs).
     """
-    if slots.size == 0:
-        return np.zeros(0, dtype=bool)
-    breaks = np.flatnonzero(np.diff(slots) > window) + 1
-    sizes = np.diff(np.concatenate(([0], breaks, [slots.size])))
+    sizes = cluster_sizes(slots, window)
     return np.repeat(sizes > largest, sizes)
 
 
@@ -291,16 +281,6 @@ class TestDoublingDeadtime:
         assert np.array_equal(fired, loop_two_detectors(slots, to_a, eff_draws, 4))
 
 
-def _per_detector_cluster_sizes(slots, to_a, eff_draws, deadtime):
-    """Sizes of each detector's clusters of successful arrivals (gaps <= deadtime)."""
-    sizes = []
-    for on_detector in (to_a, ~to_a):
-        hits = slots[on_detector & eff_draws]
-        breaks = np.flatnonzero(np.diff(hits) > deadtime) + 1
-        sizes.append(np.diff(np.concatenate(([0], breaks, [hits.size]))))
-    return sizes
-
-
 class TestClosedFormClusters:
     """Generated streams, where clusters of one, two and three or more meet in one call."""
 
@@ -326,7 +306,8 @@ class TestClosedFormClusters:
             eff_draws = np.ones(slots.size, dtype=bool)
         else:
             eff_draws = RngStream(seed, (1,)).generator().random(slots.size) < eff
-        for sizes in _per_detector_cluster_sizes(slots, to_a, eff_draws, 4):
+        for on_detector in (to_a, ~to_a):  # each detector's clusters of successful arrivals
+            sizes = cluster_sizes(slots[on_detector & eff_draws], 4)
             assert (sizes == 1).any() and (sizes == 2).any() and (sizes >= 3).any()
         fired = _apply_deadtime(slots, to_a, eff_draws, 4)
         assert np.array_equal(fired, loop_two_detectors(slots, to_a, eff_draws, 4))
@@ -355,95 +336,154 @@ class TestTwoPairLaw:
             assert np.abs(two_pair_law(params) - law).max() <= 1e-15, (gap, law)
 
 
-def cluster_law_by_scan(size, eff, ratio, deadtime):
-    """Law of the blocks of one cluster of ``size`` pairs in consecutive slots, with
-    both detectors live before it: the sequential scan over every detector and
-    efficiency path, each outcome a sorted tuple of block lengths."""
-    slots = np.arange(size, dtype=np.int64)
-    law = {}
-    for flags in itertools.product((True, False), repeat=2 * size):
-        to_a, eff_draws = np.array(flags[:size]), np.array(flags[size:])
-        weight = (np.prod(np.where(to_a, ratio, 1.0 - ratio))
-                  * np.prod(np.where(eff_draws, eff, 1.0 - eff)))
-        if weight > 0.0:
-            hist = block_lengths(slots[loop_two_detectors(slots, to_a, eff_draws, deadtime)])
-            blocks = tuple(np.repeat(np.arange(hist.size), hist).tolist())
-            law[blocks] = law.get(blocks, 0.0) + weight
+def law_by_scan(gaps, eff, ratio, deadtime):
+    """{sorted block lengths: probability} of the heralds of one cluster with close gaps
+    ``gaps``, both detectors live before it, by a sequential scan of every detector and
+    efficiency path; a window of one slot has the gap vector of ones."""
+    slots = [0, *itertools.accumulate(gaps)]
+    law = Counter()
+    for to_a in itertools.product((True, False), repeat=len(slots)):
+        for hits in itertools.product((True, False), repeat=len(slots)):
+            weight = math.prod((ratio if a else 1.0 - ratio) * (eff if h else 1.0 - eff) for a, h in zip(to_a, hits))
+            if weight > 0.0:
+                last = {True: -math.inf, False: -math.inf}  # each detector's last fire
+                heralds = []
+                for slot, on_a, hit in zip(slots, to_a, hits):
+                    if hit and slot - last[on_a] > deadtime:
+                        last[on_a] = slot
+                        heralds.append(slot)
+                blocks = Counter(slot - rank for rank, slot in enumerate(heralds))  # constant along a block
+                law[tuple(sorted(blocks.values()))] += weight
     return law
 
 
-def table_row(law, size):
-    """The clusters of ``size`` pairs of a window-1 ``_GapClassLaw`` as {sorted block lengths: probability}."""
-    probs, lengths = size_row(law, size)
-    return {tuple(np.repeat(np.arange(row.size), row).tolist()): prob for prob, row in zip(probs, lengths)}
-
-
-def size_row(law, size):
-    """Outcome probabilities and block lengths of a window-1 ``_GapClassLaw``'s clusters of
-    ``size`` pairs, the class (size - 1, size - 1), less the zeros its group is padded with."""
-    group = int(np.searchsorted(law.starts, np.flatnonzero(law.order == law.index[size - 1, size - 1])[0],
-                                side="right")) - 1
+def class_row(law, close, slots):
+    """{sorted block lengths: probability} of the class (s - 1, S) of a ``_GapClassLaw``,
+    at any window, less the zeros that its group is padded with before its outcomes."""
+    group = np.searchsorted(law.starts, np.flatnonzero(law.order == law.index[close, slots])[0], side="right") - 1
     width = law.outcomes.shape[1]
     probs, lengths = law.outcomes[group], law.lengths[group * width:(group + 1) * width]
     padding = width - np.count_nonzero(probs)
     assert (probs[:padding] == 0.0).all() and (lengths[:padding] == 0).all()
-    return probs[padding:], lengths[padding:]
+    row = {tuple(np.repeat(np.arange(blocks.size), blocks).tolist()): prob
+           for prob, blocks in zip(probs[padding:].tolist(), lengths[padding:])}
+    assert len(row) == width - padding  # each outcome once
+    return row
 
 
-def size_law(eff=1.0, ratio=0.5, deadtime=0, largest=16, q=0.3):
-    params = make_params(herald_det_efficiency=eff, herald_splitter_ratio=ratio,
+def counted_law(eff=1.0, ratio=0.5, deadtime=4, largest=4, pair_prob=0.3):
+    """The ``_GapClassLaw`` of a source with K = ``largest``, from its window's builder."""
+    params = make_params(pair_prob=pair_prob, herald_det_efficiency=eff, herald_splitter_ratio=ratio,
                          herald_deadtime_slots=deadtime)
-    return source._size_law(params, q, largest)
+    build = source._size_law if deadtime <= 1 else source._gap_class_law
+    return build(params, 1.0 - (1.0 - pair_prob) ** max(deadtime, 1), largest)
 
 
-class TestSizeLaw:
-    """Window-1 clusters of 2..K pairs: the outcome table against the sequential scan."""
+class CountedLawTests:
+    """The properties of a counted-cluster law, one test each, at every window: TestSizeLaw
+    runs them at a window of one slot and TestGapClassLaw at wider ones, each with its
+    ``CASES`` per test name and the law point of its split test in ``SPLIT``."""
+
+    def pytest_generate_tests(self, metafunc):
+        if metafunc.definition.name in self.CASES:
+            metafunc.parametrize(*self.CASES[metafunc.definition.name])
 
     @pytest.mark.parametrize("eff", [0.6, 1.0])
     @pytest.mark.parametrize("ratio", [0.3, 0.5, 1.0])
-    @pytest.mark.parametrize("deadtime", [0, 1])
     def test_matches_enumeration(self, deadtime, ratio, eff):
-        law = size_law(eff, ratio, deadtime, largest=5)
-        for size in range(2, 6):
-            expected = cluster_law_by_scan(size, eff, ratio, deadtime)
-            row = table_row(law, size)
-            assert set(row) == set(expected), size
-            assert max(abs(row[k] - expected[k]) for k in row) <= 1e-14, (size, row, expected)
+        # every gap vector of up to K - 1 gaps, and every detector and efficiency
+        # path of it; a class's law is the mean over its equally likely vectors
+        window = max(deadtime, 1)
+        law = counted_law(eff, ratio, deadtime, largest=5 if window == 1 else 4)
+        assert len(law.index) == sum(close * (window - 1) + 1 for close in range(1, law.largest)) == law.probs.size
+        for (close, slots), c in law.index.items():
+            vectors = law.gaps[c]
+            assert sorted(vectors) == [g for g in itertools.product(range(1, window + 1), repeat=close)
+                                       if sum(g) == slots]
+            expected = sum((law_by_scan(gaps, eff, ratio, deadtime) for gaps in vectors), Counter())
+            row = class_row(law, close, slots)
+            assert set(row) == set(expected), (close, slots)
+            assert max(abs(row[k] - expected[k] / len(vectors)) for k in row) <= 1e-14, (close, slots, row, expected)
 
     @pytest.mark.parametrize("eff", [0.3, 1.0])
     @pytest.mark.parametrize("ratio", [0.0, 0.3, 0.5])
-    @pytest.mark.parametrize("deadtime", [0, 1])
     def test_rows_are_laws_of_fitting_blocks(self, deadtime, ratio, eff):
-        law = size_law(eff, ratio, deadtime)
-        assert law.largest == len(law.probs) + 1 == 16 and law.lengths.shape[1] == 17
-        assert abs(law.probs.sum() - 1.0) <= 1e-12
-        # each size is its own group, in size order: a class (s - 1, s - 1) of one gap vector of ones
-        assert law.order.tolist() == law.starts.tolist() == list(range(15))
-        assert [law.index[c, c] for c in range(1, 16)] == list(range(15))
-        assert law.gaps == tuple(((1,) * c,) for c in range(1, 16))
-        for size in range(2, 17):
-            probs, lengths = size_row(law, size)
-            assert abs(probs.sum() - 1.0) <= 1e-12 and (probs > 0.0).all()
-            assert (np.diff(probs) <= 0.0).all()  # likeliest first
-            # a block ends at a pair that does not herald, or at the cluster's end
-            blocks = lengths.sum(axis=1)
-            assert ((lengths @ np.arange(17)) + blocks - 1 <= size).all()
-            assert len({row.tobytes() for row in lengths}) == probs.size
+        window = max(deadtime, 1)
+        law = counted_law(eff, ratio, deadtime, largest=16 if window == 1 else 5)
+        assert abs(law.probs.sum() - 1.0) <= 1e-12 and (np.diff(law.probs) <= 0.0).all()  # likeliest first
+        assert abs(law.outcomes.sum(axis=1) - 1.0).max() <= 1e-12 and (law.outcomes >= 0.0).all()
+        for close, slots in law.index:
+            for blocks in class_row(law, close, slots):
+                # a pair heralds at most once, and two blocks lie a slot apart
+                assert sum(blocks) <= close + 1 and len(blocks) <= (slots + 2) // 2
+                # at w = 1 a block ends at a pair that does not herald, or at the cluster's end; at
+                # w >= 2 three heralds in three slots would need a detector to fire twice within two
+                assert sum(blocks) + len(blocks) - 1 <= close + 1 if window == 1 else max(blocks, default=0) <= 2
+        # a group lists its outcomes after zeros, likeliest first
+        for probs in law.outcomes:
+            held = probs[probs > 0.0]
+            assert (probs[:probs.size - held.size] == 0.0).all() and (np.diff(held) <= 0.0).all()
+        if window == 1:  # each size its own group, in size order: a class (s - 1, s - 1) of one gap vector of ones
+            assert law.largest == len(law.probs) + 1 == 16 and law.lengths.shape[1] == 17
+            assert law.order.tolist() == law.starts.tolist() == list(range(15))
+            assert law.index == {(c, c): c - 1 for c in range(1, 16)}
+            assert law.gaps == tuple(((1,) * c,) for c in range(1, 16))
 
     @pytest.mark.parametrize("eff", [0.6, 1.0])
     @pytest.mark.parametrize("ratio", [0.3, 0.5])
-    @pytest.mark.parametrize("deadtime", [0, 1])
-    def test_two_pair_row_is_two_pair_law(self, deadtime, ratio, eff):
-        row = table_row(size_law(eff, ratio, deadtime), 2)
+    def two_pair_rows_are_two_pair_law(self, deadtime, ratio, eff):
+        # a class per close gap of 1..w slots; past 22 slots K is 2
+        law = counted_law(eff, ratio, deadtime, largest=16 if deadtime <= 1 else 4 if deadtime <= 4 else 2)
         none, one, both = two_pair_law(make_params(herald_det_efficiency=eff, herald_splitter_ratio=ratio,
                                                    herald_deadtime_slots=deadtime))
-        assert row.get((), 0.0) == pytest.approx(none, abs=1e-15)
-        assert row.get((1,), 0.0) == pytest.approx(one, abs=1e-15)
-        assert row.get((2,), 0.0) == pytest.approx(both, abs=1e-15)
+        for gap in range(1, max(deadtime, 1) + 1):  # both heralds form a block of two where the gap is one slot
+            row = class_row(law, 1, gap)
+            assert row.get((), 0.0) == pytest.approx(none, abs=1e-15)
+            assert row.get((1,), 0.0) == pytest.approx(one, abs=1e-15)
+            assert row.get((2,) if gap == 1 else (1, 1), 0.0) == pytest.approx(both, abs=1e-15)
+
+    def test_split_has_the_law_of_a_fresh_draw(self):
+        # the first 2 of 5 clusters of a drawn class composition, split off by
+        # the hypergeometric chain, against a fresh composition of 2; the other
+        # 3 against a fresh composition of 3
+        deadtime, largest, seed = self.SPLIT
+        law = counted_law(deadtime=deadtime, largest=largest, pair_prob=0.6)
+        rng = np.random.default_rng(seed)
+        tallies = [Counter() for _ in range(4)]  # left, right, a fresh left, a fresh right
+        for _ in range(4000):
+            comp = law.draw(5, rng)
+            a, b = law.split(comp, 5, 2, rng)
+            assert (a + b == comp).all() and min(a.min(), b.min()) >= 0 and a.sum() == 2
+            for tally, part in zip(tallies, (a, b, law.draw(2, rng), law.draw(3, rng))):
+                tally[tuple(part.tolist())] += 1
+        assert same_counts_pvalue(tallies[0], tallies[2]) > ALPHA
+        assert same_counts_pvalue(tallies[1], tallies[3]) > ALPHA
+
+    def largest_counted(self, q, window, largest):
+        # the smallest K with q^(K - 1) <= 1e-6, at most 16, within 512 gap vectors
+        assert source._largest_counted(q, window) == largest
+        vectors = [sum(window ** close for close in range(1, k)) for k in (largest, largest + 1)]  # of 2..K(+1) pairs
+        assert vectors[0] <= 512 and (largest <= 2 or q ** (largest - 2) > 1e-6)
+        assert q ** (largest - 1) <= 1e-6 or largest == 16 or vectors[1] > 512
+
+
+class TestSizeLaw(CountedLawTests):
+    """Window-1 clusters of 2..K pairs: a class per size, its one gap vector all ones."""
+
+    CASES = {
+        "test_matches_enumeration": ("deadtime", [0, 1]),
+        "test_rows_are_laws_of_fitting_blocks": ("deadtime", [0, 1]),
+        "test_two_pair_row_is_two_pair_law": ("deadtime", [0, 1]),
+        "test_largest_counted": ("q,window,largest", [pytest.param(q, 1, k, id=f"{q}-{k}") for q, k in [
+            (0.3, 13), (0.05, 6), (0.9, 16), (1.0, 16), (1e-6, 2), (0.0, 2)]]),
+    }
+    SPLIT = (0, 5, 103)  # deadtime, K, seed
+    test_two_pair_row_is_two_pair_law = CountedLawTests.two_pair_rows_are_two_pair_law
+    test_largest_counted = CountedLawTests.largest_counted
 
     def test_lossless_rows_cost_no_draw(self):
         # at efficiency 1 and deadtime 0 a cluster of s pairs is one block of s
-        law = size_law()
+        law = counted_law(deadtime=0, largest=16)
         rng = np.random.default_rng(5)
         state = rng.bit_generator.state
         hist = law.blocks(np.array([3, 0, 2] + [0] * 11 + [1]), rng)
@@ -453,37 +493,13 @@ class TestSizeLaw:
     def test_sizes_follow_the_geometric_cluster_law(self):
         # a cluster of at least two pairs has s pairs with probability
         # proportional to q^(s - 2), cut to 2..K
-        law = size_law(q=0.3, largest=13)
+        law = counted_law(deadtime=0, largest=13)
         expected = 0.3 ** np.arange(12)
         assert np.allclose(law.probs, expected / expected.sum(), rtol=1e-12, atol=0.0)
         assert law.log_counted == pytest.approx(math.log(1.0 - 0.3 ** 12), rel=1e-12)
 
-    @pytest.mark.parametrize("q,largest", [(0.3, 13), (0.05, 6), (0.9, 16), (1.0, 16), (1e-6, 2), (0.0, 2)])
-    def test_largest_counted(self, q, largest):
-        assert source._largest_counted(q) == largest
-        if largest < 16:  # the smallest K with q^(K - 1) <= 1e-6
-            assert q ** (largest - 1) <= 1e-6 and (largest == 2 or q ** (largest - 2) > 1e-6)
-
-    def test_split_has_the_law_of_a_fresh_draw(self):
-        # the first 2 of 5 clusters of a drawn size composition, split off by
-        # the hypergeometric chain, against a fresh composition of 2; the
-        # other 3 against a fresh composition of 3
-        law = size_law(q=0.6, largest=5)
-        rng = np.random.default_rng(103)
-        left, right, fresh_left, fresh_right = [], [], [], []
-        for _ in range(4000):
-            comp = law.draw(5, rng)
-            a, b = law.split(comp, 5, 2, rng)
-            assert (a + b == comp).all() and min(a.min(), b.min()) >= 0 and a.sum() == 2
-            left.append(tuple(a.tolist()))
-            right.append(tuple(b.tolist()))
-            fresh_left.append(tuple(law.draw(2, rng).tolist()))
-            fresh_right.append(tuple(law.draw(3, rng).tolist()))
-        assert same_law_pvalue(left, fresh_left) > ALPHA
-        assert same_law_pvalue(right, fresh_right) > ALPHA
-
     def test_cut_keeps_the_pairs_in_range(self):
-        law = size_law(largest=5)
+        law = counted_law(deadtime=0, largest=5)
         cluster = law.one([1, 1, 1])  # four pairs: its last lies 3 slots after its first
         assert cluster.tolist() == [0, 0, 1, 0]
         assert [law.cut(cluster, slots, None).tolist() for slots in (1, 2, 3, 4)] == [
@@ -491,113 +507,29 @@ class TestSizeLaw:
         assert law.total(cluster) == law.pairs(cluster) == 3
 
 
-def scan_blocks(slots, to_a, eff_draws, deadtime):
-    """(blocks of one, blocks of two) of consecutive heralds of one cluster whose
-    detectors are live before it, by a sequential scan of its arrivals."""
-    last = {True: -math.inf, False: -math.inf}  # each detector's last fire
-    heralds = []
-    for slot, on_a, hit in zip(slots, to_a, eff_draws):
-        if hit and slot - last[on_a] > deadtime:
-            last[on_a] = slot
-            heralds.append(slot)
-    lengths = Counter()
-    run = 0
-    for i, slot in enumerate(heralds):
-        run += 1
-        if i + 1 == len(heralds) or heralds[i + 1] != slot + 1:
-            lengths[run] += 1
-            run = 0
-    assert set(lengths) <= {1, 2}  # at a deadtime of two slots or more
-    return lengths[1], lengths[2]
-
-
-def gap_vector_law_by_scan(gaps, eff, ratio, deadtime):
-    """{(blocks of one, blocks of two): probability} of a cluster with close gaps ``gaps``,
-    over every detector and efficiency path."""
-    slots = [0, *itertools.accumulate(gaps)]
-    law = Counter()
-    for to_a in itertools.product((True, False), repeat=len(slots)):
-        for hits in itertools.product((True, False), repeat=len(slots)):
-            weight = math.prod((ratio if a else 1.0 - ratio) * (eff if h else 1.0 - eff) for a, h in zip(to_a, hits))
-            if weight > 0.0:
-                law[scan_blocks(slots, to_a, hits, deadtime)] += weight
-    return law
-
-
-def class_row(law, close, slots):
-    """{(blocks of one, blocks of two): probability} of a ``_GapClassLaw``'s class (s - 1, S)."""
-    c = law.index[close, slots]
-    group = int(np.searchsorted(law.starts, np.flatnonzero(law.order == c)[0], side="right")) - 1
-    width = law.outcomes.shape[1]
-    lengths = law.lengths[group * width:(group + 1) * width]
-    return {(int(ones), int(twos)): prob for prob, (_, ones, twos) in zip(law.outcomes[group], lengths) if prob > 0.0}
-
-
-def gap_class_law(eff=1.0, ratio=0.5, deadtime=4, largest=4, pair_prob=0.3):
-    params = make_params(pair_prob=pair_prob, herald_det_efficiency=eff, herald_splitter_ratio=ratio,
-                         herald_deadtime_slots=deadtime)
-    return source._gap_class_law(params, 1.0 - (1.0 - pair_prob) ** deadtime, largest)
-
-
-class TestGapClassLaw:
+class TestGapClassLaw(CountedLawTests):
     """Clusters of 2..K pairs at a deadtime of two slots or more, counted by (size, close slots)."""
 
-    @pytest.mark.parametrize("eff", [0.6, 1.0])
-    @pytest.mark.parametrize("ratio", [0.3, 0.5, 1.0])
-    @pytest.mark.parametrize("deadtime", [2, 3, 4, 5])
-    def test_matches_enumeration(self, deadtime, ratio, eff):
-        # every gap vector of up to three gaps, and every detector and efficiency
-        # path of it; a class's law is the mean over its equally likely vectors
-        law = gap_class_law(eff, ratio, deadtime)
-        classes = {key: law.gaps[i] for key, i in law.index.items()}  # (s - 1, S): its gap vectors
-        assert len(classes) == sum(close * (deadtime - 1) + 1 for close in (1, 2, 3)) == law.probs.size
-        for (close, slots), vectors in classes.items():
-            assert sorted(vectors) == [g for g in itertools.product(range(1, deadtime + 1), repeat=close)
-                                       if sum(g) == slots]
-            expected = Counter()
-            for gaps in vectors:
-                for outcome, prob in gap_vector_law_by_scan(gaps, eff, ratio, deadtime).items():
-                    expected[outcome] += prob / len(vectors)
-            row = class_row(law, close, slots)
-            assert set(row) == set(expected), (close, slots)
-            assert max(abs(row[k] - expected[k]) for k in row) <= 1e-14, (close, slots, row, expected)
-
-    @pytest.mark.parametrize("eff", [0.3, 1.0])
-    @pytest.mark.parametrize("ratio", [0.0, 0.3, 0.5])
-    @pytest.mark.parametrize("deadtime", [2, 4, 7])
-    def test_rows_are_laws_of_fitting_blocks(self, deadtime, ratio, eff):
-        law = gap_class_law(eff, ratio, deadtime, largest=5)
-        assert abs(law.probs.sum() - 1.0) <= 1e-12 and (np.diff(law.probs) <= 0.0).all()  # likeliest first
-        assert abs(law.outcomes.sum(axis=1) - 1.0).max() <= 1e-12 and (law.outcomes >= 0.0).all()
-        for close, slots in law.index:
-            row = class_row(law, close, slots)
-            # a pair heralds at most once, and two blocks lie a slot apart
-            assert all(ones + 2 * twos <= close + 1 and ones + twos <= (slots + 2) // 2 for ones, twos in row)
-        # a group lists its outcomes after zeros, likeliest first
-        for probs in law.outcomes:
-            held = probs[probs > 0.0]
-            assert (probs[:probs.size - held.size] == 0.0).all() and (np.diff(held) <= 0.0).all()
-
-    @pytest.mark.parametrize("eff", [0.6, 1.0])
-    @pytest.mark.parametrize("ratio", [0.3, 0.5])
-    @pytest.mark.parametrize("deadtime", [2, 4, 37, 512])
-    def test_two_pair_rows_are_two_pair_law(self, deadtime, ratio, eff):
-        # past 22 slots K is 2: a class per close gap of 1..w slots
-        law = gap_class_law(eff, ratio, deadtime, largest=4 if deadtime <= 4 else 2)
-        none, one, both = two_pair_law(make_params(herald_det_efficiency=eff, herald_splitter_ratio=ratio,
-                                                   herald_deadtime_slots=deadtime))
-        for gap in range(1, deadtime + 1):  # both heralds form a block of two where the gap is one slot
-            row = class_row(law, 1, gap)
-            assert row.get((0, 0), 0.0) == pytest.approx(none, abs=1e-15)
-            assert row.get((1, 0), 0.0) == pytest.approx(one, abs=1e-15)
-            assert row.get((0, 1) if gap == 1 else (2, 0), 0.0) == pytest.approx(both, abs=1e-15)
+    CASES = {
+        "test_matches_enumeration": ("deadtime", [2, 3, 4, 5]),
+        "test_rows_are_laws_of_fitting_blocks": ("deadtime", [2, 4, 7]),
+        "test_two_pair_rows_are_two_pair_law": ("deadtime", [2, 4, 37, 512]),
+        "test_largest_counted_takes_the_window": ("q,window,largest", [
+            (1.0 - (1.0 - 0.0043882) ** 4, 4, 5),  # the two-mode point: 34 classes of 340 gap vectors
+            (0.9, 2, 9), (0.9, 3, 6), (0.9, 4, 5), (0.9, 7, 4), (0.9, 22, 3), (0.9, 23, 2), (0.02, 2, 5),
+            (1e-6, 4, 2), (0.3, 1, 13),
+            (0.9, 512, 2), (0.9, 513, 1), (1e-7, 600, 1)]),  # past 512 slots not even two pairs fit
+    }
+    SPLIT = (2, 3, 131)  # deadtime, K, seed
+    test_two_pair_rows_are_two_pair_law = CountedLawTests.two_pair_rows_are_two_pair_law
+    test_largest_counted_takes_the_window = CountedLawTests.largest_counted
 
     @pytest.mark.parametrize("pair_prob,deadtime", [(0.3, 4), (0.0043882, 4), (0.5, 3), (0.02, 37), (0.001, 512)])
     def test_classes_follow_iid_close_gaps(self, pair_prob, deadtime):
         # a cluster of at least two pairs has s pairs with probability
         # proportional to q^(s - 2), cut to 2..K, and iid close gaps
         largest = 5 if deadtime <= 4 else 2  # past 22 slots K is 2
-        law = gap_class_law(deadtime=deadtime, largest=largest, pair_prob=pair_prob)
+        law = counted_law(deadtime=deadtime, largest=largest, pair_prob=pair_prob)
         q = 1.0 - (1.0 - pair_prob) ** deadtime
         rng = np.random.default_rng(127)
         clusters = 20_000
@@ -610,26 +542,8 @@ class TestGapClassLaw:
         assert same_counts_pvalue(dict(zip(keys, drawn.tolist())), iid) > ALPHA
         assert law.log_counted == pytest.approx(math.log1p(-q ** (largest - 1)), rel=1e-12)
 
-    def test_split_has_the_law_of_a_fresh_draw(self):
-        # the first 2 of 5 clusters of a drawn class composition, split off by
-        # the hypergeometric chain, against a fresh composition of 2; the other
-        # 3 against a fresh composition of 3
-        law = gap_class_law(deadtime=2, largest=3, pair_prob=0.6)
-        rng = np.random.default_rng(131)
-        left, right, fresh_left, fresh_right = [], [], [], []
-        for _ in range(4000):
-            comp = law.draw(5, rng)
-            a, b = law.split(comp, 5, 2, rng)
-            assert (a + b == comp).all() and min(a.min(), b.min()) >= 0 and a.sum() == 2
-            left.append(tuple(a.tolist()))
-            right.append(tuple(b.tolist()))
-            fresh_left.append(tuple(law.draw(2, rng).tolist()))
-            fresh_right.append(tuple(law.draw(3, rng).tolist()))
-        assert same_law_pvalue(left, fresh_left) > ALPHA
-        assert same_law_pvalue(right, fresh_right) > ALPHA
-
     def test_sums_and_one_cluster(self):
-        law = gap_class_law(deadtime=4, largest=5)
+        law = counted_law(deadtime=4, largest=5)
         for gaps in [(1,), (4,), (2, 3), (1, 1, 1), (4, 4, 4, 4)]:
             comp = law.one(list(gaps))
             assert comp.sum() == 1 and law.total(comp) == sum(gaps) and law.pairs(comp) == len(gaps)
@@ -639,7 +553,7 @@ class TestGapClassLaw:
     def test_cut_keeps_the_prefix_in_range(self):
         # a cluster of three pairs and 5 close slots has the gaps (1, 4), (2, 3),
         # (3, 2) or (4, 1), each with probability 1/4
-        law = gap_class_law(deadtime=4, largest=4)
+        law = counted_law(deadtime=4, largest=4)
         cluster = law.one([2, 3])
         rng = np.random.default_rng(137)
         for slots, expected in [(1, {(): 1.0}), (2, {(): 0.75, (1, 1): 0.25}),
@@ -654,19 +568,6 @@ class TestGapClassLaw:
             if len(expected) > 1:
                 observed = [kept[k] for k in expected]
                 assert stats.chisquare(observed, [2000 * p for p in expected.values()]).pvalue > ALPHA, kept
-
-    @pytest.mark.parametrize("q,window,largest", [
-        (1.0 - (1.0 - 0.0043882) ** 4, 4, 5),  # the two-mode point: 34 classes of 340 gap vectors
-        (0.9, 2, 9), (0.9, 3, 6), (0.9, 4, 5), (0.9, 7, 4), (0.9, 22, 3), (0.9, 23, 2),
-        (0.02, 2, 5), (1e-6, 4, 2), (0.3, 1, 13),
-        (0.9, 512, 2), (0.9, 513, 1), (1e-7, 600, 1),  # past 512 slots not even two pairs fit
-    ])
-    def test_largest_counted_takes_the_window(self, q, window, largest):
-        # the smallest K with q^(K - 1) <= 1e-6, within 512 gap vectors
-        assert source._largest_counted(q, window) == largest
-        assert sum(window ** close for close in range(1, largest)) <= 512
-        assert (q ** (largest - 1) <= 1e-6 or largest == 16
-                or sum(window ** close for close in range(1, largest + 1)) > 512)
 
     @pytest.mark.parametrize("overrides,kind,largest", [
         (dict(pair_prob=0.0043882, herald_deadtime_slots=4), source._GapClassLaw, 5),
@@ -687,18 +588,6 @@ class TestGapClassLaw:
             assert law.draw(0, None).size == 0
 
 
-def close_gap_pmf(pair_prob, window):
-    """P(gap = x), x = 1..window: Geom(pair_prob) cut to 1..window, enumerated."""
-    x = np.arange(1, window + 1, dtype=np.float64)
-    pmf = pair_prob * (1.0 - pair_prob) ** (x - 1.0)
-    return pmf / pmf.sum()
-
-
-def same_law_pvalue(a, b):
-    """Chi-square p-value that two samples of hashable outcomes share one law."""
-    return same_counts_pvalue(Counter(a), Counter(b))
-
-
 def same_counts_pvalue(a, b):
     """Chi-square p-value that two tallies of outcomes share one law.
 
@@ -714,27 +603,21 @@ def same_counts_pvalue(a, b):
 
 
 def iid_close_gaps(pair_prob, window, shape, rng):
-    """Close gaps drawn from the enumerated pmf."""
-    cdf = np.cumsum(close_gap_pmf(pair_prob, window))
+    """Close gaps drawn from the enumerated pmf: P(gap = x), x = 1..window, of
+    Geom(pair_prob) cut to 1..window."""
+    x = np.arange(1, window + 1, dtype=np.float64)
+    pmf = pair_prob * (1.0 - pair_prob) ** (x - 1.0)
+    cdf = np.cumsum(pmf / pmf.sum())
     return np.minimum(np.searchsorted(cdf, rng.random(shape) * cdf[-1], side="right"), window - 1) + 1
 
 
-def _cluster_sizes(slots, to_a, window):
-    """Per-detector histogram of clusters (gaps <= window) of two or more arrivals."""
-    hist = np.zeros(8, dtype=np.int64)  # last bin: 7 or more
-    for on_detector in (to_a, ~to_a):
-        detector_slots = slots[on_detector]
-        if detector_slots.size > 1:
-            breaks = np.flatnonzero(np.diff(detector_slots) > window) + 1
-            sizes = np.diff(np.concatenate(([0], breaks, [detector_slots.size])))
-            np.add.at(hist, np.minimum(sizes[sizes > 1], 7), 1)
-    return hist
-
-
-def _member_cluster_sizes(stream, window, largest):
-    """``_cluster_sizes`` of the pairs of clusters of more than ``largest`` pairs."""
+def member_cluster_sizes(stream, window: int, largest: int) -> np.ndarray:
+    """Per-detector histogram of clusters (gaps <= window) of two or more arrivals, the last
+    bin 7 or more, among the pairs of clusters of more than ``largest`` pairs."""
     keep = in_large_clusters(stream.pair_slots, window, largest)
-    return _cluster_sizes(stream.pair_slots[keep], stream.to_detector_a[keep], window)
+    slots, to_a = stream.pair_slots[keep], stream.to_detector_a[keep]
+    sizes = np.concatenate([cluster_sizes(slots[on_detector], window) for on_detector in (to_a, ~to_a)])
+    return np.bincount(np.minimum(sizes[sizes > 1], 7), minlength=8)
 
 
 # name: (SourceParams overrides, slots per trial)
@@ -815,11 +698,11 @@ class TestAgainstDenseOracle:
         for seed in LAW_SEEDS:
             stream = generate_herald_stream(params, n_slots, RngStream(seed, (0,)).generator())
             fast.append((stream.herald_count, stream_triggers(stream, 2),
-                         _member_cluster_sizes(stream, window, largest)))
+                         member_cluster_sizes(stream, window, largest)))
             add_blocks(fast_blocks, herald_block_histogram(stream))
             ref = dense_herald_stream(params, n_slots, RngStream(seed, (1,)).generator())
             dense.append((int(ref.fired.sum()), run_starts_from_heralds(ref.herald_slots, 2).size,
-                          _member_cluster_sizes(ref, window, largest)))
+                          member_cluster_sizes(ref, window, largest)))
             add_blocks(dense_blocks, block_lengths(ref.herald_slots))
         for column in (0, 1):  # herald count, n = 2 trigger count
             a = [row[column] for row in fast]
@@ -1023,10 +906,10 @@ class TestTrialBoundary:
         for i in range(draws):
             stream = generate_herald_stream(params, n_slots, RngStream(43, (i,)).generator())
             fast.append(int(in_large_clusters(stream.pair_slots, window, largest).sum()))
-            fast_sizes += _member_cluster_sizes(stream, window, largest)
+            fast_sizes += member_cluster_sizes(stream, window, largest)
             ref = dense_herald_stream(params, n_slots, RngStream(47, (i,)).generator())
             dense.append(int(in_large_clusters(ref.pair_slots, window, largest).sum()))
-            dense_sizes += _member_cluster_sizes(ref, window, largest)
+            dense_sizes += member_cluster_sizes(ref, window, largest)
         assert ks_pvalue(fast, dense) > ALPHA, (np.mean(fast), np.mean(dense))
         table = np.array([fast_sizes, dense_sizes])
         table = table[:, table.sum(axis=0) > 0]

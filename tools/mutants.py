@@ -85,6 +85,10 @@ MUTANTS = (
            "                in_left = _hypergeometric(count, clusters - count, left, rng)",
            "                in_left = min(count, left)",
            (f"{SIZE}::test_split_has_the_law_of_a_fresh_draw", f"{GAP}::test_split_has_the_law_of_a_fresh_draw")),
+    Mutant("the last class left in a split takes none of the left part", SOURCE,
+           "    if bad == 0:\n        return sample\n",
+           "    if bad == 0:\n        return 0\n",
+           (f"{SIZE}::test_split_has_the_law_of_a_fresh_draw", f"{GAP}::test_split_has_the_law_of_a_fresh_draw")),
     # the gap classes of a wider window
     Mutant("a wrong class probability: the close-gap law not normalized", SOURCE,
            "    gap_probs /= gap_probs.sum()\n",
@@ -206,6 +210,11 @@ MUTANTS = (
            "    if not (_is_int(n_slots) and 1 <= n_slots <= MAX_SLOTS):",
            "    if not 1 <= n_slots <= MAX_SLOTS:",
            ("tests/test_source.py::TestEdgeCases::test_rejects_non_integer_range[5.0-5.0]",)),
+    Mutant("a float photon number accepted", "src/photondemux/analytic.py",
+           "    if not _is_int(n):",
+           "    if isinstance(n, str):",
+           ("tests/test_analytic.py::TestDomainChecks::test_non_integer_n_rejected[1.5]",
+            "tests/test_measurement.py::test_non_integer_n_rejected[1.5]")),
     Mutant("an all-success cell reports a zero error", "src/photondemux/converter.py",
            "    if 0 < successes < trials:",
            "    if 0 < successes <= trials:",
