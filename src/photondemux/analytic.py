@@ -19,13 +19,12 @@ which the Monte-Carlo converter reproduces trial by trial.
 
 from __future__ import annotations
 
-from .model import RoutingStrategy
-from .source import _is_int
+from .model import RoutingStrategy, is_int
 
 
 def _check_int(n: int, name: str = "n") -> None:
     """Refuse a photon number that is not an integer: a float or a bool has no photon count."""
-    if not _is_int(n):
+    if not is_int(n):
         raise ValueError(f"{name} must be an integer (got {n!r})")
 
 

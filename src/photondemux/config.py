@@ -82,6 +82,8 @@ class RunControls:
             violations.append(f"workers: expected integer >= 1 (got {self.workers!r})")
         if violations:
             raise ConfigError(violations)
+        for name in ("seed", "slots_per_trial", "trials", "workers"):
+            object.__setattr__(self, name, int(getattr(self, name)))
 
     def replace(self, **overrides: object) -> "RunControls":
         return dataclasses.replace(self, **overrides)
@@ -131,17 +133,19 @@ def _build_sweep(raw: Mapping, violations: list[str]) -> SweepGrid:
     except ConfigError as err:
         violations.extend("sweep." + v for v in err.violations)
         strategies = ()
-    n_modes = tuple(axes["n_modes"])
-    for n in n_modes:
+    n_modes: list[int] = []
+    for n in axes["n_modes"]:
         if not (is_int(n) and n >= 1):
             violations.append(f"sweep.n_modes: expected integers >= 1 (got {n!r})")
+        else:
+            n_modes.append(int(n))
     eta_sw: list[float] = []
     for v in axes["eta_sw"]:
         if not (is_real(v) and 0.0 <= v <= 1.0):
             violations.append(f"sweep.eta_sw: expected values in 0..1 (got {v!r})")
         else:
             eta_sw.append(float(v))
-    return SweepGrid(strategies=strategies, n_modes=n_modes, eta_sw=tuple(eta_sw))
+    return SweepGrid(strategies=strategies, n_modes=tuple(n_modes), eta_sw=tuple(eta_sw))
 
 
 def _build_section(name: str, cls: type, raw: Mapping, violations: list[str]):

@@ -42,8 +42,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import ConverterParams, RoutingStrategy
-from .source import _HYPERGEOMETRIC_LIMIT, RngStream, _is_int
+from .model import ConverterParams, RoutingStrategy, is_int
+from .source import _HYPERGEOMETRIC_LIMIT, RngStream
 
 # numpy's hypergeometric takes ngood, nbad below its limit: longer
 # batches are routed in iid pieces of at most this many runs
@@ -92,7 +92,7 @@ def _count_runs(groups: "Sequence[int]", laws: "Sequence[Sequence[Sequence[float
 
 def _is_count(value: object) -> bool:
     """A nonnegative integer, numpy's included, but not a ``bool``."""
-    return _is_int(value) and value >= 0
+    return is_int(value) and value >= 0
 
 
 def _batch(n: int, counts: np.ndarray, successes: int) -> RoutingBatch:

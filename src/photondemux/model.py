@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 
 class ConfigError(ValueError):
     """Raised when a configuration is invalid.
@@ -50,8 +52,12 @@ class RoutingStrategy(enum.Enum):
 
 
 def is_int(value: object) -> bool:
-    """An integer config value; ``bool`` is an ``int`` subclass but not one."""
-    return isinstance(value, int) and not isinstance(value, bool)
+    """A Python or numpy integer; ``bool`` is an ``int`` subclass but not one.
+
+    A config field that passes is stored as a Python ``int``, so a
+    scenario's echo and digest stay JSON.
+    """
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def is_real(value: object) -> bool:
@@ -130,6 +136,7 @@ class SourceParams:
             )
         if violations:
             raise ConfigError(violations)
+        object.__setattr__(self, "herald_deadtime_slots", int(self.herald_deadtime_slots))
 
 
 @dataclass(frozen=True)
@@ -152,6 +159,8 @@ class ConverterParams:
         violations: list[str] = []
         if not (is_int(self.n_modes) and self.n_modes >= 1):
             violations.append(f"n_modes: expected integer >= 1 (got {self.n_modes!r})")
+        else:  # before (1.0,) * n_modes, which a numpy integer would broadcast
+            object.__setattr__(self, "n_modes", int(self.n_modes))
         try:
             object.__setattr__(self, "strategy", RoutingStrategy.parse(self.strategy))
         except ConfigError as err:

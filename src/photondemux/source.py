@@ -58,12 +58,7 @@ import operator
 
 import numpy as np
 
-from .model import MAX_SLOTS, SourceParams
-
-
-def _is_int(value: object) -> bool:
-    """A Python or numpy integer; ``bool`` is an ``int`` subclass but not one."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+from .model import MAX_SLOTS, SourceParams, is_int
 
 
 @dataclass(frozen=True)
@@ -80,11 +75,11 @@ class RngStream:
     stream_index: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if not (_is_int(self.master_seed) and 0 <= self.master_seed < 2**64):
+        if not (is_int(self.master_seed) and 0 <= self.master_seed < 2**64):
             raise ValueError(f"master_seed must be a 64-bit unsigned integer (got {self.master_seed!r})")
         index = tuple(self.stream_index)
         for i in index:
-            if not _is_int(i):
+            if not is_int(i):
                 raise ValueError(f"stream_index entries must be integers (got {i!r} in {index!r})")
         object.__setattr__(self, "stream_index", tuple(map(int, index)))
 
@@ -138,12 +133,17 @@ class HeraldStream:
 # casts and two prefix sums.
 _BYTES_PER_MEMBER = 80
 _BYTES_PER_UNIT = 64
-# and a call's fixed arrays, lists and draws (5 to 8 kB measured), which
-# alone set the peak where nearly every cluster is counted
+# and a call's fixed arrays, lists and draws, which alone set the peak
+# where nearly every cluster is counted: 7 to 10 kB measured for a call
+# whose range ends among the first super-unit's counted clusters and so
+# draws no round (the `fixture` and `sweep` points), 10 to 15 kB for one
+# that draws a round of a few super-units
 _BYTES_PER_CALL = 1 << 14
 # super-units, and members, drawn per vector round; bounds the working arrays
 _BATCH_UNITS = 1 << 18
 _HYPERGEOMETRIC_LIMIT = 10**9  # numpy draws hypergeometric counts below this
+_NO_MEMBERS = np.zeros(1, dtype=np.int64)  # the members and slots of a walk of counted clusters alone
+_NO_MEMBERS.flags.writeable = False
 _CLASS_BUDGET = 512  # gap vectors whose outcome laws a window of two or more slots builds (_largest_counted)
 
 
@@ -162,9 +162,11 @@ def expected_peak_bytes(params: SourceParams, n_slots: int) -> float:
     members, the pairs of clusters of more than K, number
     n_slots p q^K (K + 1 - K q) in expectation, and those clusters, each
     closing a super-unit, n_slots p (1-q) q^K.  One vector round of
-    super-unit arrays is alive at a time.  The table of outcomes that the
-    counted clusters are drawn by is built once per source and kept, so it
-    is not a per-call cost.
+    super-unit arrays is alive at a time; a call whose range ends among
+    the first super-unit's counted clusters, nearly every call at the
+    two-mode point, draws none, and its peak is the fixed cost alone.
+    The table of outcomes that the counted clusters are drawn by is built
+    once per source and kept, so it is not a per-call cost.
     """
     p = params.pair_prob
     window = max(params.herald_deadtime_slots, 1)
@@ -556,9 +558,11 @@ def _bisect_stretch(k: int, excess: int, room: int, window: int, rng: np.random.
 
 def _walk_units(clusters: np.ndarray, members: np.ndarray, member_slots: np.ndarray, room: int,
                 opens: int, counted: _GapClassLaw, window: int, pair_prob: float,
-                q: float, rng: np.random.Generator) -> tuple[int, np.ndarray, int, int, "int | None"]:
-    """In-range tallies of a batch: its counted clusters and their summed
-    composition, its members placed, its pairs, and the room left.
+                q: float, rng: np.random.Generator, total: "int | None" = None
+                ) -> tuple[int, np.ndarray, int, int, "int | None"]:
+    """In-range tallies of a batch's first ``total`` clusters (all of them
+    by default): their counted clusters and summed composition, their
+    members placed, their pairs, and the room left.
 
     The batch's clusters are numbered in order: super-unit i holds the
     clusters ``clusters[i]`` to ``clusters[i + 1] - 1``, its counted
@@ -606,7 +610,7 @@ def _walk_units(clusters: np.ndarray, members: np.ndarray, member_slots: np.ndar
         m = int(members[i])
         return c - i, c - head, c - skip, m - i + head, int(member_slots[m - 1]) - step * (i - head)
 
-    total = int(clusters[-1])
+    total = int(clusters[-1]) if total is None else total
     a, at_a = 0, (0, 0, 0, 0, 0)
     later: list[tuple] = []  # (end, its prefix, long gaps, excess, composition) of segments to come
     pairs = 0
@@ -724,6 +728,20 @@ def _sample_members(params: SourceParams, n_slots: int, rng: np.random.Generator
     ``herald_det_efficiency``, a block of one.  Every draw follows the laws
     of drawing all pairs, while the cost scales with the number of placed
     clusters.
+
+    The draws come in this order: the slot of the range's first pair; at
+    K >= 2, super-unit 0's g alone, capped as a round caps it, and the walk
+    of its g counted clusters (``_walk_units`` with ``total`` g).  Where
+    the range ends among them, nearly every call at the two-mode point (g
+    has a mean of about 1e7 there, and a 2.5e8-slot range holds about
+    19,000 clusters), their blocks and the isolated pairs' binomial follow
+    and no round is drawn.  Else the rounds follow, the first with
+    super-unit 0's g set to 0, so its placed cluster follows a whole
+    stretch, as a later round's first cluster does.  A round draws the
+    uniforms of its g and j, its members' close gaps, detectors and
+    efficiency draws, then walks, then draws the blocks of its counted
+    clusters in range; the isolated pairs' binomial comes last.  At K = 1
+    no g is drawn before the rounds.
     """
     p = params.pair_prob
     first = int(rng.geometric(p)) - 1 if p > 0.0 else n_slots  # slot of the first pair
@@ -754,6 +772,20 @@ def _sample_members(params: SourceParams, n_slots: int, rng: np.random.Generator
     counted_pairs = 0
     blocks = [0] * counted.lengths.shape[1]  # of the pairs not placed, by length
     opens = 1  # how super-unit 0 of a batch opens; see _walk_units
+    if largest > 1:  # super-unit 0's counted clusters, walked before any round
+        g = int(min(math.log1p(-rng.random()) / counted.log_counted, room // (step + 1) + 2))
+        if g:
+            counted_in, tally, _, pairs_in, room = _walk_units(
+                np.array([0, g + 1]), _NO_MEMBERS, _NO_MEMBERS, room, 1, counted, window, p, q, rng, g)
+            pairs += pairs_in
+            if counted_in:
+                counted_pairs = counted_in + counted.pairs(tally)
+                blocks = counted.blocks(tally, rng)
+            if room is None:  # the range ends among them: no member is placed
+                blocks[1] += int(rng.binomial(pairs - counted_pairs, eff))
+                empty = np.empty(0, dtype=np.int64)
+                return empty, empty.astype(bool), empty.astype(bool), pairs, blocks
+            opens = 0  # the placed cluster follows a whole stretch
     slots: list[np.ndarray] = []
     to_a: list[np.ndarray] = []
     eff_draws: list[np.ndarray] = []
@@ -772,8 +804,9 @@ def _sample_members(params: SourceParams, n_slots: int, rng: np.random.Generator
         n_counted, count = draws.astype(np.int64)
         count += largest + 1  # members: a first pair and K + floor(...) close gaps
         head = opens == 2  # super-unit 0 holds only the rest of a cut cluster
-        if head:
+        if head or not slots:  # or its counted clusters were walked before the first round
             n_counted[0] = 0
+        if head:
             count[0] -= largest
         members = np.zeros(batch + 1, dtype=np.int64)
         count.cumsum(out=members[1:])
@@ -894,7 +927,7 @@ def _apply_deadtime(slots: np.ndarray, to_a: np.ndarray, eff_draws: np.ndarray,
 
 def generate_herald_stream(params: SourceParams, n_slots: int, rng: np.random.Generator) -> HeraldStream:
     """Run the source and heralding arm over ``n_slots`` pulse slots."""
-    if not (_is_int(n_slots) and 1 <= n_slots <= MAX_SLOTS):
+    if not (is_int(n_slots) and 1 <= n_slots <= MAX_SLOTS):
         raise ValueError(f"n_slots must be an integer in 1..2**62 (got {n_slots!r})")
     pair_slots, to_a, eff_draws, pair_count, blocks = _sample_members(params, n_slots, rng)
     fired = _apply_deadtime(pair_slots, to_a, eff_draws, params.herald_deadtime_slots)

@@ -1,6 +1,7 @@
 """End-to-end runs: determinism, merging, reports, sweeps, calibration."""
 
 import csv
+import io
 import json
 import time
 import tracemalloc
@@ -106,6 +107,25 @@ class TestConfigHandling:
         a = config_digest(scenario_to_mapping(scenario()))
         echo = json.loads(json.dumps(scenario_to_mapping(scenario())))
         assert config_digest(echo) == a
+
+    @pytest.mark.parametrize("section,key", [
+        ("converter", "n_modes"),
+        ("run", "slots_per_trial"),
+        ("run", "seed"),
+    ])
+    def test_numpy_integer_gives_the_same_report_bytes(self, section, key):
+        # the package's one integer rule takes numpy integers, and a config
+        # field stores the Python int, so the echo and its digest are JSON
+        reports = []
+        for cast in (int, np.int64):
+            raw = raw_scenario()
+            raw[section][key] = cast(raw[section][key])
+            sc = scenario_from_mapping(raw)
+            assert type(getattr(sc.controls if section == "run" else sc.config.converter, key)) is int
+            out = io.StringIO()
+            write_report(run_simulation(sc), out)
+            reports.append(out.getvalue())
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("section,key", [
         ("run", "calibration_mode"),

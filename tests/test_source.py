@@ -989,6 +989,94 @@ class TestRangeEndInCountedCluster:
             assert ks_pvalue(a, b) > ALPHA, (column, np.mean(a), np.mean(b))
 
 
+def spy_hand_over(monkeypatch):
+    """A function that reads, once a call has drawn its stream, the counted
+    clusters of super-unit 0 that the walk before any vector round passed,
+    when the range then ends in the stretch before that super-unit's placed
+    cluster, or None.
+
+    Each ``_walk_units`` call is seen with the ``total`` it was given (the
+    walk of super-unit 0's counted clusters alone has one), whether it
+    crossed the end of the range in a stretch (``_bisect_stretch`` runs only
+    there) and what it returned.  The first round's walk then ends in its
+    cluster 0's stretch: it counts no cluster and places no member.
+    """
+    walks = []
+    walk, bisect_stretch = source._walk_units, source._bisect_stretch
+
+    def spy_walk(*args):
+        walks.append([args[10] if len(args) > 10 else None, False])
+        walks[-1].append(walk(*args))
+        return walks[-1][2]
+
+    def spy_bisect(*args):
+        walks[-1][1] = True
+        return bisect_stretch(*args)
+
+    monkeypatch.setattr(source, "_walk_units", spy_walk)
+    monkeypatch.setattr(source, "_bisect_stretch", spy_bisect)
+
+    def read():
+        seen = list(walks)
+        walks.clear()
+        if len(seen) < 2 or not seen[0][0] or seen[0][2][4] is None:
+            return None
+        _, crossed, (counted_in, _, placed, _, _) = seen[1]
+        return seen[0][0] if crossed and counted_in == placed == 0 else None
+
+    return read
+
+
+class TestHandOverToTheRound:
+    """Ranges that end after super-unit 0's counted clusters and before its placed cluster's
+    first pair, where the walk of those clusters alone hands over to the first vector round,
+    against the dense oracle's ranges that end so: how often, the counted clusters passed, and
+    the range's pair and herald counts."""
+
+    # (pair_prob, deadtime, slots): a window of one slot at K = 3 and one of
+    # four slots at the source's K (5); ranges end so about one time in 16
+    # and one time in 10
+    @pytest.mark.parametrize("pair_prob,deadtime,n_slots", [(0.3, 0, 30), (0.3, 4, 30)])
+    def test_same_law_given_the_end_before_the_first_placed_cluster(self, pair_prob, deadtime, n_slots,
+                                                                     monkeypatch, request):
+        params = make_params(pair_prob=pair_prob, herald_deadtime_slots=deadtime)
+        window = max(deadtime, 1)
+        if window == 1:  # the source's K (13) would place almost nothing
+            request.getfixturevalue("largest_three")
+        largest = largest_counted(params)
+        draws = 6000
+        hand_over = spy_hand_over(monkeypatch)
+        fast, fast_passed = [], Counter()
+        for i in range(draws):
+            stream = generate_herald_stream(params, n_slots, RngStream(157, (i,)).generator())
+            passed = hand_over()
+            if passed:
+                fast.append((stream.pair_count, stream.herald_count))
+                fast_passed[passed] += 1
+        dense, dense_passed = [], Counter()
+        # far enough past the end to find the first cluster of more than K pairs
+        reach = n_slots + 400
+        for i in range(draws):
+            ref = dense_herald_stream(params, reach, RngStream(163, (i,)).generator())
+            slots = ref.pair_slots
+            starts = np.flatnonzero(np.diff(slots, prepend=-2 * window) > window)
+            sizes = np.diff(starts, append=slots.size)
+            placed = np.flatnonzero(sizes > largest)
+            counted = np.flatnonzero(sizes[:placed[0]] > 1) if placed.size else placed
+            if counted.size and slots[starts[placed[0]]] >= n_slots > slots[starts[counted[-1] + 1] - 1]:
+                end = int(np.searchsorted(slots, n_slots))  # pairs in range
+                dense.append((end, int(ref.fired[:end].sum())))
+                dense_passed[counted.size] += 1
+        assert len(fast) > draws // 20 and set(dense_passed) > {1, 2}
+        assert same_counts_pvalue(Counter(ended=len(fast), other=draws - len(fast)),
+                                  Counter(ended=len(dense), other=draws - len(dense))) > ALPHA
+        assert same_counts_pvalue(fast_passed, dense_passed) > ALPHA, (fast_passed, dense_passed)
+        for column in (0, 1):  # pair count, herald count
+            a = [row[column] for row in fast]
+            b = [row[column] for row in dense]
+            assert ks_pvalue(a, b) > ALPHA, (column, np.mean(a), np.mean(b))
+
+
 class TestWalkSplits:
     """Ranges of many clusters, where the walk splits segments' totals."""
 

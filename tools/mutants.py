@@ -32,6 +32,7 @@ SIZE = "tests/test_source.py::TestSizeLaw"
 GAP = "tests/test_source.py::TestGapClassLaw"
 END = "tests/test_source.py::TestRangeEndInCountedCluster::test_same_law_given_the_end_cuts_a_counted_cluster"
 WALK = "tests/test_source.py::TestWalkSplits::test_pair_count_is_binomial"
+HAND_OVER = "tests/test_source.py::TestHandOverToTheRound::test_same_law_given_the_end_before_the_first_placed_cluster"
 BOUNDARY = "tests/test_source.py::TestTrialBoundary::test_pair_count_is_binomial"
 PIECES = "tests/test_source.py::TestEdgeCases::test_astronomical_stretch_is_drawn_in_pieces"
 WIDE = "tests/test_source.py::TestEdgeCases::test_wide_window_places_every_cluster"
@@ -150,6 +151,19 @@ MUTANTS = (
            "",
            (f"{BOUNDARY}[two_gap_pieces-0.2-1-60]",
             "tests/test_source.py::TestTrialBoundary::test_members_match_dense_oracle_in_law[two_gap_pieces-0.05-4-300]")),
+    # the walk of super-unit 0's counted clusters before the first round
+    Mutant("super-unit 0's counted clusters drawn again in the first round", SOURCE,
+           "        if head or not slots:  #",
+           "        if head:  #",
+           ("tests/test_source.py::TestTrialBoundary::test_members_match_dense_oracle_in_law[one_round-0.3-4-60]",)),
+    Mutant("the placed cluster after super-unit 0's counted clusters opens as the range's first", SOURCE,
+           "            opens = 0  # the placed cluster follows a whole stretch\n",
+           "",
+           (f"{HAND_OVER}[0.3-4-30]",)),
+    Mutant("a range that ends among super-unit 0's counted clusters forgets its isolated pairs", SOURCE,
+           "                blocks[1] += int(rng.binomial(pairs - counted_pairs, eff))\n                empty",
+           "                empty",
+           (f"{END}[0.3-4-30]", "tests/test_source.py::TestAgainstDenseOracle::test_same_law[fixture]")),
     Mutant("a compressed stretch of w slots instead of w + 1", SOURCE,
            "        member_gaps[members[head:batch]] = step  #",
            "        member_gaps[members[head:batch]] = window  #",
@@ -194,7 +208,7 @@ MUTANTS = (
            "                k = int(rng.binomial(k, rows[i][i] / m))",
            ("tests/test_converter.py::TestAgainstRunOracle::test_success_count_is_binomial_across_seeds",)),
     Mutant("a run count that takes a bool", CONVERTER,
-           "    return _is_int(value) and value >= 0",
+           "    return is_int(value) and value >= 0",
            "    return isinstance(value, (int, np.integer)) and value >= 0",
            ("tests/test_converter.py::TestMonteCarloGrid::test_route_runs_rejects_non_counts[True]",)),
     Mutant("a grid point routed on the key (g, 0)", "src/photondemux/pipeline.py",
@@ -202,16 +216,16 @@ MUTANTS = (
            "    gen = RngStream(ctl.seed, (grid_index, 0)).generator()",
            ("tests/test_pipeline.py::TestStreamTallies::test_point_routes_and_calibrates_once_on_its_own_key",)),
     # refusals
-    Mutant("a bool seed accepted", SOURCE,
+    Mutant("a bool seed accepted", "src/photondemux/model.py",
            "    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)",
            "    return isinstance(value, (int, np.integer))",
            ("tests/test_source.py::TestDeterminism::test_non_integer_seed_or_index_rejected[True-index0-True]",)),
     Mutant("a non-integer slot count accepted", SOURCE,
-           "    if not (_is_int(n_slots) and 1 <= n_slots <= MAX_SLOTS):",
+           "    if not (is_int(n_slots) and 1 <= n_slots <= MAX_SLOTS):",
            "    if not 1 <= n_slots <= MAX_SLOTS:",
            ("tests/test_source.py::TestEdgeCases::test_rejects_non_integer_range[5.0-5.0]",)),
     Mutant("a float photon number accepted", "src/photondemux/analytic.py",
-           "    if not _is_int(n):",
+           "    if not is_int(n):",
            "    if isinstance(n, str):",
            ("tests/test_analytic.py::TestDomainChecks::test_non_integer_n_rejected[1.5]",
             "tests/test_measurement.py::test_non_integer_n_rejected[1.5]")),
