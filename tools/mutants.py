@@ -60,7 +60,9 @@ MUTANTS = (
            "    if lead and 0 < crossing < counted.largest:  # cut to 2..K pairs",
            "    if lead and 0 < crossing < 2:",
            ("tests/test_source.py::TestTrialBoundary::"
-            "test_every_placed_cluster_has_three_pairs[three_unit_rounds-0.2-0-500]",)),
+            "test_every_placed_cluster_has_three_pairs[three_unit_rounds-0.2-0-500]",
+            "tests/test_controller.py::TestBlockHistogramOnGeneratedStreams::"
+            "test_lengths_add_up_to_the_herald_count[largest_three]")),
     Mutant("a counted window-1 cluster crossing the end keeps one pair too many", SOURCE,
            "        kept = bisect.bisect_left(list(itertools.accumulate(gaps)), slots)",
            "        kept = bisect.bisect_right(list(itertools.accumulate(gaps)), slots)",
