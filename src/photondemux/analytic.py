@@ -22,10 +22,15 @@ from __future__ import annotations
 from .model import RoutingStrategy, is_int
 
 
-def _check_int(n: int, name: str = "n") -> None:
-    """Refuse a photon number that is not an integer: a float or a bool has no photon count."""
-    if not is_int(n):
-        raise ValueError(f"{name} must be an integer (got {n!r})")
+def _check_int(value: int, name: str = "n", least: "int | None" = 1) -> None:
+    """Refuse a count that is not an integer, or is less than ``least`` (None: no bound).
+
+    A float or a bool has no photon count.
+    """
+    if not is_int(value):
+        raise ValueError(f"{name} must be an integer (got {value!r})")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least} (got {value})")
 
 
 def _check_eta(eta_sw: float) -> None:
@@ -36,8 +41,6 @@ def _check_eta(eta_sw: float) -> None:
 def s_heralded(n: int, eta_sw: float) -> float:
     """Conversion efficiency with heralding-driven routers: eta_sw**n."""
     _check_int(n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1 (got {n})")
     _check_eta(eta_sw)
     return eta_sw**n
 
@@ -48,7 +51,7 @@ def s_unheralded_clocked(n: int, eta_sw: float) -> float:
     Defined for n >= 2; a single output mode has no clock phase to miss,
     use :func:`s_heralded` for n = 1.
     """
-    _check_int(n)
+    _check_int(n, least=None)
     if n < 2:
         raise ValueError(f"n must be >= 2 for clocked conversion (got {n}); use s_heralded for n = 1")
     _check_eta(eta_sw)
@@ -63,8 +66,6 @@ def s_passive(n: int) -> float:
     negligible splitter loss; there is deliberately no lossy variant.
     """
     _check_int(n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1 (got {n})")
     return 1.0 / n**n
 
 

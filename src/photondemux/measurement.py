@@ -86,8 +86,6 @@ def estimate_s(
     estimate is (E. B. Wilson, J. Am. Stat. Assoc. 22, 209 (1927)).
     """
     _check_int(n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1 (got {n})")
     if c_h_rate <= 0:
         raise ValueError(f"c_h_rate must be positive (got {c_h_rate})")
     if not 0 < p_h1_eta_d <= 1:
@@ -121,8 +119,6 @@ def compensate_transmittance(
     if not 0 < t <= 1:
         raise ValueError(f"transmittance must lie in (0, 1] (got {t})")
     _check_int(n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1 (got {n})")
     value = s.value / t**n
     error = math.hypot(s.std_error / t**n, value * n * t_std_error / t)
     return EfficiencyEstimate(value=value, std_error=error)

@@ -254,9 +254,7 @@ def run_analytic(n_max: int, eta_sw: float) -> list[dict]:
     Keys n, heralded, clocked, passive; the clocked cell is None at
     n = 1, where that strategy is undefined.
     """
-    _check_int(n_max, "n_max")
-    if n_max < 2:
-        raise ValueError(f"n_max must be >= 2 (got {n_max})")
+    _check_int(n_max, "n_max", least=2)
     return [
         {
             "n": n,

@@ -194,15 +194,7 @@ def _split(total: int, left: int, right: int, rng: np.random.Generator) -> int:
     return int(rng.binomial(total, rng.beta(left, right)))
 
 
-def _hypergeometric(good: int, bad: int, sample: int, rng: np.random.Generator) -> int:
-    """Good items among ``sample`` drawn without replacement from ``good + bad``:
-    ``good`` and ``sample`` positive, and ``sample`` less than ``good + bad``."""
-    if bad == 0:
-        return sample
-    return int(rng.hypergeometric(good, bad, sample))
-
-
-def _largest_counted(q: float, window: int = 1) -> int:
+def _largest_counted(q: float, window: int) -> int:
     """K: clusters of at most K pairs are counted, not placed.
 
     The smallest K >= 1 with q^(K - 1) <= 1e-6, so that at most one cluster
@@ -345,7 +337,7 @@ class _GapClassLaw:
                     taken[i:] = counts[i:]
                 break
             if count:
-                in_left = _hypergeometric(count, clusters - count, left, rng)
+                in_left = left if count == clusters else int(rng.hypergeometric(count, clusters - count, left))
                 taken[i] = in_left
                 clusters -= count
                 left -= in_left

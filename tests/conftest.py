@@ -34,7 +34,7 @@ def landings(monkeypatch):
 
 
 def _count_up_to(monkeypatch, largest):
-    monkeypatch.setattr(source, "_largest_counted", lambda q, window=1: largest)
+    monkeypatch.setattr(source, "_largest_counted", lambda q, window: largest)
     source._counted_law.cache_clear()
 
 

@@ -85,12 +85,12 @@ MUTANTS = (
            (f"{SIZE}::test_matches_enumeration",)),
     # the law of every window: the split chain
     Mutant("the class split without hypergeometric draws", SOURCE,
-           "                in_left = _hypergeometric(count, clusters - count, left, rng)",
-           "                in_left = min(count, left)",
+           "else int(rng.hypergeometric(count, clusters - count, left))",
+           "else min(count, left)",
            (f"{SIZE}::test_split_has_the_law_of_a_fresh_draw", f"{GAP}::test_split_has_the_law_of_a_fresh_draw")),
     Mutant("the last class left in a split takes none of the left part", SOURCE,
-           "    if bad == 0:\n        return sample\n",
-           "    if bad == 0:\n        return 0\n",
+           "in_left = left if count == clusters else",
+           "in_left = 0 if count == clusters else",
            (f"{SIZE}::test_split_has_the_law_of_a_fresh_draw", f"{GAP}::test_split_has_the_law_of_a_fresh_draw")),
     # the gap classes of a wider window
     Mutant("a wrong class probability: the close-gap law not normalized", SOURCE,
