@@ -27,6 +27,14 @@ from .analytic import _check_int
 from .model import EfficiencyEstimate
 
 
+def _check_counts(coincidences: int, triggers: int, names: tuple[str, str]) -> None:
+    """Refuse counts that no run produces: not integers >= 0, or more coincidences than triggers."""
+    _check_int(coincidences, names[0], least=0)
+    _check_int(triggers, names[1], least=0)
+    if coincidences > triggers:
+        raise ValueError("more coincidences than triggers")
+
+
 def count_rates(
     n_coincidences: int,
     n_triggers: int,
@@ -40,8 +48,7 @@ def count_rates(
     """
     if slots_simulated <= 0:
         raise ValueError(f"slots_simulated must be positive (got {slots_simulated})")
-    if n_coincidences > n_triggers:
-        raise ValueError("more coincidences than triggers")
+    _check_counts(n_coincidences, n_triggers, ("n_coincidences", "n_triggers"))
     per_slot_to_rate = rep_rate_hz / slots_simulated
     return n_coincidences * per_slot_to_rate, n_triggers * per_slot_to_rate
 
@@ -86,6 +93,7 @@ def estimate_s(
     estimate is (E. B. Wilson, J. Am. Stat. Assoc. 22, 209 (1927)).
     """
     _check_int(n)
+    _check_counts(coincidence_count, trigger_count, ("coincidence_count", "trigger_count"))
     if c_h_rate <= 0:
         raise ValueError(f"c_h_rate must be positive (got {c_h_rate})")
     if not 0 < p_h1_eta_d <= 1:
@@ -143,6 +151,10 @@ def estimate_routing_efficiencies(
     n = counts.shape[0]
     if counts.shape != (n, n):
         raise ValueError(f"count table must be square (got {counts.shape})")
+    negative = np.argwhere(counts < 0)
+    if negative.size:
+        i, j = negative[0].tolist()
+        raise ValueError(f"count table entry [{i}, {j}] is negative (got {counts[i, j]})")
     corr = [1.0] * n if corrections is None else [float(c) for c in corrections]
     if len(corr) != n:
         raise ValueError(f"expected {n} correction factors, got {len(corr)}")

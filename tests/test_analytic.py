@@ -137,9 +137,9 @@ class TestDomainChecks:
             s_unheralded_clocked(2, eta)
 
     def test_bad_n_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^n must be >= 1 \(got 0\)$"):
             s_heralded(0, 0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^n must be >= 1 \(got 0\)$"):
             s_passive(0)
 
     @pytest.mark.parametrize("n", [1.5, 2.0, np.float64(3.0), True])
@@ -219,7 +219,7 @@ class TestCurves:
         assert all(0.0 <= v <= 1.0 for v in cells)
 
     def test_n_max_too_small(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^n_max must be >= 2 \(got 1\)$"):
             run_analytic(1, 0.5)
 
     @pytest.mark.parametrize("n_max", [3.5, 4.0, True])

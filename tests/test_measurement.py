@@ -100,6 +100,47 @@ class TestEstimateS:
             estimate_s(1.0, 10.0, 0.1, 0)
 
 
+class TestCountsNoRunProduces:
+    """Counts are integers >= 0 with no more coincidences than triggers; else no estimate
+    and no error bar is reported for them."""
+
+    @pytest.mark.parametrize("coincidences,triggers", [(50, 10), (5, 0)])
+    def test_more_coincidences_than_triggers_rejected(self, coincidences, triggers):
+        # gave 0.4 +- 0.139 and 0.4 +- 0
+        with pytest.raises(ValueError, match=r"^more coincidences than triggers$"):
+            estimate_s(1.0, 10.0, 0.5, 2, coincidence_count=coincidences, trigger_count=triggers)
+
+    @pytest.mark.parametrize("coincidences,triggers,message", [
+        pytest.param(-5, 10, "coincidence_count must be >= 0 (got -5)", id="negative"),  # gave a Wilson bound of 0.364
+        pytest.param(0, -1, "trigger_count must be >= 0 (got -1)", id="negative_triggers"),
+        pytest.param(1.5, 10, "coincidence_count must be an integer (got 1.5)", id="float"),
+        pytest.param(1, 10.0, "trigger_count must be an integer (got 10.0)", id="float_triggers"),
+        pytest.param(True, 10, "coincidence_count must be an integer (got True)", id="bool"),
+    ])
+    def test_estimate_s_rejects_non_counts(self, coincidences, triggers, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            estimate_s(1.0, 10.0, 0.5, 2, coincidence_count=coincidences, trigger_count=triggers)
+
+    @pytest.mark.parametrize("coincidences,triggers,message", [
+        pytest.param(-1, 5, "n_coincidences must be >= 0 (got -1)", id="negative"),  # gave (-0.1, 0.5)
+        pytest.param(1.5, 5, "n_coincidences must be an integer (got 1.5)", id="float"),  # gave (0.15, 0.5)
+        pytest.param(0, -1, "n_triggers must be >= 0 (got -1)", id="negative_triggers"),
+        pytest.param(1, 5.0, "n_triggers must be an integer (got 5.0)", id="float_triggers"),
+    ])
+    def test_count_rates_rejects_non_counts(self, coincidences, triggers, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            count_rates(coincidences, triggers, 10, 1.0)
+
+    @pytest.mark.parametrize("table,entry", [
+        pytest.param([[3, -1], [0, 2]], "[0, 1]", id="0-1"),
+        pytest.param([[2, 0], [-1, 3]], "[1, 0]", id="1-0"),
+    ])
+    def test_negative_landing_count_rejected(self, table, entry):
+        # raised "math domain error"
+        with pytest.raises(ValueError, match=f"^count table entry {re.escape(entry)} is negative \\(got -1\\)$"):
+            estimate_routing_efficiencies(table)
+
+
 class TestCompensateTransmittance:
     def test_published_operating_point(self):
         est = EfficiencyEstimate(0.533, 0.003)

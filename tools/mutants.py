@@ -227,10 +227,27 @@ MUTANTS = (
            "    if not 1 <= n_slots <= MAX_SLOTS:",
            ("tests/test_source.py::TestEdgeCases::test_rejects_non_integer_range[5.0-5.0]",)),
     Mutant("a float photon number accepted", "src/photondemux/analytic.py",
-           "    if not is_int(n):",
-           "    if isinstance(n, str):",
+           "    if not is_int(value):",
+           "    if isinstance(value, str):",
            ("tests/test_analytic.py::TestDomainChecks::test_non_integer_n_rejected[1.5]",
             "tests/test_measurement.py::test_non_integer_n_rejected[1.5]")),
+    Mutant("the range check dropped from the photon-number checker", "src/photondemux/analytic.py",
+           "    if least is not None and value < least:",
+           "    if False:",
+           ("tests/test_analytic.py::TestDomainChecks::test_bad_n_rejected",
+            "tests/test_measurement.py::TestCompensateTransmittance::test_zero_modes_rejected")),
+    Mutant("estimate_s accepts more coincidences than triggers", "src/photondemux/measurement.py",
+           '    _check_counts(coincidence_count, trigger_count, ("coincidence_count", "trigger_count"))\n',
+           "",
+           ("tests/test_measurement.py::TestCountsNoRunProduces::test_more_coincidences_than_triggers_rejected",)),
+    Mutant("count_rates accepts a negative count", "src/photondemux/measurement.py",
+           '    _check_counts(n_coincidences, n_triggers, ("n_coincidences", "n_triggers"))\n',
+           '    if n_coincidences > n_triggers:\n        raise ValueError("more coincidences than triggers")\n',
+           ("tests/test_measurement.py::TestCountsNoRunProduces::test_count_rates_rejects_non_counts[negative]",)),
+    Mutant("a negative landing count accepted", "src/photondemux/measurement.py",
+           "    negative = np.argwhere(counts < 0)",
+           "    negative = np.argwhere(counts < -1)",
+           ("tests/test_measurement.py::TestCountsNoRunProduces::test_negative_landing_count_rejected",)),
     Mutant("an all-success cell reports a zero error", "src/photondemux/converter.py",
            "    if 0 < successes < trials:",
            "    if 0 < successes <= trials:",
