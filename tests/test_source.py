@@ -982,11 +982,64 @@ class TestRangeEndInCountedCluster:
                     dense.append((end, int(ref.fired[:end].sum())))
                     dense_kept[end - first] += 1
         assert len(fast) > draws // 20 and set(dense_kept) > {1, 2}
-        assert same_counts_pvalue(fast_kept, dense_kept) > ALPHA, (fast_kept, dense_kept)
-        for column in (0, 1):  # pair count, herald count
-            a = [row[column] for row in fast]
-            b = [row[column] for row in dense]
-            assert ks_pvalue(a, b) > ALPHA, (column, np.mean(a), np.mean(b))
+        assert_same_ranges(fast, fast_kept, dense, dense_kept)
+
+
+class TestRangeEndInPlacedCluster:
+    """Ranges that end inside a placed window-1 cluster with 2..K of its pairs in range, which
+    the walk counts by its gaps in range, against the dense oracle's ranges that end inside a
+    cluster of more than K pairs with 2..K of them in range: how often, the pairs of that cluster
+    in range, and the range's pair and herald counts."""
+
+    # (pair_prob, deadtime, slots): a window of one slot at K = 3, with and
+    # without herald deadtime; a range ends so when its last j = 2 or 3 slots
+    # hold pairs, the slot before them none and the 4 - j slots after it pairs:
+    # 2 (1 - p) p^4 = 1/16 of ranges at p = 0.5, so at least 1/25 is asserted
+    @pytest.mark.usefixtures("largest_three")
+    @pytest.mark.parametrize("pair_prob,deadtime,n_slots", [(0.5, 0, 30), (0.5, 1, 30)])
+    def test_same_law_given_the_end_cuts_a_placed_cluster(self, pair_prob, deadtime, n_slots, monkeypatch):
+        params = make_params(pair_prob=pair_prob, herald_deadtime_slots=deadtime)
+        window = max(deadtime, 1)
+        largest = largest_counted(params)
+        draws = 6000
+        seen = spy_cuts(monkeypatch)
+        fast, fast_kept = [], Counter()
+        for i in range(draws):
+            seen.clear()
+            stream = generate_herald_stream(params, n_slots, RngStream(167, (i,)).generator())
+            kept = [pairs for kind, pairs in seen if kind == "placed"]
+            if kept:
+                fast.append((stream.pair_count, stream.herald_count))
+                fast_kept[kept[0]] += 1
+        dense, dense_kept = [], Counter()
+        # far enough past the end to tell a cluster of more than K pairs from one of at most K
+        reach = n_slots + (largest + 1) * window + 1
+        for i in range(draws):
+            ref = dense_herald_stream(params, reach, RngStream(173, (i,)).generator())
+            slots = ref.pair_slots
+            end = int(np.searchsorted(slots, n_slots))  # pairs in range
+            if 0 < end < slots.size and slots[end] - slots[end - 1] <= window:
+                breaks = np.flatnonzero(np.diff(slots) > window) + 1
+                first = breaks[breaks < end].max(initial=0)
+                stop = breaks[breaks >= end].min(initial=slots.size)
+                if stop - first > largest and 2 <= end - first <= largest:
+                    dense.append((end, int(ref.fired[:end].sum())))
+                    dense_kept[end - first] += 1
+        assert min(len(fast), len(dense)) > draws // 25 and set(dense_kept) == set(range(2, largest + 1))
+        assert same_counts_pvalue(Counter(ended=len(fast), other=draws - len(fast)),
+                                  Counter(ended=len(dense), other=draws - len(dense))) > ALPHA
+        assert_same_ranges(fast, fast_kept, dense, dense_kept)
+
+
+def assert_same_ranges(fast, fast_kept, dense, dense_kept):
+    """The sampler's and the dense oracle's selected ranges agree in law: the tally of what was
+    kept at the end of each range, and each range's pair count and herald count (``fast`` and
+    ``dense`` rows)."""
+    assert same_counts_pvalue(fast_kept, dense_kept) > ALPHA, (fast_kept, dense_kept)
+    for column in (0, 1):  # pair count, herald count
+        a = [row[column] for row in fast]
+        b = [row[column] for row in dense]
+        assert ks_pvalue(a, b) > ALPHA, (column, np.mean(a), np.mean(b))
 
 
 def spy_hand_over(monkeypatch):
@@ -1070,11 +1123,7 @@ class TestHandOverToTheRound:
         assert len(fast) > draws // 20 and set(dense_passed) > {1, 2}
         assert same_counts_pvalue(Counter(ended=len(fast), other=draws - len(fast)),
                                   Counter(ended=len(dense), other=draws - len(dense))) > ALPHA
-        assert same_counts_pvalue(fast_passed, dense_passed) > ALPHA, (fast_passed, dense_passed)
-        for column in (0, 1):  # pair count, herald count
-            a = [row[column] for row in fast]
-            b = [row[column] for row in dense]
-            assert ks_pvalue(a, b) > ALPHA, (column, np.mean(a), np.mean(b))
+        assert_same_ranges(fast, fast_passed, dense, dense_passed)
 
 
 class TestWalkSplits:

@@ -31,6 +31,7 @@ SOURCE = "src/photondemux/source.py"
 SIZE = "tests/test_source.py::TestSizeLaw"
 GAP = "tests/test_source.py::TestGapClassLaw"
 END = "tests/test_source.py::TestRangeEndInCountedCluster::test_same_law_given_the_end_cuts_a_counted_cluster"
+PLACED_END = "tests/test_source.py::TestRangeEndInPlacedCluster::test_same_law_given_the_end_cuts_a_placed_cluster"
 WALK = "tests/test_source.py::TestWalkSplits::test_pair_count_is_binomial"
 HAND_OVER = "tests/test_source.py::TestHandOverToTheRound::test_same_law_given_the_end_before_the_first_placed_cluster"
 BOUNDARY = "tests/test_source.py::TestTrialBoundary::test_pair_count_is_binomial"
@@ -59,7 +60,8 @@ MUTANTS = (
     Mutant("a placed cluster cut only to two pairs is counted", SOURCE,
            "    if lead and 0 < crossing < counted.largest:  # cut to 2..K pairs",
            "    if lead and 0 < crossing < 2:",
-           ("tests/test_source.py::TestTrialBoundary::"
+           (f"{PLACED_END}[0.5-0-30]", f"{PLACED_END}[0.5-1-30]",
+            "tests/test_source.py::TestTrialBoundary::"
             "test_every_placed_cluster_has_three_pairs[three_unit_rounds-0.2-0-500]",
             "tests/test_controller.py::TestBlockHistogramOnGeneratedStreams::"
             "test_lengths_add_up_to_the_herald_count[largest_three]")),
