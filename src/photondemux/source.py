@@ -337,6 +337,8 @@ class _GapClassLaw:
                     taken[i:] = counts[i:]
                 break
             if count:
+                # the last class takes the whole left part without a draw: numpy's draw
+                # would spend random numbers there once the sample reaches 10
                 in_left = left if count == clusters else int(rng.hypergeometric(count, clusters - count, left))
                 taken[i] = in_left
                 clusters -= count
