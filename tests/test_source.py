@@ -944,6 +944,15 @@ def spy_cuts(monkeypatch):
     return seen
 
 
+def cut_at_end(slots: np.ndarray, n_slots: int, window: int) -> tuple[int, int, int]:
+    """The pairs in a range of ``n_slots`` slots, and the indices of the first pair of the
+    cluster (gaps <= ``window``) that holds the range's last pair and of the first pair after
+    that cluster: the end of the range cuts that cluster when first < pairs in range < stop."""
+    end = int(np.searchsorted(slots, n_slots))
+    breaks = np.flatnonzero(np.diff(slots) > window) + 1
+    return end, int(breaks[breaks < end].max(initial=0)), int(breaks[breaks >= end].min(initial=slots.size))
+
+
 class TestRangeEndInCountedCluster:
     """Ranges that end inside a counted cluster, against the dense oracle's ranges that end
     inside a cluster of at most K pairs: the pairs of that cluster in range, and the range's
@@ -972,15 +981,10 @@ class TestRangeEndInCountedCluster:
         reach = n_slots + (largest + 1) * window + 1
         for i in range(draws):
             ref = dense_herald_stream(params, reach, RngStream(149, (i,)).generator())
-            slots = ref.pair_slots
-            end = int(np.searchsorted(slots, n_slots))  # pairs in range
-            if 0 < end < slots.size and slots[end] - slots[end - 1] <= window:
-                breaks = np.flatnonzero(np.diff(slots) > window) + 1
-                first = breaks[breaks < end].max(initial=0)
-                stop = breaks[breaks >= end].min(initial=slots.size)
-                if stop - first <= largest:
-                    dense.append((end, int(ref.fired[:end].sum())))
-                    dense_kept[end - first] += 1
+            end, first, stop = cut_at_end(ref.pair_slots, n_slots, window)
+            if first < end < stop and stop - first <= largest:
+                dense.append((end, int(ref.fired[:end].sum())))
+                dense_kept[end - first] += 1
         assert len(fast) > draws // 20 and set(dense_kept) > {1, 2}
         assert_same_ranges(fast, fast_kept, dense, dense_kept)
 
@@ -1016,15 +1020,10 @@ class TestRangeEndInPlacedCluster:
         reach = n_slots + (largest + 1) * window + 1
         for i in range(draws):
             ref = dense_herald_stream(params, reach, RngStream(173, (i,)).generator())
-            slots = ref.pair_slots
-            end = int(np.searchsorted(slots, n_slots))  # pairs in range
-            if 0 < end < slots.size and slots[end] - slots[end - 1] <= window:
-                breaks = np.flatnonzero(np.diff(slots) > window) + 1
-                first = breaks[breaks < end].max(initial=0)
-                stop = breaks[breaks >= end].min(initial=slots.size)
-                if stop - first > largest and 2 <= end - first <= largest:
-                    dense.append((end, int(ref.fired[:end].sum())))
-                    dense_kept[end - first] += 1
+            end, first, stop = cut_at_end(ref.pair_slots, n_slots, window)
+            if first < end < stop and stop - first > largest and 2 <= end - first <= largest:
+                dense.append((end, int(ref.fired[:end].sum())))
+                dense_kept[end - first] += 1
         assert min(len(fast), len(dense)) > draws // 25 and set(dense_kept) == set(range(2, largest + 1))
         assert same_counts_pvalue(Counter(ended=len(fast), other=draws - len(fast)),
                                   Counter(ended=len(dense), other=draws - len(dense))) > ALPHA
